@@ -167,6 +167,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: ``jsonschema.validate`` would re-check the schema itself on
+# every call. ``tests/test_cli.py`` checks the schema instead.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 def load_config(path: str) -> dict:
     try:
@@ -181,11 +185,10 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<top level>"
-        raise ConfigError(f"config field {location!r}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        location = "/".join(str(p) for p in error.absolute_path) or "<top level>"
+        raise ConfigError(f"config field {location!r}: {error.message}") from error
 
 
 def _grid_from_config(config: dict) -> TimeGrid:

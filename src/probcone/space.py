@@ -31,7 +31,7 @@ from .cone import Cone
 from .dist import DistFn, TimeGrid
 from .errors import InfeasibleRegionError, InvalidParameterError
 from .parallel import ordered_map
-from .tnorm import TNorm
+from .tnorm import TNorm, _check_unit
 
 _SAMPLING_ATTEMPT_CAP = 100_000
 
@@ -151,6 +151,17 @@ def check_axioms(
     evaluates every pairwise distance once on the grid and on the
     (t + s) matrix, and reduces margins in fixed index order so the result
     is identical for any worker count.
+
+    The triangle check validates every off-diagonal grid value as a t-norm
+    operand once, then works one ordered pair (i, j) at a time: the margins
+    F_ik(t + s) - T(F_ij(t), F_jk(s)) for all k and all (t, s) form one
+    (n, G, G) array, with k == i and k == j masked by +inf, reduced by one
+    argmin. Row i (one ``workers`` task) keeps its worst pair under a strict
+    ``<`` over j, and rows combine under a strict ``<`` over i. The witness
+    is therefore the first (i, j, k) in lexicographic order that attains the
+    worst margin, and within it the first (t, s) in row-major order. Peak
+    memory is the (n, n, G, G) table of F_ik(t + s) plus one (n, G, G)
+    buffer per running row.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
@@ -161,7 +172,7 @@ def check_axioms(
     ts_matrix = t[:, None] + t[None, :]
 
     dists = [[space.distance(pts[i], pts[j]) for j in range(n_points)] for i in range(n_points)]
-    on_grid = [[np.asarray(dists[i][j].eval(t)) for j in range(n_points)] for i in range(n_points)]
+    on_grid = np.array([[dists[i][j].eval(t) for j in range(n_points)] for i in range(n_points)], dtype=float)
 
     # Axiom 1: F(x, x) == 1 on the grid.
     id_worst = None
@@ -205,37 +216,39 @@ def check_axioms(
                 sub_pairs.append((j, i))
     symmetry = _passfail("symmetry", sym_worst, tol, sym_witness)
 
-    # Axiom 3 over ordered distinct triples, all (t, s) pairs at once.
-    on_matrix = {}
-    for i in range(n_points):
-        for k in range(n_points):
-            if i != k:
-                on_matrix[(i, k)] = np.asarray(dists[i][k].eval(ts_matrix))
-
-    triples = [
-        (i, j, k)
-        for i in range(n_points)
-        for j in range(n_points)
-        for k in range(n_points)
-        if i != j and j != k and i != k
-    ]
-
+    # Axiom 3 over ordered distinct triples and every (t, s) cell, reduced
+    # one (i, j) block at a time: the margins for all k form one array.
+    g = len(grid)
+    off_diagonal = ~np.eye(n_points, dtype=bool)
+    _check_unit(on_grid[off_diagonal], "distance values")
+    # F_ik(t + s) for every ordered pair; +inf on the diagonal masks k == i.
+    lhs = np.full((n_points, n_points, g, g), np.inf)
+    for i, k in zip(*np.nonzero(off_diagonal)):
+        lhs[i, k] = dists[i][k].eval(ts_matrix)
     tnorm = space.tnorm
 
-    def triple_margin(triple):
-        i, j, k = triple
-        lhs = on_matrix[(i, k)]
-        rhs = tnorm.apply(on_grid[i][j][:, None], on_grid[j][k][None, :])
-        margins = lhs - rhs
-        flat = int(np.argmin(margins))
-        return float(margins.flat[flat]), flat
+    def row_worst(i):
+        """Worst (margin, j, flat index over (k, t, s)) among triples starting at i."""
+        margins = np.empty((n_points, g, g))
+        worst = None
+        for j in range(n_points):
+            if j == i:
+                continue
+            tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :], out=margins)
+            np.subtract(lhs[i], margins, out=margins)
+            margins[j] = np.inf
+            flat = int(np.argmin(margins))
+            margin = float(margins.flat[flat])
+            if worst is None or margin < worst[0]:
+                worst = (margin, j, flat)
+        return worst
 
-    results = ordered_map(triple_margin, triples, workers=workers)
     tri_worst = None
     tri_witness = None
-    for (i, j, k), (margin, flat) in zip(triples, results):
+    for i, (margin, j, flat) in enumerate(ordered_map(row_worst, range(n_points), workers=workers)):
         if tri_worst is None or margin < tri_worst:
-            ti, si = divmod(flat, len(grid))
+            k, cell = divmod(flat, g * g)
+            ti, si = divmod(cell, g)
             tri_worst = margin
             tri_witness = {
                 "i": i,

@@ -39,19 +39,24 @@ class TNorm(enum.Enum):
         MINIMUM is min(a, b), PRODUCT is a*b, and LUKASIEWICZ is
         max(a + b - 1, 0).
         """
-        a = _check_unit(a, "a")
-        b = _check_unit(b, "b")
-        if self is TNorm.MINIMUM:
-            out = np.minimum(a, b)
-        elif self is TNorm.PRODUCT:
-            out = a * b
-        else:
-            # a - (1 - b) rather than a + b - 1: same value, but the
-            # identity law apply(a, 1) == a then holds exactly in floats.
-            out = np.maximum(a - (1.0 - b), 0.0)
+        out = self._combine(_check_unit(a, "a"), _check_unit(b, "b"))
         if np.ndim(out) == 0:
             return float(out)
         return out
+
+    def _combine(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+        """``apply`` without validation, for operands already checked by the caller.
+
+        ``a`` and ``b`` broadcast against each other; ``out``, when given,
+        receives the result, which is otherwise freshly allocated.
+        """
+        if self is TNorm.MINIMUM:
+            return np.minimum(a, b, out=out)
+        if self is TNorm.PRODUCT:
+            return np.multiply(a, b, out=out)
+        # a - (1 - b) rather than a + b - 1: same value, but the identity
+        # law apply(a, 1) == a then holds exactly in floats.
+        return np.maximum(np.subtract(a, 1.0 - b, out=out), 0.0, out=out)
 
     def fold(self, values: Iterable[float]) -> float:
         """Left-fold of ``apply`` over an ordered sequence; empty input gives 1.

@@ -1,10 +1,12 @@
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from probcone.cli import main
+from probcone.cli import CONFIG_SCHEMA, main, validate_config
+from probcone.errors import ConfigError
 
 DIRAC_SPACE = {"dim": 2, "distance": "dirac", "tnorm": "min"}
 GAUSS_SPACE = {"dim": 2, "distance": {"kind": "cone-gaussian", "delta": 0.5}, "tnorm": "min"}
@@ -56,6 +58,31 @@ class TestAxiomsCommand:
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["axioms", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
+
+
+class TestConfigValidation:
+    def test_schema_is_a_valid_schema(self):
+        # validate_config reuses one prebuilt validator, which never checks
+        # the schema itself.
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"space": {"dim": 2, "tnorm": "median"}},
+            {"spaces": DIRAC_SPACE},
+            {"space": {"dim": 0}},
+            {"axioms": {"n_points": 2, "tol": "x"}},
+            {"grid": {"num": 1, "points": []}, "solve": {}},
+        ],
+    )
+    def test_messages_match_jsonschema_validate(self, config):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(config, CONFIG_SCHEMA)
+        location = "/".join(str(p) for p in expected.value.absolute_path) or "<top level>"
+        with pytest.raises(ConfigError) as raised:
+            validate_config(config)
+        assert str(raised.value) == f"config field {location!r}: {expected.value.message}"
 
 
 class TestClassifyCommand:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probcone import (
     DiracStep,
+    DistFn,
     InfeasibleRegionError,
     InvalidParameterError,
     Orthant,
@@ -15,6 +19,60 @@ from probcone import (
     tau_converged,
 )
 from probcone.registry import cone_gaussian_space, dirac_space, rotation_half_map
+from probcone.report import axiom_report_to_dict
+
+
+def squared_distance_space(tnorm=TNorm.MINIMUM):
+    # squared Euclidean gaps are not a metric: d(x,z) can exceed
+    # d(x,y) + d(y,z), which a fine grid witnesses under the min t-norm
+    def squared_distance(x, y):
+        return DiracStep(float(np.linalg.norm(x - y) ** 2))
+
+    return PCMSpace(
+        dim=2,
+        distance=squared_distance,
+        tnorm=tnorm,
+        sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+    )
+
+
+def reference_triangle(space, n_points, grid, seed):
+    """Worst triangle margin and its witness, one ordered triple at a time.
+
+    The plain loop that the block reduction in ``check_axioms`` must
+    reproduce: a ``TNorm.apply`` per triple, triples in lexicographic order,
+    the first flat argmin over (t, s) within a triple, and a strict ``<``
+    across triples.
+    """
+    grid = TimeGrid.coerce(grid)
+    pts = sample_points(space, n_points, np.random.default_rng(seed))
+    t = grid.points
+    ts_matrix = t[:, None] + t[None, :]
+    dists = [[space.distance(pts[i], pts[j]) for j in range(n_points)] for i in range(n_points)]
+    worst = None
+    witness = None
+    for i in range(n_points):
+        for j in range(n_points):
+            for k in range(n_points):
+                if i == j or j == k or i == k:
+                    continue
+                rhs = space.tnorm.apply(dists[i][j].eval(t)[:, None], dists[j][k].eval(t)[None, :])
+                margins = np.asarray(dists[i][k].eval(ts_matrix)) - rhs
+                flat = int(np.argmin(margins))
+                margin = float(margins.flat[flat])
+                if worst is None or margin < worst:
+                    ti, si = divmod(flat, len(t))
+                    worst = margin
+                    witness = {"i": i, "j": j, "k": k, "t": float(t[ti]), "s": float(t[si])}
+    return worst, witness
+
+
+def assert_triangle_matches_reference(space, n_points, grid=None, seed=0):
+    # A tolerance below -1 fails every check, so the witness is always reported.
+    report = check_axioms(space, n_points=n_points, grid=grid, tol=-2.0, seed=seed)
+    worst, witness = reference_triangle(space, n_points, grid, seed)
+    assert report.triangle.worst_margin == worst
+    assert report.triangle.witness == witness
 
 
 class TestSampling:
@@ -92,29 +150,81 @@ class TestCheckAxioms:
             check_axioms(dirac_space(), n_points=2)
 
     def test_worker_count_does_not_change_report(self):
-        one = check_axioms(dirac_space(), n_points=7, seed=5, workers=1)
-        many = check_axioms(dirac_space(), n_points=7, seed=5, workers=8)
-        assert one.triangle.worst_margin == many.triangle.worst_margin
-        assert np.array_equal(one.points, many.points)
+        # the cone-gaussian report fails three checks, so witnesses are compared too
+        for space in (dirac_space(), cone_gaussian_space(delta=0.5)):
+            one = check_axioms(space, n_points=7, seed=5, workers=1)
+            many = check_axioms(space, n_points=7, seed=5, workers=8)
+            assert axiom_report_to_dict(one) == axiom_report_to_dict(many)
 
     def test_triangle_failure_carries_witness(self):
-        # squared Euclidean gaps are not a metric: d(x,z) can exceed
-        # d(x,y) + d(y,z), which a fine grid witnesses under the min t-norm
-        def squared_distance(x, y):
-            return DiracStep(float(np.linalg.norm(x - y) ** 2))
-
-        space = PCMSpace(
-            dim=2,
-            distance=squared_distance,
-            tnorm=TNorm.MINIMUM,
-            sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
-        )
         grid = TimeGrid(np.linspace(0.05, 8.0, 160))
-        report = check_axioms(space, n_points=8, seed=2, grid=grid)
+        report = check_axioms(squared_distance_space(), n_points=8, seed=2, grid=grid)
         assert not report.triangle.passed
         assert report.triangle.witness is not None
         assert {"i", "j", "k", "t", "s"} <= set(report.triangle.witness)
         assert report.identity.passed and report.symmetry.passed
+
+
+class TestTriangleKernel:
+    """The block reduction in ``check_axioms`` against the per-triple loop."""
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    def test_squared_distance_space(self, tnorm):
+        grid = TimeGrid(np.linspace(0.05, 8.0, 160))
+        assert_triangle_matches_reference(squared_distance_space(tnorm), 8, grid, seed=2)
+
+    def test_dirac_lukasiewicz_ties_everywhere(self):
+        # every margin is 0 here, so the witness is decided by tie-breaking alone
+        space = dirac_space(dim=3, tnorm=TNorm.LUKASIEWICZ, point_cone=Orthant(3))
+        report = check_axioms(space, n_points=6, seed=1)
+        assert report.triangle.passed and report.triangle.worst_margin == 0.0
+        assert_triangle_matches_reference(space, 6, seed=1)
+
+    def test_repeated_point(self):
+        space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]), tnorm=TNorm.PRODUCT)
+        assert_triangle_matches_reference(space, 4, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["dirac", "gauss", "squared"]),
+        tnorm=st.sampled_from(list(TNorm)),
+        n_points=st.integers(3, 6),
+        grid=st.one_of(
+            st.none(),
+            st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True).map(sorted),
+            st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8, unique=True).map(sorted),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_triple_loop(self, kind, tnorm, n_points, grid, seed):
+        if kind == "dirac":
+            space = dirac_space(tnorm=tnorm)
+        elif kind == "gauss":
+            space = cone_gaussian_space(delta=0.5, tnorm=tnorm)
+        else:
+            space = squared_distance_space(tnorm)
+        assert_triangle_matches_reference(space, n_points, grid, seed)
+
+    def test_operands_outside_unit_interval_rejected(self):
+        class Doubled(DistFn):
+            def eval(self, t):
+                return np.full(np.shape(t), 2.0)
+
+        space = PCMSpace(dim=1, distance=lambda x, y: Doubled(), tnorm=TNorm.MINIMUM)
+        with pytest.raises(InvalidParameterError, match="must lie in"):
+            check_axioms(space, n_points=3)
+
+    def test_peak_memory_at_benchmark_size(self):
+        # The F_ik(t + s) table alone is about 10.5 MB at n=24 on the default
+        # grid; a temporary of the table's size per row would cross 16 MB.
+        space = cone_gaussian_space(delta=0.5)
+        tracemalloc.start()
+        try:
+            check_axioms(space, n_points=24, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestTauConverged:
