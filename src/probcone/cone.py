@@ -158,7 +158,15 @@ def cone_from_config(spec) -> Cone | None:
         return None
     kind = spec.get("type")
     if kind == "orthant":
+        if "dim" not in spec:
+            raise InvalidParameterError("orthant cone needs 'dim'")
         return Orthant(int(spec["dim"]))
     if kind == "halfspaces":
-        return Halfspaces(np.asarray(spec["normals"], dtype=float))
+        if "normals" not in spec:
+            raise InvalidParameterError("halfspaces cone needs 'normals'")
+        try:
+            normals = np.asarray(spec["normals"], dtype=float)
+        except ValueError as exc:
+            raise InvalidParameterError(f"halfspaces normals must be a rectangular array: {exc}") from exc
+        return Halfspaces(normals)
     raise InvalidParameterError(f"unknown cone type {kind!r}")

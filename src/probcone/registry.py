@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
-from .cone import Cone, Orthant, cone_from_config
+from .cone import MEMBERSHIP_TOL, Cone, Orthant, cone_from_config
 from .dist import DiracStep, GaussianShift, ScaledGaussian
 from .errors import InvalidParameterError
 from .contract import Mapping
@@ -69,15 +70,29 @@ def shift_map(offset) -> Mapping:
 
 
 def affine_map(matrix, offset) -> Mapping:
-    mat = np.asarray(matrix, dtype=float)
-    off = np.asarray(offset, dtype=float)
+    mat = _float_array(matrix, "affine matrix")
+    off = _float_array(offset, "affine offset")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or off.shape != (mat.shape[0],):
         raise InvalidParameterError("affine map needs a square matrix and a matching offset")
     return Mapping(lambda u: mat @ u + off, name="affine")
 
 
+def _float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} must be a rectangular array of numbers, got {value!r}") from exc
+
+
 def _parse_vector(text: str, dim: int) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_float(p, "vector component") for p in text.split(",")]
     if len(parts) == 1:
         return np.full(dim, parts[0])
     if len(parts) != dim:
@@ -90,6 +105,9 @@ def make_mapping(spec, dim: int) -> Mapping:
     if isinstance(spec, dict):
         name = spec.get("name")
         if name == "affine":
+            for key in ("matrix", "offset"):
+                if key not in spec:
+                    raise InvalidParameterError(f"affine mapping needs {key!r}")
             return affine_map(spec["matrix"], spec["offset"])
         raise InvalidParameterError(f"unknown mapping object {spec!r}")
     if not isinstance(spec, str):
@@ -102,7 +120,7 @@ def make_mapping(spec, dim: int) -> Mapping:
             raise InvalidParameterError("rotation-half requires a 2-dimensional space")
         return rotation_half_map()
     if head == "scale":
-        return scale_map(float(arg))
+        return scale_map(_float(arg, "scale factor"))
     if head == "constant":
         return constant_map(_parse_vector(arg, dim))
     if head == "shift":
@@ -128,6 +146,12 @@ def dirac_space(
         # finite distance instead of overflowing in the squares
         return DiracStep(math.hypot(*(x - y)))
 
+    def table(X, Y, t):
+        d = _row_hypot(X - Y)
+        _check_finite(d, "DiracStep distance must be finite and >= 0")
+        return np.where(t[None, :] > d[:, None], 1.0, 0.0)
+
+    distance.table = table
     return PCMSpace(dim=dim, distance=distance, tnorm=tnorm, point_cone=point_cone, sampling_box=sampling_box)
 
 
@@ -151,7 +175,31 @@ def cone_gaussian_space(
             return GaussianShift(math.hypot(diff[0], diff[1]))
         return ScaledGaussian(delta)
 
+    def table(X, Y, t):
+        diff = X - Y
+        # the gate's own test, row by row: a NaN component fails it
+        inside = diff.min(axis=1) >= -MEMBERSHIP_TOL
+        d = _row_hypot(diff[inside])
+        _check_finite(d, "GaussianShift offset must be finite")
+        out = np.empty((len(diff), t.size))
+        out[inside] = ndtr(t[None, :] - d[:, None])
+        out[~inside] = ScaledGaussian(delta).eval(t)
+        return out
+
+    distance.table = table
     return PCMSpace(dim=2, distance=distance, tnorm=tnorm, point_cone=None, sampling_box=sampling_box)
+
+
+def _row_hypot(diff: np.ndarray) -> np.ndarray:
+    # math.hypot per row, not np.hypot or np.linalg.norm: those round
+    # differently on some rows, and the tables must match ``distance``
+    return np.array([math.hypot(*row) for row in diff.tolist()], dtype=float)
+
+
+def _check_finite(d: np.ndarray, message: str) -> None:
+    bad = ~np.isfinite(d)
+    if bad.any():
+        raise InvalidParameterError(f"{message}, got {float(d[bad][0])}")
 
 
 def make_space(config: dict) -> PCMSpace:
@@ -183,7 +231,7 @@ def make_kernel(spec):
     """Kernel factory: 'constant' (value param) or 'exp-decay' e^{-(t-s)}."""
     name, params = _split_spec(spec)
     if name == "constant":
-        value = float(params.get("value", 1.0))
+        value = _float(params.get("value", 1.0), "kernel value")
         return lambda t, s, path: np.full(np.broadcast(t, s).shape, value)
     if name == "exp-decay":
         return lambda t, s, path: np.exp(-(t - s))
@@ -194,11 +242,11 @@ def make_forcing(spec):
     """Forcing factory: 'constant' (value) or 'gaussian' (base + scale * Z per path)."""
     name, params = _split_spec(spec)
     if name == "constant":
-        value = float(params.get("value", 1.0))
+        value = _float(params.get("value", 1.0), "forcing value")
         return lambda t, path, rng: np.full(t.shape, value)
     if name == "gaussian":
-        base = float(params.get("base", 1.0))
-        scale = float(params.get("scale", 0.1))
+        base = _float(params.get("base", 1.0), "forcing base")
+        scale = _float(params.get("scale", 0.1), "forcing scale")
 
         def forcing(t, path, rng):
             z = rng.standard_normal()
@@ -219,10 +267,10 @@ def make_nonlinearity(spec):
     if name == "zero":
         return (lambda s, x: np.zeros(np.broadcast(s, x).shape), 0.0)
     if name == "constant":
-        value = float(params.get("value", 1.0))
+        value = _float(params.get("value", 1.0), "nonlinearity value")
         return (lambda s, x: np.full(np.broadcast(s, x).shape, value), 0.0)
     if name == "linear":
-        coef = float(params.get("coefficient", 0.4))
+        coef = _float(params.get("coefficient", 0.4), "nonlinearity coefficient")
         return (lambda s, x: coef * x, abs(coef))
     raise InvalidParameterError(f"unknown nonlinearity {spec!r}")
 

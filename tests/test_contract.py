@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probcone import (
+    DiracStep,
     InvalidParameterError,
+    PCMSpace,
     RateNotCertifiedError,
     TimeGrid,
+    TNorm,
     check_banach,
     check_chatterjea,
     check_kannan,
@@ -13,12 +17,14 @@ from probcone import (
     zamfirescu_delta,
 )
 from probcone.registry import (
+    affine_map,
     cone_gaussian_space,
     constant_map,
     dirac_space,
     identity_map,
     rotation_half_map,
     scale_map,
+    shift_map,
 )
 
 SPACE = dirac_space()
@@ -219,3 +225,137 @@ class TestDeterminismAndSampling:
         space = PCMSpace(dim=2, distance=noisy_distance, tnorm=TNorm.MINIMUM)
         cert = check_banach(space, scale_map(1.0), alpha=0.99, pairs=4, seed=13)
         assert cert.tol == pytest.approx(2.0 / np.sqrt(400))
+
+
+# ---------------------------------------------------------------------------
+# The batched margins against the per-pair loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_banach(space, mapping, x, y, t, alpha):
+    lhs = np.asarray(space.distance(mapping(x), mapping(y)).eval(t))
+    rhs = np.asarray(space.distance(x, y).eval(t / alpha))
+    return lhs - rhs
+
+
+def _ref_kannan(space, mapping, x, y, t, alpha):
+    tx, ty = mapping(x), mapping(y)
+    lhs = np.asarray(space.distance(tx, ty).eval(t))
+    scaled = t / (2.0 * alpha)
+    rhs = np.minimum(
+        np.asarray(space.distance(x, tx).eval(scaled)),
+        np.asarray(space.distance(y, ty).eval(scaled)),
+    )
+    return lhs - rhs
+
+
+def _ref_chatterjea(space, mapping, x, y, t, alpha):
+    tx, ty = mapping(x), mapping(y)
+    lhs = np.asarray(space.distance(tx, ty).eval(t))
+    scaled = t / (2.0 * alpha)
+    rhs = np.minimum(
+        np.asarray(space.distance(x, ty).eval(scaled)),
+        np.asarray(space.distance(y, tx).eval(scaled)),
+    )
+    return lhs - rhs
+
+
+def _ref_zamfirescu(space, mapping, x, y, t, alpha, beta, gamma):
+    m1 = _ref_banach(space, mapping, x, y, t, alpha)
+    m2 = _ref_kannan(space, mapping, x, y, t, beta)
+    m3 = _ref_chatterjea(space, mapping, x, y, t, gamma)
+    return np.maximum(np.maximum(m1, m2), m3)
+
+
+KINDS = {
+    "banach": (check_banach, _ref_banach, {"alpha": 0.6}),
+    "kannan": (check_kannan, _ref_kannan, {"alpha": 0.3}),
+    "chatterjea": (check_chatterjea, _ref_chatterjea, {"alpha": 0.2}),
+    "zamfirescu": (check_zamfirescu, _ref_zamfirescu, {"alpha": 0.5, "beta": 0.25, "gamma": 0.2}),
+}
+
+
+def reference_certify(space, mapping, margins_fn, pair_list, grid, params):
+    """Worst margin and witness, one pair at a time: the first argmin over t
+    within a pair, and a strict ``<`` across pairs in pair order."""
+    t = TimeGrid.coerce(grid).points
+    worst = np.inf
+    witness = None
+    for x, y in pair_list:
+        margins = margins_fn(space, mapping, x, y, t, **params)
+        k = int(np.argmin(margins))
+        if margins[k] < worst:
+            worst = float(margins[k])
+            witness = {"x": x.tolist(), "y": y.tolist(), "t": float(t[k])}
+    return worst, witness
+
+
+def assert_matches_reference(kind, space, mapping, pairs, grid=None, seed=0):
+    check, ref_margins, params = KINDS[kind]
+    # tol=-2 fails every certificate (margins are >= -1), so the witness is always reported
+    cert = check(space, mapping, pairs=pairs, grid=grid, tol=-2.0, seed=seed, **params)
+    if isinstance(pairs, int):
+        pair_list = sample_pairs(space, mapping, pairs, np.random.default_rng(seed))
+    else:
+        pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in pairs]
+    worst, witness = reference_certify(space, mapping, ref_margins, pair_list, grid, params)
+    assert cert.worst_margin == worst
+    assert cert.witness == witness
+
+
+_MAPS_2D = {
+    "identity": identity_map(),
+    "scale": scale_map(0.2),
+    "shift": shift_map([0.3, -0.1]),
+    "affine": affine_map([[0.5, -0.2], [0.1, 0.4]], [0.05, 0.0]),
+    "rotation-half": rotation_half_map(),
+}
+
+
+class TestBatchedMargins:
+    """``_certify`` over blocks of pairs against the per-pair loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(KINDS)),
+        space_name=st.sampled_from(["dirac", "gauss"]),
+        map_name=st.sampled_from(sorted(_MAPS_2D)),
+        n_pairs=st.one_of(st.sampled_from([1, 2, 127, 128, 129]), st.integers(1, 20)),
+        grid=st.one_of(
+            st.none(),
+            st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True).map(sorted),
+            st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=8, unique=True).map(sorted),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sampled_pairs_match_per_pair_loop(self, kind, space_name, map_name, n_pairs, grid, seed):
+        space = dirac_space() if space_name == "dirac" else cone_gaussian_space(delta=0.5)
+        assert_matches_reference(kind, space, _MAPS_2D[map_name], n_pairs, grid, seed)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("space_name", ["dirac", "gauss"])
+    def test_tie_heavy_pairs_across_blocks(self, kind, space_name):
+        # lattice points and a grid on the lattice gaps: step margins take
+        # few distinct values, repeated in every 128-pair block
+        space = dirac_space() if space_name == "dirac" else cone_gaussian_space(delta=0.5)
+        lattice = [np.array([a, b]) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
+        pairs = [(lattice[i % 9], lattice[(i * 4) % 9]) for i in range(300)]
+        grid = [0.25, 0.5, 0.75, 1.0, 1.5]
+        for mapping in (identity_map(), scale_map(0.5)):
+            assert_matches_reference(kind, space, mapping, pairs, grid)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_other_dimensions(self, kind):
+        for dim in (1, 3):
+            space = dirac_space(dim=dim)
+            for mapping in (scale_map(0.2), shift_map(np.full(dim, 0.1)), identity_map()):
+                assert_matches_reference(kind, space, mapping, 129, seed=dim)
+
+    def test_user_distance_without_table(self):
+        # a user-supplied map has no table and takes the per-row fallback
+        def squared(x, y):
+            return DiracStep(float(np.linalg.norm(x - y) ** 2))
+
+        space = PCMSpace(dim=2, distance=squared, tnorm=TNorm.MINIMUM)
+        for kind in KINDS:
+            assert_matches_reference(kind, space, scale_map(0.7), 130, seed=4)

@@ -6,6 +6,7 @@ from probcone import (
     DivergenceError,
     InvalidParameterError,
     Orthant,
+    PCMSpace,
     TNorm,
     cauchy_chain_bound,
     check_bounds,
@@ -13,6 +14,7 @@ from probcone import (
     from_samples,
     kannan_bound,
     picard,
+    tau_converged,
     uniqueness_probe,
     verify_fixed_point,
 )
@@ -257,6 +259,33 @@ class TestUniquenessProbe:
     def test_needs_two_starts(self):
         with pytest.raises(InvalidParameterError):
             uniqueness_probe(SPACE, ROTATE, [[1.0, 0.0]])
+
+    def test_matches_pairwise_tau_converged(self):
+        # identity keeps every start as its own limit; the lopsided distance
+        # is asymmetric and has no batched table, so both orders and the
+        # per-row fallback are exercised
+        def lopsided(x, y):
+            gap = float(np.linalg.norm(x - y))
+            return DiracStep(gap if x[0] >= y[0] else 3.0 * gap)
+
+        starts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.25], [0.05, 0.05]])
+        seen = set()
+        for space in (SPACE, PCMSpace(dim=2, distance=lopsided, tnorm=TNorm.MINIMUM)):
+            for agree_tol in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8):
+                result = uniqueness_probe(space, identity_map(), starts, eps=1.0, agree_tol=agree_tol)
+                expected = all(
+                    tau_converged(space, starts[i], starts[j], agree_tol)
+                    for i in range(len(starts))
+                    for j in range(len(starts))
+                    if i != j
+                )
+                assert result.unique == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_agree_tol_validated(self):
+        with pytest.raises(InvalidParameterError):
+            uniqueness_probe(SPACE, ROTATE, [[1.0, 0.0], [0.0, 1.0]], eps=1e-8, agree_tol=0.0)
 
 
 class TestTheoremConsistency:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from probcone import (
     DiracStep,
     DistFn,
+    Halfspaces,
     InfeasibleRegionError,
     InvalidParameterError,
     Orthant,
@@ -75,6 +76,22 @@ def assert_triangle_matches_reference(space, n_points, grid=None, seed=0):
     assert report.triangle.witness == witness
 
 
+def reference_sample_points(space, n, rng):
+    """The one-candidate-per-draw rejection loop that block sampling replaces."""
+    lo = space.sampling_box[:, 0]
+    hi = space.sampling_box[:, 1]
+    out = np.empty((n, space.dim))
+    filled = 0
+    for _ in range(100_000):
+        candidate = rng.uniform(lo, hi)
+        if space.feasible(candidate):
+            out[filled] = candidate
+            filled += 1
+            if filled == n:
+                return out
+    raise InfeasibleRegionError(f"infeasible sampling region: {filled}/{n} points after 100000 attempts")
+
+
 class TestSampling:
     def test_inside_box(self):
         space = dirac_space(sampling_box=np.array([[0.0, 1.0], [2.0, 3.0]]))
@@ -89,11 +106,19 @@ class TestSampling:
         assert np.all(pts >= -1e-12)
 
     def test_infeasible_region_errors(self):
+        # same message and final generator state as the one-candidate loop
         space = dirac_space(
             point_cone=Orthant(2), sampling_box=np.array([[-2.0, -1.0], [-2.0, -1.0]])
         )
-        with pytest.raises(InfeasibleRegionError):
-            sample_points(space, 1, np.random.default_rng(2))
+        block_rng = np.random.default_rng(2)
+        ref_rng = np.random.default_rng(2)
+        with pytest.raises(InfeasibleRegionError) as raised:
+            sample_points(space, 3, block_rng)
+        with pytest.raises(InfeasibleRegionError) as expected:
+            reference_sample_points(space, 3, ref_rng)
+        assert str(raised.value) == str(expected.value)
+        assert "0/3 points after 100000 attempts" in str(raised.value)
+        assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_degenerate_box_repeats_one_point(self):
         space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]))
@@ -285,3 +310,100 @@ class TestCauchyWindow:
             cauchy_window(dirac_space(), [], eps=0.1)
         with pytest.raises(InvalidParameterError):
             cauchy_window(dirac_space(), [[0.0, 0.0]], eps=-1.0)
+
+
+def per_row_values(space, X, Y, t):
+    return np.array([np.asarray(space.distance(x, y).eval(t), dtype=float) for x, y in zip(X, Y)])
+
+
+class TestDistanceValues:
+    """``PCMSpace.distance_values`` against one ``distance(x, y).eval(t)`` per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        n=st.integers(0, 40),
+        scale=st.sampled_from([1e-9, 1.0, 1e150]),
+        repeat=st.booleans(),
+        grid=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8, unique=True).map(sorted),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dirac_bitwise(self, dim, n, scale, repeat, grid, seed):
+        rng = np.random.default_rng(seed)
+        X = scale * rng.uniform(-1, 1, (n, dim))
+        Y = X.copy() if repeat else scale * rng.uniform(-1, 1, (n, dim))
+        space = dirac_space(dim=dim)
+        t = np.asarray(grid)
+        values = space.distance_values(X, Y, t)
+        assert values.shape == (n, len(t))
+        assert np.array_equal(values, per_row_values(space, X, Y, t).reshape(n, len(t)))
+
+    def test_cone_gaussian_gate_boundary_bitwise(self):
+        # diff components exactly at 0 and at +-1e-12 straddle the gate's tolerance
+        comps = [0.0, 1e-12, -1e-12, -1.0000001e-12, 0.3, -0.3]
+        diffs = np.array([[a, b] for a in comps for b in comps])
+        # X - Y reproduces each diff exactly: (diff, 0) and (0, -diff)
+        X = np.concatenate([diffs, np.zeros_like(diffs)])
+        Y = np.concatenate([np.zeros_like(diffs), -diffs])
+        space = cone_gaussian_space(delta=0.5)
+        t = np.geomspace(1e-3, 1e2, 50)
+        values = space.distance_values(X, Y, t)
+        assert np.array_equal(values, per_row_values(space, X, Y, t))
+        # both branches occur
+        assert {space.distance(x, y).is_proper for x, y in zip(X, Y)} == {True, False}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        grid=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8, unique=True).map(sorted),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cone_gaussian_bitwise(self, n, grid, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, (n, 2))
+        Y = rng.uniform(-1, 1, (n, 2))
+        space = cone_gaussian_space(delta=0.5)
+        t = np.asarray(grid)
+        assert np.array_equal(space.distance_values(X, Y, t), per_row_values(space, X, Y, t).reshape(n, len(t)))
+
+    def test_user_map_without_table(self):
+        space = squared_distance_space()
+        rng = np.random.default_rng(6)
+        X, Y = rng.uniform(-1, 1, (2, 9, 2))
+        t = np.linspace(0.1, 3.0, 7)
+        assert np.array_equal(space.distance_values(X, Y, t), per_row_values(space, X, Y, t))
+
+    @pytest.mark.parametrize("make", [lambda: dirac_space(), lambda: cone_gaussian_space(delta=0.5)])
+    def test_non_finite_distance_raises_like_distance(self, make):
+        space = make()
+        X = np.array([[0.0, 0.0], [1.5e308, 1.5e308]])
+        Y = np.array([[0.0, 0.0], [-1.5e308, -1.5e308]])
+        t = np.array([1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidParameterError) as expected:
+                space.distance(X[1], Y[1])
+            with pytest.raises(InvalidParameterError) as raised:
+                space.distance_values(X, Y, t)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestBlockSampling:
+    """Block draws yield the same points and leave the generator in the same state."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            dirac_space(dim=2),
+            dirac_space(dim=3, point_cone=Orthant(3)),
+            # a thin wedge: about 1 draw in 16 is accepted
+            dirac_space(dim=2, point_cone=Halfspaces(np.array([[0.0, 1.0], [1.0, -2.0]]))),
+        ],
+        ids=["no-cone", "orthant3", "wedge"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_matches_one_at_a_time(self, space, n):
+        for seed in range(3):
+            block_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            assert np.array_equal(sample_points(space, n, block_rng), reference_sample_points(space, n, ref_rng))
+            assert block_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -118,6 +118,15 @@ class TestCheckRandomKannan:
         assert result.samplewise_fraction == 1.0
         assert not result.passed
 
+    def test_default_tol_follows_smallest_ensemble(self):
+        # 2/sqrt(N) of the 100-sample pair, whichever position it takes
+        op = RandomOperator(lambda j, u: 0.5 * u, name="halving")
+        large = self._scaled_pair(n=400)
+        small = self._scaled_pair(n=100, seed=12)
+        for ensembles in ([large, small], [small, large]):
+            result = check_random_kannan(op, ensembles, 0.25)
+            assert result.certificate.tol == 2.0 / np.sqrt(100)
+
     def test_notes_mention_rescaling_form(self):
         op = RandomOperator(lambda j, u: u * 0.0, name="zero")
         x, y = self._scaled_pair(n=100)
