@@ -1,9 +1,11 @@
-"""Golden ``axioms``, ``classify`` and ``solve`` reports: the CLI must
-reproduce them byte for byte.
+"""Golden ``axioms``, ``classify``, ``solve`` and ``sie`` outputs: the CLI
+must reproduce them byte for byte.
 
-Each file under ``tests/golden/<command>/`` is a ``report.json`` with its
-``wall_time_s`` field removed, re-serialized with ``canonical_json``. A
-change that alters report numbers on purpose regenerates them with::
+Each ``tests/golden/<command>/<name>.json`` is a ``report.json`` with its
+``wall_time_s`` field removed, re-serialized with ``canonical_json``. The
+``sie`` cases also pin both CSV files, as ``<name>.sie_mean_path.csv`` and
+``<name>.sie_residuals.csv``. A change that alters report numbers on purpose
+regenerates them with::
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -43,6 +45,42 @@ _CLASSIFY = {
     "alpha_sweep": [0.1, 0.2, 0.3, 0.4],
 }
 
+_LINEAR = {"name": "linear", "coefficient": 0.4}
+_GAUSSIAN = {"name": "gaussian", "base": 1.0, "scale": 0.1}
+
+# Both kernels, both forcings, all three nonlinearities, one and many paths.
+# The last two fail the contraction conditions (K = 0.6 and
+# K = 0.9 sqrt(1 - 1/e)), so their ``warning`` field is pinned; n_time = 600
+# spans two row blocks of the conditions.
+_SIE = {
+    "constant-constant-linear-1path": {
+        "n_time": 50, "kernel": "constant", "forcing": {"name": "constant", "value": 1.0},
+        "nonlinearity": _LINEAR, "eps": 1e-10, "max_iter": 200,
+    },
+    "expdecay-gaussian-linear-paths": {
+        "n_time": 40, "n_paths": 25, "kernel": "exp-decay", "forcing": _GAUSSIAN,
+        "nonlinearity": _LINEAR, "eps": 1e-10, "max_iter": 200,
+    },
+    "expdecay-constant-zero-1path": {
+        "n_time": 30, "kernel": "exp-decay", "forcing": {"name": "constant", "value": 2.0},
+        "nonlinearity": "zero",
+    },
+    "constant-gaussian-constant-paths": {
+        "n_time": 20, "n_paths": 7, "kernel": {"name": "constant", "value": 0.5}, "forcing": _GAUSSIAN,
+        "nonlinearity": {"name": "constant", "value": 1.5},
+    },
+    "constant-constant-linear-fail": {
+        "n_time": 600, "kernel": "constant", "forcing": "constant",
+        "nonlinearity": {"name": "linear", "coefficient": 0.6}, "eps": 1e-8, "max_iter": 100,
+    },
+    "expdecay-gaussian-linear-fail-paths": {
+        "n_time": 60, "n_paths": 12, "kernel": "exp-decay", "forcing": _GAUSSIAN,
+        "nonlinearity": {"name": "linear", "coefficient": 0.9}, "eps": 1e-9, "max_iter": 300,
+    },
+}
+
+SIE_CSVS = ("sie_mean_path.csv", "sie_residuals.csv")
+
 CASES = {
     "axioms": {
         f"{space}-{tnorm}": {"space": {**spec, "tnorm": tnorm}, "axioms": {"n_points": N_POINTS}}
@@ -74,10 +112,15 @@ CASES = {
         }
         for tnorm in TNORMS
     },
+    "sie": {name: {"sie": section} for name, section in _SIE.items()},
 }
 
-def render(command: str, config: dict, work_dir: Path) -> str:
-    """Run ``probcone <command>`` on ``config`` and return its report minus wall time."""
+def render(command: str, config: dict, work_dir: Path) -> dict:
+    """Run ``probcone <command>`` on ``config``; return {golden file name: text}.
+
+    The report loses its wall time; ``sie`` adds its two CSV files.
+    """
+    name = work_dir.name
     work_dir.mkdir(parents=True, exist_ok=True)
     cfg = work_dir / "config.json"
     cfg.write_text(json.dumps(config))
@@ -85,12 +128,16 @@ def render(command: str, config: dict, work_dir: Path) -> str:
     assert main([command, "--config", str(cfg), "--seed", str(SEED), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     report.pop("wall_time_s")
-    return canonical_json(report)
+    files = {f"{name}.json": canonical_json(report)}
+    if command == "sie":
+        files.update({f"{name}.{csv}": (out / csv).read_text() for csv in SIE_CSVS})
+    return files
 
 
-def assert_matches_golden(command: str, name: str, work_dir: Path) -> None:
-    expected = (GOLDEN_ROOT / command / f"{name}.json").read_text()
-    assert render(command, CASES[command][name], work_dir) == expected
+def assert_matches_golden(command: str, name: str, tmp_path: Path) -> None:
+    rendered = render(command, CASES[command][name], tmp_path / name)
+    for file_name, text in rendered.items():
+        assert text == (GOLDEN_ROOT / command / file_name).read_text(), file_name
 
 
 @pytest.mark.parametrize("name", sorted(CASES["axioms"]))
@@ -108,12 +155,19 @@ def test_solve_report_matches_golden(name, tmp_path):
     assert_matches_golden("solve", name, tmp_path)
 
 
+@pytest.mark.parametrize("name", sorted(CASES["sie"]))
+def test_sie_outputs_match_golden(name, tmp_path):
+    assert_matches_golden("sie", name, tmp_path)
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
         for command, name in ((c, n) for c, cases in CASES.items() for n in sorted(cases)):
-            target = GOLDEN_ROOT / command / f"{name}.json"
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(render(command, CASES[command][name], Path(scratch) / command / name))
-            print(f"wrote {target}", file=sys.stderr)
+            rendered = render(command, CASES[command][name], Path(scratch) / command / name)
+            for file_name, text in rendered.items():
+                target = GOLDEN_ROOT / command / file_name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(text)
+                print(f"wrote {target}", file=sys.stderr)
