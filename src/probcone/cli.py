@@ -45,7 +45,7 @@ from .report import (
 )
 from .solver import check_bounds, picard, uniqueness_probe, verify_fixed_point
 from .space import check_axioms, sample_points
-from .stochastic import SIEProblem, sie_conditions, sie_solve
+from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  bench/tracer.py patches cli.sie_conditions
 
 _NUMBER = {"type": "number"}
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
@@ -331,10 +331,10 @@ def build_sie_problem(config: dict, seed: int) -> SIEProblem:
 def run_sie(config: dict, seed: int, workers: int, out_dir: Path | None = None) -> dict:
     section = _require_section(config, "sie")
     problem = build_sie_problem(config, seed)
-    conditions = sie_conditions(problem)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         solution = sie_solve(problem, eps=section.get("eps", 1e-8), max_iter=section.get("max_iter", 500))
+    conditions = solution.conditions
     result = {
         "conditions": sie_conditions_to_dict(conditions),
         "solution": sie_solution_to_dict(solution),

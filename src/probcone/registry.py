@@ -79,9 +79,12 @@ def affine_map(matrix, offset) -> Mapping:
 
 def _float(value, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise InvalidParameterError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _float_array(value, what: str) -> np.ndarray:

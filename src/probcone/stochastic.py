@@ -236,24 +236,43 @@ def causal_trapezoid_weights(t: np.ndarray) -> np.ndarray:
     """W[i, l]: trapezoid weight of node l in the integral over [0, t_i].
 
     Row 0 is all zeros (empty integral). Row i holds the composite
-    trapezoid rule on nodes t_0 .. t_i.
+    trapezoid rule on nodes t_0 .. t_i: every row shares the interior
+    weights (t_{l+1} - t_{l-1}) / 2, summed as seg[l]/2 + seg[l-1]/2, and
+    ends in the diagonal seg[i-1]/2.
     """
     n = t.size
-    w = np.zeros((n, n))
-    for i in range(1, n):
-        seg = np.diff(t[: i + 1])
-        w[i, : i + 1][:-1] += seg / 2.0
-        w[i, 1 : i + 1] += seg / 2.0
+    half = np.diff(t) / 2.0
+    interior = np.zeros(n)
+    interior[:-1] += half
+    interior[1:-1] += half[:-1]
+    w = np.tril(np.broadcast_to(interior, (n, n)), -1)
+    diagonal = np.arange(1, n)
+    w[diagonal, diagonal] = half
     return w
 
 
+# Rows per block of the (paths, rows, n) condition temporaries: about 2 MiB
+# of float64 each, however large the mesh.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(mesh: np.ndarray):
+    """(r0, r1) row ranges covering axis 1 of a (paths, n, n) array."""
+    n_paths, n_rows, n_cols = mesh.shape
+    step = max(1, _BLOCK_ELEMENTS // (n_paths * n_cols))
+    return ((r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step))
+
+
 class _DiscreteOperator:
-    """Compiled form of one problem: forcing matrix plus weighted kernel."""
+    """Compiled form of one problem: forcing matrix plus weighted kernel.
+
+    The kernel mesh lives only while the build takes its causal sup and
+    forms ``weighted``; the two coordinate meshes are dropped before that.
+    """
 
     def __init__(self, problem: SIEProblem):
         self.problem = problem
         t = problem.time_grid
-        self.weights = causal_trapezoid_weights(t)
         self.h = np.stack(
             [
                 np.asarray(
@@ -268,13 +287,18 @@ class _DiscreteOperator:
             )
         t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij")
         if problem.kernel_is_random:
-            self.kernels = np.stack(
+            kernels = np.stack(
                 [np.asarray(problem.kernel(t_mesh, s_mesh, j), dtype=float) for j in range(problem.n_paths)]
             )
-            self.weighted = self.weights[None, :, :] * self.kernels
         else:
-            self.kernels = np.asarray(problem.kernel(t_mesh, s_mesh, 0), dtype=float)[None, :, :]
-            self.weighted = (self.weights * self.kernels[0])[None, :, :]
+            kernels = np.asarray(problem.kernel(t_mesh, s_mesh, 0), dtype=float)[None, :, :]
+        del t_mesh, s_mesh
+        # only the causal half s <= t enters the equation; np.tril zeroes the
+        # rest, which leaves the max of |k| >= 0 unchanged
+        self.sup_kernel = float(
+            np.max([np.tril(np.abs(kernels[:, r0:r1]), r0).max() for r0, r1 in _row_blocks(kernels)])
+        )
+        self.weighted = causal_trapezoid_weights(t) * kernels
 
     def apply(self, field: PathField) -> PathField:
         f_vals = np.asarray(self.problem.nonlinearity(self.problem.time_grid[None, :], field))
@@ -296,6 +320,31 @@ class _DiscreteOperator:
         w[:-1] += seg / 2.0
         w[1:] += seg / 2.0
         return float(np.sqrt(np.mean(np.sum(w[None, :] * field**2, axis=1))))
+
+    def conditions(self) -> SIEConditions:
+        """Contraction diagnostics of this discretization; see :func:`sie_conditions`."""
+        problem = self.problem
+        weighted = self.weighted
+        # sum_l w_il |k_il| is the row sum of |weighted| because w >= 0
+        row_mass = np.empty(weighted.shape[:2])
+        for r0, r1 in _row_blocks(weighted):
+            row_mass[:, r0:r1] = np.sum(np.abs(weighted[:, r0:r1]), axis=2)
+        m_per_path = np.max(row_mass, axis=1)
+        if m_per_path.size == 1 and problem.n_paths > 1:
+            m_per_path = np.repeat(m_per_path, problem.n_paths)
+        m_hat = float(np.mean(m_per_path))
+        stderr = float(np.std(m_per_path, ddof=1) / np.sqrt(m_per_path.size)) if m_per_path.size > 1 else 0.0
+        rate = float(problem.lipschitz * np.sqrt(m_hat * self.sup_kernel))
+        max_lm = float(problem.lipschitz * m_per_path.max())
+        return SIEConditions(
+            lipschitz=problem.lipschitz,
+            sup_kernel=self.sup_kernel,
+            m_hat=m_hat,
+            m_hat_stderr=stderr,
+            max_path_lm=max_lm,
+            contraction_rate=rate,
+            satisfied=rate < 0.5 and max_lm < 0.5,
+        )
 
 
 def sie_apply(problem: SIEProblem, field: PathField) -> PathField:
@@ -331,27 +380,7 @@ def sie_conditions(problem: SIEProblem) -> SIEConditions:
     reported standard error qualifies that estimate. ``satisfied`` needs
     both K < 1/2 and L * M(path) < 1/2 on every path.
     """
-    op = _DiscreteOperator(problem)
-    abs_k = np.abs(op.kernels)
-    # only the causal half s <= t enters the equation
-    causal = np.tril(np.ones_like(op.weights, dtype=bool))
-    sup_k = float(abs_k[:, causal].max())
-    m_per_path = np.max(np.sum(op.weights[None, :, :] * abs_k, axis=2), axis=1)
-    if m_per_path.size == 1 and problem.n_paths > 1:
-        m_per_path = np.repeat(m_per_path, problem.n_paths)
-    m_hat = float(np.mean(m_per_path))
-    stderr = float(np.std(m_per_path, ddof=1) / np.sqrt(m_per_path.size)) if m_per_path.size > 1 else 0.0
-    rate = float(problem.lipschitz * np.sqrt(m_hat * sup_k))
-    max_lm = float(problem.lipschitz * m_per_path.max())
-    return SIEConditions(
-        lipschitz=problem.lipschitz,
-        sup_kernel=sup_k,
-        m_hat=m_hat,
-        m_hat_stderr=stderr,
-        max_path_lm=max_lm,
-        contraction_rate=rate,
-        satisfied=rate < 0.5 and max_lm < 0.5,
-    )
+    return _DiscreteOperator(problem).conditions()
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,14 +396,17 @@ class SIESolution:
 def sie_solve(problem: SIEProblem, eps: float = 1e-8, max_iter: int = 500) -> SIESolution:
     """Picard-iterate the solution map from X = h until the L2 step stalls.
 
-    Proceeds even when the contraction conditions fail (with a warning in
-    the returned diagnostics); raises on non-finite values only.
+    The problem is compiled once: its :class:`SIEConditions` come from the
+    operator the iteration applies. Proceeds even when the contraction
+    conditions fail (with a warning in the returned diagnostics); raises on
+    non-finite values only.
     """
     if not np.isfinite(eps) or eps <= 0.0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-    conditions = sie_conditions(problem)
+    op = _DiscreteOperator(problem)
+    conditions = op.conditions()
     if not conditions.satisfied:
         warnings.warn(
             f"contraction conditions not satisfied (K={conditions.contraction_rate:.4f}); "
@@ -382,7 +414,6 @@ def sie_solve(problem: SIEProblem, eps: float = 1e-8, max_iter: int = 500) -> SI
             RuntimeWarning,
             stacklevel=2,
         )
-    op = _DiscreteOperator(problem)
     field = op.h.copy()
     norms = []
     converged = False

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from probcone import cli
 from probcone.cli import CONFIG_SCHEMA, main, validate_config
 from probcone.errors import ConfigError
 
@@ -112,9 +113,23 @@ class TestSchemaValidConfigErrors:
                 {"space": DIRAC_SPACE, "mapping": "scale:1e308", "classify": {"kinds": ["kannan"]}},
                 "DiracStep distance must be finite",
             ),
+            # non-finite numbers pass the schema (JSON NaN/Infinity) and the registry rejects them
+            ("sie", {"sie": {"n_time": 10, "kernel": {"name": "constant", "value": float("nan")}}}, "kernel value"),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "forcing": {"name": "gaussian", "base": float("inf")}}},
+                "forcing base must be finite",
+            ),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "nonlinearity": {"name": "linear", "coefficient": float("nan")}}},
+                "nonlinearity coefficient must be finite",
+            ),
+            ("classify", {"space": DIRAC_SPACE, "mapping": "scale:inf"}, "scale factor must be finite"),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
-             "affine-non-numeric", "halfspaces-ragged", "scale-1e308"],
+             "affine-non-numeric", "halfspaces-ragged", "scale-1e308", "kernel-value-nan", "forcing-base-inf",
+             "nonlinearity-coefficient-nan", "scale-inf"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -331,6 +346,32 @@ class TestSieCommand:
         out = tmp_path / "out"
         assert main(["sie", "--config", cfg, "--out", str(out)]) == 0
         assert read_report(out)["results"]["sie"]["solution"]["iterations"] == 1
+
+    def test_operator_built_once_per_run(self, tmp_path, monkeypatch):
+        # every _DiscreteOperator build evaluates the kernel mesh once and the
+        # forcing once per path
+        calls = {"kernel": 0, "forcing": 0}
+
+        def counted(factory, key):
+            def make(spec):
+                fn = factory(spec)
+
+                def wrapper(*args):
+                    calls[key] += 1
+                    return fn(*args)
+
+                return wrapper
+
+            return make
+
+        monkeypatch.setattr(cli, "make_kernel", counted(cli.make_kernel, "kernel"))
+        monkeypatch.setattr(cli, "make_forcing", counted(cli.make_forcing, "forcing"))
+        cfg = write_config(
+            tmp_path,
+            {"sie": {"n_time": 20, "n_paths": 3, "kernel": "exp-decay", "forcing": {"name": "gaussian"}}},
+        )
+        assert main(["sie", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"kernel": 1, "forcing": 3}
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,83 @@ from probcone import (
     sie_conditions,
     sie_solve,
 )
+from probcone import stochastic
 from probcone.registry import make_forcing, make_kernel, make_nonlinearity, rotation_half_map
-from probcone.stochastic import causal_trapezoid_weights
+from probcone.rng import path_generator
+from probcone.stochastic import SIEConditions, causal_trapezoid_weights
 
 FOLDED_AT_1 = 0.6826894921370859
 
 CONST_KERNEL = make_kernel("constant")
 LINEAR_04, L_04 = make_nonlinearity({"name": "linear", "coefficient": 0.4})
 UNIT_FORCING = make_forcing({"name": "constant", "value": 1.0})
+
+
+def loop_trapezoid_weights(t):
+    """Reference: the composite trapezoid rule built one row at a time."""
+    n = t.size
+    w = np.zeros((n, n))
+    for i in range(1, n):
+        seg = np.diff(t[: i + 1])
+        w[i, : i + 1][:-1] += seg / 2.0
+        w[i, 1 : i + 1] += seg / 2.0
+    return w
+
+
+def kernel_meshes(problem):
+    t_mesh, s_mesh = np.meshgrid(problem.time_grid, problem.time_grid, indexing="ij")
+    paths = range(problem.n_paths) if problem.kernel_is_random else [0]
+    return np.stack([np.asarray(problem.kernel(t_mesh, s_mesh, j), dtype=float) for j in paths])
+
+
+def full_array_conditions(problem):
+    """Reference: the conditions from full-size |k|, a causal mask and w * |k|."""
+    weights = loop_trapezoid_weights(problem.time_grid)
+    abs_k = np.abs(kernel_meshes(problem))
+    causal = np.tril(np.ones_like(weights, dtype=bool))
+    sup_k = float(abs_k[:, causal].max())
+    m_per_path = np.max(np.sum(weights[None, :, :] * abs_k, axis=2), axis=1)
+    if m_per_path.size == 1 and problem.n_paths > 1:
+        m_per_path = np.repeat(m_per_path, problem.n_paths)
+    m_hat = float(np.mean(m_per_path))
+    stderr = float(np.std(m_per_path, ddof=1) / np.sqrt(m_per_path.size)) if m_per_path.size > 1 else 0.0
+    rate = float(problem.lipschitz * np.sqrt(m_hat * sup_k))
+    max_lm = float(problem.lipschitz * m_per_path.max())
+    return SIEConditions(problem.lipschitz, sup_k, m_hat, stderr, max_lm, rate, rate < 0.5 and max_lm < 0.5)
+
+
+def forward_substitution(problem, tol=1e-15, max_inner=200):
+    """Reference: the causal trapezoid system solved node by node.
+
+    Node i solves X_i = h_i + sum_{l<i} w_il k_il f(X_l) + w_ii k_ii f(X_i),
+    a scalar fixed point, by its own iteration; paths are independent.
+    """
+    t = problem.time_grid
+    weights = loop_trapezoid_weights(t)
+    kernels = kernel_meshes(problem)
+    field = np.empty((problem.n_paths, t.size))
+    for j in range(problem.n_paths):
+        h = np.asarray(problem.forcing(t, j, path_generator(problem.seed, j)), dtype=float)
+        wk = weights * kernels[j if problem.kernel_is_random else 0]
+        f_vals = np.empty(t.size)
+        for i in range(t.size):
+            known = h[i] + wk[i, :i] @ f_vals[:i]
+            x = h[i]
+            for _ in range(max_inner):
+                nxt = known + wk[i, i] * problem.nonlinearity(t[i], x)
+                done = abs(nxt - x) <= tol * max(1.0, abs(x))
+                x = nxt
+                if done:
+                    break
+            field[j, i] = x
+            f_vals[i] = problem.nonlinearity(t[i], x)
+    return field
+
+
+def assert_same_conditions(actual, expected):
+    for name in SIEConditions.__dataclass_fields__:
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert np.array_equal(a, e, equal_nan=True), (name, a, e)
 
 
 def linear_problem(n_time=100, n_paths=1, seed=0, forcing=UNIT_FORCING, coefficient=0.4):
@@ -155,6 +226,18 @@ class TestTrapezoidWeights:
         assert np.allclose(w.sum(axis=1), t)
         assert np.all(w[:, :1][1:] > 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 11, 201, 2001])
+    def test_uniform_grid_matches_row_loop_bitwise(self, n):
+        t = np.linspace(0.0, 1.0, n)
+        assert np.array_equal(causal_trapezoid_weights(t), loop_trapezoid_weights(t))
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 201])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_grid_matches_row_loop_bitwise(self, n, seed):
+        inner = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n - 2))
+        t = np.concatenate([[0.0], inner, [1.0]])
+        assert np.array_equal(causal_trapezoid_weights(t), loop_trapezoid_weights(t))
+
 
 class TestSieApply:
     def test_zero_nonlinearity_returns_forcing(self):
@@ -213,6 +296,120 @@ class TestSieConditions:
         # max over t of the integral of e^{-(t-s)} is 1 - e^{-1}
         assert cond.m_hat == pytest.approx(1.0 - np.exp(-1.0), abs=1e-5)
         assert cond.sup_kernel == pytest.approx(1.0)
+
+
+def random_kernel(t, s, path):
+    # a different decay rate and sign per path
+    return (-1.0) ** path * np.exp(-(1.0 + 0.3 * path) * (t - s))
+
+
+class TestBlockedConditions:
+    """The row-blocked conditions equal the full-array formula bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [CONST_KERNEL, make_kernel("exp-decay"), make_kernel({"name": "constant", "value": -0.7})],
+        ids=["constant", "exp-decay", "negative"],
+    )
+    @pytest.mark.parametrize("n_paths", [1, 5])
+    def test_deterministic_kernels(self, kernel, n_paths):
+        p = SIEProblem(np.linspace(0, 1, 41), kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=n_paths)
+        assert_same_conditions(sie_conditions(p), full_array_conditions(p))
+
+    @pytest.mark.parametrize("n_paths", [1, 4])
+    def test_random_kernel(self, n_paths):
+        p = SIEProblem(
+            np.linspace(0, 1, 31), random_kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=n_paths,
+            kernel_is_random=True,
+        )
+        cond = sie_conditions(p)
+        assert_same_conditions(cond, full_array_conditions(p))
+        if n_paths > 1:
+            assert cond.m_hat_stderr > 0.0
+
+    @pytest.mark.parametrize("block_elements", [1, 2 * 13, 3 * 13, 5 * 13, 12 * 13, 13 * 13, 1 << 18])
+    @pytest.mark.parametrize("random", [False, True])
+    def test_block_boundaries(self, monkeypatch, block_elements, random):
+        # 13 nodes: blocks of 1, 2, 3, 5, 12 and 13 rows, and one block
+        n_paths = 3 if random else 1
+        monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", block_elements * n_paths)
+        inner = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 11))
+        kernel = random_kernel if random else make_kernel("exp-decay")
+        p = SIEProblem(
+            np.concatenate([[0.0], inner, [1.0]]), kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=n_paths,
+            kernel_is_random=random,
+        )
+        assert_same_conditions(sie_conditions(p), full_array_conditions(p))
+
+    @pytest.mark.parametrize(
+        "where",
+        [(5, 2), (5, 5), (2, 9), (0, 0), (12, 12)],
+        ids=["causal", "diagonal", "acausal", "origin", "last"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_entry(self, monkeypatch, where, value):
+        monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", 4 * 13)
+
+        def kernel(t, s, path):
+            k = np.exp(-(t - s))
+            k[where] = value
+            return k
+
+        p = SIEProblem(np.linspace(0, 1, 13), kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=2)
+        with np.errstate(invalid="ignore"):
+            actual, expected = sie_conditions(p), full_array_conditions(p)
+        assert_same_conditions(actual, expected)
+
+    def test_solve_reports_the_same_conditions(self):
+        gaussian = make_forcing({"name": "gaussian", "base": 1.0, "scale": 0.1})
+        p = linear_problem(n_time=60, n_paths=6, seed=3, forcing=gaussian)
+        assert_same_conditions(sie_solve(p, eps=1e-10).conditions, full_array_conditions(p))
+
+    def test_solve_peak_memory(self):
+        # about three (n_time + 1)^2 float64 arrays (30.5 MiB each) at peak;
+        # a build with a full-size |k|, causal mask and w * |k| peaks at 172 MiB
+        p = linear_problem(n_time=2000)
+        tracemalloc.start()
+        try:
+            sol = sie_solve(p, eps=1e-12, max_iter=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 110 * 2**20
+
+
+class TestDirectSolveOracle:
+    """Picard's limit equals forward substitution on the causal system."""
+
+    SINE = staticmethod(lambda s, x: 0.4 * np.sin(x))
+
+    def test_nonlinear_sine(self):
+        p = SIEProblem(
+            np.linspace(0, 1, 201), make_kernel("exp-decay"), UNIT_FORCING, self.SINE, 0.4,
+        )
+        sol = sie_solve(p, eps=1e-14, max_iter=200)
+        assert sol.converged
+        assert np.max(np.abs(sol.field - forward_substitution(p))) <= 1e-10
+
+    def test_multi_path_gaussian_forcing(self):
+        gaussian = make_forcing({"name": "gaussian", "base": 1.0, "scale": 0.3})
+        for nonlinearity, lip in ((self.SINE, 0.4), (LINEAR_04, L_04)):
+            p = SIEProblem(
+                np.linspace(0, 1, 101), make_kernel("exp-decay"), gaussian, nonlinearity, lip,
+                n_paths=12, seed=17,
+            )
+            sol = sie_solve(p, eps=1e-14, max_iter=200)
+            assert sol.converged
+            assert np.max(np.abs(sol.field - forward_substitution(p))) <= 1e-10
+
+    def test_random_kernel_paths(self):
+        p = SIEProblem(
+            np.linspace(0, 1, 81), random_kernel, UNIT_FORCING, self.SINE, 0.4, n_paths=3,
+            kernel_is_random=True,
+        )
+        sol = sie_solve(p, eps=1e-14, max_iter=200)
+        assert np.max(np.abs(sol.field - forward_substitution(p))) <= 1e-10
 
 
 class TestSieSolve:
