@@ -61,7 +61,7 @@ def full_array_conditions(problem):
     return SIEConditions(problem.lipschitz, sup_k, m_hat, stderr, max_lm, rate, rate < 0.5 and max_lm < 0.5)
 
 
-def forward_substitution(problem, tol=1e-15, max_inner=200):
+def forward_substitution(problem):
     """Reference: the causal trapezoid system solved node by node.
 
     Node i solves X_i = h_i + sum_{l<i} w_il k_il f(X_l) + w_ii k_ii f(X_i),
@@ -78,9 +78,9 @@ def forward_substitution(problem, tol=1e-15, max_inner=200):
         for i in range(t.size):
             known = h[i] + wk[i, :i] @ f_vals[:i]
             x = h[i]
-            for _ in range(max_inner):
+            for _ in range(200):
                 nxt = known + wk[i, i] * problem.nonlinearity(t[i], x)
-                done = abs(nxt - x) <= tol * max(1.0, abs(x))
+                done = abs(nxt - x) <= 1e-15 * max(1.0, abs(x))
                 x = nxt
                 if done:
                     break
