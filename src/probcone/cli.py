@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -47,7 +48,10 @@ from .solver import check_bounds, picard, uniqueness_probe, verify_fixed_point
 from .space import check_axioms, sample_points
 from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  bench/tracer.py patches cli.sie_conditions
 
-_NUMBER = {"type": "number"}
+# ``json.load`` reads NaN, Infinity and overflowing literals such as 1e400 as
+# floats, and "type": "number" admits them; the "finite" keyword (``_finite``)
+# rejects them in the fields that no registry check covers.
+_NUMBER = {"type": "number", "finite": True}
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 
 CONFIG_SCHEMA = {
@@ -167,9 +171,23 @@ CONFIG_SCHEMA = {
     },
 }
 
+
+def _finite(validator, finite, instance, schema):
+    if not (finite and validator.is_type(instance, "number")):
+        return
+    try:
+        ok = math.isfinite(instance)
+    except OverflowError:  # an int beyond the float range the code computes in
+        ok = False
+    if not ok:
+        yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+
+
 # Built once: ``jsonschema.validate`` would re-check the schema itself on
 # every call. ``tests/test_cli.py`` checks the schema instead.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.validators.validator_for(CONFIG_SCHEMA), {"finite": _finite}
+)(CONFIG_SCHEMA)
 
 
 def load_config(path: str) -> dict:
@@ -178,7 +196,8 @@ def load_config(path: str) -> dict:
             config = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError also covers bad UTF-8 and an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     validate_config(config)
     return config

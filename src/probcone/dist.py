@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidParameterError
 
@@ -90,6 +89,18 @@ class DistFn:
         return Rescaled(self, c)
 
 
+def _normal_cdf(x: ArrayLike) -> ArrayLike:
+    """Standard normal CDF Phi, scipy's ``ndtr``.
+
+    scipy is imported on the first call rather than with this module: it is
+    the largest import of the package, and Dirac spaces and the SIE solver
+    never evaluate Phi.
+    """
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 def _as_eval_result(values: np.ndarray, scalar: bool) -> ArrayLike:
     if scalar:
         return float(values)
@@ -126,7 +137,7 @@ class GaussianShift(DistFn):
 
     def eval(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        return _as_eval_result(np.asarray(ndtr(arr - self.d)), arr.ndim == 0)
+        return _as_eval_result(np.asarray(_normal_cdf(arr - self.d)), arr.ndim == 0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,7 @@ class ScaledGaussian(DistFn):
 
     def eval(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        vals = np.where(arr > 0.0, self.delta * np.asarray(ndtr(arr)), 0.0)
+        vals = np.where(arr > 0.0, self.delta * np.asarray(_normal_cdf(arr)), 0.0)
         return _as_eval_result(vals, arr.ndim == 0)
 
     @property

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .cone import MEMBERSHIP_TOL, Cone, Orthant, cone_from_config
-from .dist import DiracStep, GaussianShift, ScaledGaussian
+from .dist import DiracStep, GaussianShift, ScaledGaussian, _normal_cdf
 from .errors import InvalidParameterError
 from .contract import Mapping
 from .space import PCMSpace
@@ -185,7 +184,7 @@ def cone_gaussian_space(
         d = _row_hypot(diff[inside])
         _check_finite(d, "GaussianShift offset must be finite")
         out = np.empty((len(diff), t.size))
-        out[inside] = ndtr(t[None, :] - d[:, None])
+        out[inside] = _normal_cdf(t[None, :] - d[:, None])
         out[~inside] = ScaledGaussian(delta).eval(t)
         return out
 

@@ -126,15 +126,80 @@ class TestSchemaValidConfigErrors:
                 "nonlinearity coefficient must be finite",
             ),
             ("classify", {"space": DIRAC_SPACE, "mapping": "scale:inf"}, "scale factor must be finite"),
+            # non-finite numbers in fields no registry check covers: the schema rejects them
+            (
+                "solve",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [float("nan"), 0]}},
+                "'solve/x0/0': nan is not a finite number",
+            ),
+            (
+                "axioms",
+                {"space": DIRAC_SPACE, "axioms": {"n_points": 4, "tol": float("nan")}},
+                "'axioms/tol': nan is not a finite number",
+            ),
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"gamma": float("-inf")}},
+                "'classify/gamma': -inf is not a finite number",
+            ),
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"tol": float("inf")}},
+                "'classify/tol': inf is not a finite number",
+            ),
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"alpha_sweep": [0.1, float("nan")]}},
+                "'classify/alpha_sweep/1': nan is not a finite number",
+            ),
+            (
+                "solve",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [1, 0], "bound_alpha": float("nan")}},
+                "'solve/bound_alpha': nan is not a finite number",
+            ),
+            (
+                "axioms",
+                {"space": DIRAC_SPACE, "grid": {"points": [0.1, float("inf")]}},
+                "'grid/points/1': inf is not a finite number",
+            ),
+            (
+                "axioms",
+                {"space": {**DIRAC_SPACE, "sampling_box": [[0, float("nan")], [0, 1]]}},
+                "'space/sampling_box/0/1': nan is not a finite number",
+            ),
+            (
+                "axioms",
+                {"space": {**DIRAC_SPACE, "cone": {"type": "halfspaces", "normals": [[1, float("-inf")]]}}},
+                "'space/cone/normals/0/1': -inf is not a finite number",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "halfspaces-ragged", "scale-1e308", "kernel-value-nan", "forcing-base-inf",
-             "nonlinearity-coefficient-nan", "scale-inf"],
+             "nonlinearity-coefficient-nan", "scale-inf", "solve-x0-nan", "axioms-tol-nan", "classify-gamma-inf",
+             "classify-tol-inf", "alpha-sweep-nan", "bound-alpha-nan", "grid-points-inf", "sampling-box-nan",
+             "halfspace-normals-inf"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
         with np.errstate(over="ignore"):
             assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("1e400", "'axioms/tol': inf is not a finite number"),  # json.load reads it as inf
+            ("1" + "0" * 400, "is not a finite number"),  # an int no float can hold
+            ("1" + "0" * 5000, "is not valid JSON"),  # past Python's int digit limit
+            ("[" * 100_000 + "]" * 100_000, "is not valid JSON"),  # past the parser's recursion limit
+        ],
+        ids=["1e400", "int-400-digits", "int-5000-digits", "nested-100000"],
+    )
+    def test_overflowing_literal_exits_2(self, tmp_path, capsys, literal, message):
+        path = tmp_path / "config.json"
+        path.write_text('{"space": {"dim": 2, "distance": "dirac", "tnorm": "min"}, "axioms": {"tol": %s}}' % literal)
+        assert main(["axioms", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 

@@ -16,6 +16,7 @@ from probcone import (
     pointwise_min,
     timescale,
 )
+from probcone.dist import _normal_cdf
 
 # frozen from the analytic oracle: 0.5 * Phi(3)
 HALF_PHI_3 = 0.49932505098418495
@@ -64,6 +65,33 @@ class TestEval:
 
         reference = np.array([0.5 * erfc(-x / sqrt(2.0)) for x in xs])
         assert np.max(np.abs(ndtr(xs) - reference)) < 1e-14
+
+
+class TestNormalCdfAccessor:
+    """The lazily imported Phi is scipy's ``ndtr``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.3,
+            np.float64(-1.25),
+            np.array(2.5),
+            np.array([[-8.0, -0.0, 0.0], [1e-3, 6.0, 40.0]]),
+            np.array([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+            np.inf,
+            -np.inf,
+            np.nan,
+            0.0,
+            -0.0,
+        ],
+        ids=["float", "float64", "0-d", "2-d", "specials", "inf", "-inf", "nan", "+0", "-0"],
+    )
+    def test_matches_ndtr_bitwise(self, x):
+        got, want = _normal_cdf(x), ndtr(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestConstruction:

@@ -1,0 +1,62 @@
+"""Import footprint: scipy loads only when a Gaussian distance is evaluated.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported scipy itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DIRAC_AXIOMS = {"space": {"dim": 2, "distance": "dirac", "tnorm": "min"}, "axioms": {"n_points": 4}}
+GAUSS_AXIOMS = {
+    "space": {"dim": 2, "distance": {"kind": "cone-gaussian", "delta": 0.5}, "tnorm": "min"},
+    "axioms": {"n_points": 4},
+}
+SMALL_SIE = {"sie": {"n_time": 20, "n_paths": 2, "max_iter": 50}}
+
+
+def loaded_after(code: str, *args: str) -> set:
+    """Names among scipy and jsonschema in sys.modules after running code."""
+    probe = code + "\nimport json, sys; print(json.dumps([m for m in ('scipy', 'jsonschema') if m in sys.modules]))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def write_config(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_library_import_loads_neither_scipy_nor_jsonschema():
+    assert loaded_after("import probcone") == set()
+
+
+def test_cli_config_validation_does_not_load_scipy(tmp_path):
+    cfg = write_config(tmp_path, DIRAC_AXIOMS)
+    loaded = loaded_after("import sys; from probcone.cli import load_config; load_config(sys.argv[1])", cfg)
+    assert loaded == {"jsonschema"}
+
+
+RUN_MAIN = "import sys; from probcone import cli; assert cli.main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize(
+    "command,payload,scipy_loaded",
+    [("sie", SMALL_SIE, False), ("axioms", DIRAC_AXIOMS, False), ("axioms", GAUSS_AXIOMS, True)],
+    ids=["sie", "axioms-dirac", "axioms-gaussian"],
+)
+def test_cli_run_loads_scipy_only_for_gaussian_distances(tmp_path, command, payload, scipy_loaded):
+    cfg = write_config(tmp_path, payload)
+    loaded = loaded_after(RUN_MAIN, command, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert ("scipy" in loaded) == scipy_loaded
