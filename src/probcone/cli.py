@@ -50,8 +50,9 @@ from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  ben
 
 # ``json.load`` reads NaN, Infinity and overflowing literals such as 1e400 as
 # floats, and "type": "number" admits them; the "finite" keyword (``_finite``)
-# rejects them in the fields that no registry check covers.
+# rejects them in every number field, so the message names the field.
 _NUMBER = {"type": "number", "finite": True}
+_POSITIVE = {**_NUMBER, "exclusiveMinimum": 0}
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 
 CONFIG_SCHEMA = {
@@ -72,7 +73,7 @@ CONFIG_SCHEMA = {
                             "additionalProperties": False,
                             "properties": {
                                 "kind": {"const": "cone-gaussian"},
-                                "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+                                "delta": {**_POSITIVE, "maximum": 1},
                             },
                             "required": ["kind"],
                         },
@@ -110,8 +111,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "start": {"type": "number", "exclusiveMinimum": 0},
-                "stop": {"type": "number", "exclusiveMinimum": 0},
+                "start": _POSITIVE,
+                "stop": _POSITIVE,
                 "num": {"type": "integer", "minimum": 2},
                 "points": {"type": "array", "items": _NUMBER, "minItems": 1},
             },
@@ -146,11 +147,11 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "x0": {"type": "array", "items": _NUMBER, "minItems": 1},
-                "eps": {"type": "number", "exclusiveMinimum": 0},
+                "eps": _POSITIVE,
                 "max_iter": _POSITIVE_INT,
                 "bound_alpha": {"anyOf": [{"type": "null"}, _NUMBER]},
                 "uniqueness_starts": {"type": "integer", "minimum": 0},
-                "agree_tol": {"type": "number", "exclusiveMinimum": 0},
+                "agree_tol": _POSITIVE,
             },
             "required": ["x0"],
         },
@@ -163,8 +164,8 @@ CONFIG_SCHEMA = {
                 "kernel": {},
                 "forcing": {},
                 "nonlinearity": {},
-                "lipschitz": {"anyOf": [{"type": "null"}, {"type": "number", "minimum": 0}]},
-                "eps": {"type": "number", "exclusiveMinimum": 0},
+                "lipschitz": {"anyOf": [{"type": "null"}, {**_NUMBER, "minimum": 0}]},
+                "eps": _POSITIVE,
                 "max_iter": _POSITIVE_INT,
             },
         },

@@ -16,7 +16,7 @@ from .dist import to_summary
 from .solver import BoundCheck, FixedPointCheck, IterationTrace, UniquenessResult
 from .space import AxiomCheck, AxiomReport
 from .contract import ContractionCertificate
-from .stochastic import RandomKannanResult, SIEConditions, SIESolution
+from .stochastic import SIEConditions, SIESolution
 
 
 def _plain(value):
@@ -132,17 +132,6 @@ def sie_solution_to_dict(sol: SIESolution) -> dict:
         "final_residual": _plain(sol.step_norms[-1]) if sol.step_norms else None,
         "step_norms": _plain(list(sol.step_norms)),
         "conditions": sie_conditions_to_dict(sol.conditions),
-    }
-
-
-def random_kannan_to_dict(result: RandomKannanResult) -> dict:
-    return {
-        "certificate": certificate_to_dict(result.certificate),
-        "n_samples": result.n_samples,
-        "samplewise_violations": result.samplewise_violations,
-        "samplewise_fraction": _plain(result.samplewise_fraction),
-        "samplewise_holds": result.samplewise_holds,
-        "passed": result.passed,
     }
 
 

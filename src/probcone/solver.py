@@ -18,6 +18,7 @@ Violations are report content, not exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,20 +28,28 @@ from .dist import DistFn, TimeGrid, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError
 from .parallel import ordered_map
 from .space import PCMSpace, tau_converged  # noqa: F401  bench/tracer.py patches solver.tau_converged
-from .tnorm import TNorm
+from .tnorm import TNorm, _check_unit
 
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """One orbit of the map, with per-step distance distributions."""
+    """One orbit of the map; its step distributions derive from the points."""
 
     points: np.ndarray  # (n_iters + 1, dim)
-    step_dists: Tuple[DistFn, ...]  # F(x_n, x_{n+1}) for each step
-    step_values: np.ndarray  # step_dists evaluated on grid, (n_iters, len(grid))
     grid: TimeGrid
-    stopped_reason: str  # "converged" | "max_iter" ("diverged" on error traces)
+    stopped_reason: str  # "converged" | "max_iter" | "diverged"
     eps: float
     space: PCMSpace
+
+    @cached_property
+    def step_dists(self) -> Tuple[DistFn, ...]:
+        """F(x_n, x_{n+1}) for each step."""
+        return tuple(self.space.distance(x, y) for x, y in zip(self.points[:-1], self.points[1:]))
+
+    @cached_property
+    def step_values(self) -> np.ndarray:
+        """``step_dists`` evaluated on ``grid``, shape (n_iters, len(grid))."""
+        return self.space.distance_values(self.points[:-1], self.points[1:], self.grid.points)
 
     @property
     def n_iters(self) -> int:
@@ -82,44 +91,22 @@ def picard(
         raise InvalidParameterError(f"eps must be positive, got {eps}")
 
     points = [x]
-    step_dists = []
-    step_values = []
     reason = "max_iter"
     for _ in range(max_iter):
         x_next = mapping(x)
         if not np.all(np.isfinite(x_next)):
-            partial = IterationTrace(
-                points=np.asarray(points),
-                step_dists=tuple(step_dists),
-                step_values=np.asarray(step_values).reshape(len(step_values), len(grid)),
-                grid=grid,
-                stopped_reason="diverged",
-                eps=eps,
-                space=space,
-            )
+            partial = IterationTrace(np.asarray(points), grid, "diverged", eps, space)
             raise DivergenceError(
                 f"non-finite iterate after {len(points)} steps", trace=partial
             )
-        step = space.distance(x, x_next)
-        step_dists.append(step)
-        step_values.append(np.asarray(step.eval(grid.points)))
         points.append(x_next)
-        # the tau_converged test, on the step distance already built
-        if float(step.eval(eps)) > 1.0 - eps:
+        # the tau_converged test on consecutive iterates
+        if float(space.distance(x, x_next).eval(eps)) > 1.0 - eps:
             reason = "converged"
-            x = x_next
             break
         x = x_next
 
-    return IterationTrace(
-        points=np.asarray(points),
-        step_dists=tuple(step_dists),
-        step_values=np.asarray(step_values),
-        grid=grid,
-        stopped_reason=reason,
-        eps=eps,
-        space=space,
-    )
+    return IterationTrace(np.asarray(points), grid, reason, eps, space)
 
 
 def kannan_bound(first_step: DistFn, alpha: float, n: int, t):
@@ -158,23 +145,18 @@ def cauchy_chain_bound(
         raise InvalidParameterError(f"need 0 <= n < m, got n={n}, m={m}")
     if not np.isfinite(t) or t <= 0.0:
         raise InvalidParameterError(f"t must be positive, got {t}")
-    gap = float(m - n)
-    terms = []
-    for j in range(n, m):
-        with np.errstate(divide="ignore", over="ignore"):
-            arg = t / (gap * (2.0 * alpha) ** j)
-        terms.append(float(first_step.eval(arg)))
-    return tnorm.fold(terms)
+    return float(_chain_bound_on_grid(first_step, alpha, n, m, np.array([t], dtype=float), tnorm)[0])
 
 
 def _chain_bound_on_grid(first_step, alpha, n, m, t, tnorm) -> np.ndarray:
+    """``cauchy_chain_bound`` at every time of the 1-d array ``t``."""
     gap = float(m - n)
-    acc = np.ones_like(t)
-    for j in range(n, m):
-        with np.errstate(divide="ignore", over="ignore"):
-            arg = t / (gap * (2.0 * alpha) ** j)
-        acc = tnorm.apply(acc, np.asarray(first_step.eval(arg)))
-    return acc
+    # Python ** per j, so each divisor is the float the scalar formula uses
+    divisors = np.array([gap * (2.0 * alpha) ** j for j in range(n, m)])
+    with np.errstate(divide="ignore", over="ignore"):
+        args = t[None, :] / divisors[:, None]
+    terms = _check_unit(first_step.eval(args), "first-step values")
+    return reduce(tnorm._combine, terms, np.ones_like(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,10 +199,11 @@ def check_bounds(
     grid = TimeGrid.coerce(grid)
     tnorm = trace.space.tnorm if tnorm is None else tnorm
     t = grid.points
+    points = trace.points
     first_step = trace.step_dists[0]
-    n_steps = len(trace.step_dists)
+    n_steps = trace.n_iters
 
-    step_lhs = np.asarray([np.asarray(d.eval(t)) for d in trace.step_dists])
+    step_lhs = trace.space.distance_values(points[:-1], points[1:], t)
     step_rhs = np.asarray([kannan_bound(first_step, alpha, n, t) for n in range(n_steps)])
     step_margins = step_lhs - step_rhs
 
@@ -232,13 +215,11 @@ def check_bounds(
     else:
         pairs = all_pairs
 
-    chain_lhs = np.empty((len(pairs), len(grid)))
-    chain_rhs = np.empty((len(pairs), len(grid)))
-    for row, (n, m) in enumerate(pairs):
-        chain_lhs[row] = np.asarray(
-            trace.space.distance(trace.points[n], trace.points[m]).eval(t)
-        )
-        chain_rhs[row] = _chain_bound_on_grid(first_step, alpha, n, m, t, tnorm)
+    ends = np.array(pairs, dtype=int).reshape(len(pairs), 2)
+    chain_lhs = trace.space.distance_values(points[ends[:, 0]], points[ends[:, 1]], t)
+    chain_rhs = np.array(
+        [_chain_bound_on_grid(first_step, alpha, n, m, t, tnorm) for n, m in pairs]
+    ).reshape(len(pairs), len(t))
     chain_margins = chain_lhs - chain_rhs
 
     violations = int(np.sum(step_margins < -tol)) + int(np.sum(chain_margins < -tol))
@@ -302,8 +283,9 @@ def uniqueness_probe(
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
 
+    grid = TimeGrid.default()
     traces = ordered_map(
-        lambda s: picard(space, mapping, s, eps=eps, max_iter=max_iter), starts, workers=workers
+        lambda s: picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid), starts, workers=workers
     )
     limits = np.asarray([tr.limit for tr in traces])
     reasons = tuple(tr.stopped_reason for tr in traces)

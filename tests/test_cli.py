@@ -172,12 +172,41 @@ class TestSchemaValidConfigErrors:
                 {"space": {**DIRAC_SPACE, "cone": {"type": "halfspaces", "normals": [[1, float("-inf")]]}}},
                 "'space/cone/normals/0/1': -inf is not a finite number",
             ),
+            # non-finite numbers in range-checked fields: the schema names the field
+            (
+                "axioms",
+                {"space": DIRAC_SPACE, "grid": {"start": float("nan")}},
+                "'grid/start': nan is not a finite number",
+            ),
+            (
+                "axioms",
+                {"space": DIRAC_SPACE, "grid": {"stop": float("inf")}},
+                "'grid/stop': inf is not a finite number",
+            ),
+            (
+                "solve",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [1, 0], "eps": float("nan")}},
+                "'solve/eps': nan is not a finite number",
+            ),
+            (
+                "solve",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [1, 0], "agree_tol": float("inf")}},
+                "'solve/agree_tol': inf is not a finite number",
+            ),
+            ("sie", {"sie": {"n_time": 10, "eps": float("nan")}}, "'sie/eps': nan is not a finite number"),
+            ("sie", {"sie": {"n_time": 10, "lipschitz": float("inf")}}, "'sie/lipschitz': inf is not a finite number"),
+            (
+                "axioms",
+                {"space": {**DIRAC_SPACE, "distance": {"kind": "cone-gaussian", "delta": float("nan")}}},
+                "'space/distance/delta': nan is not a finite number",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "halfspaces-ragged", "scale-1e308", "kernel-value-nan", "forcing-base-inf",
              "nonlinearity-coefficient-nan", "scale-inf", "solve-x0-nan", "axioms-tol-nan", "classify-gamma-inf",
              "classify-tol-inf", "alpha-sweep-nan", "bound-alpha-nan", "grid-points-inf", "sampling-box-nan",
-             "halfspace-normals-inf"],
+             "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
+             "sie-eps-nan", "sie-lipschitz-inf", "delta-nan"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)

@@ -3,8 +3,9 @@ must reproduce them byte for byte.
 
 Each ``tests/golden/<command>/<name>.json`` is a ``report.json`` with its
 ``wall_time_s`` field removed, re-serialized with ``canonical_json``. The
-``sie`` cases also pin both CSV files, as ``<name>.sie_mean_path.csv`` and
-``<name>.sie_residuals.csv``. A change that alters report numbers on purpose
+``solve`` cases also pin the orbit and its step distributions on the grid,
+as ``<name>.trace.csv``; the ``sie`` cases pin both CSV files, as
+``<name>.sie_mean_path.csv`` and ``<name>.sie_residuals.csv``. A change that alters report numbers on purpose
 regenerates them with::
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -118,7 +119,8 @@ CASES = {
 def render(command: str, config: dict, work_dir: Path) -> dict:
     """Run ``probcone <command>`` on ``config``; return {golden file name: text}.
 
-    The report loses its wall time; ``sie`` adds its two CSV files.
+    The report loses its wall time; ``solve`` adds its trace CSV and ``sie``
+    its two CSV files.
     """
     name = work_dir.name
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -129,6 +131,8 @@ def render(command: str, config: dict, work_dir: Path) -> dict:
     report = json.loads((out / "report.json").read_text())
     report.pop("wall_time_s")
     files = {f"{name}.json": canonical_json(report)}
+    if command == "solve":
+        files[f"{name}.trace.csv"] = (out / "trace.csv").read_text()
     if command == "sie":
         files.update({f"{name}.{csv}": (out / csv).read_text() for csv in SIE_CSVS})
     return files

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from probcone import (
     DiracStep,
+    GaussianShift,
     DivergenceError,
     InvalidParameterError,
+    IterationTrace,
     Orthant,
     PCMSpace,
     TNorm,
@@ -19,7 +23,9 @@ from probcone import (
     verify_fixed_point,
 )
 from probcone.contract import Mapping
+from probcone.dist import TimeGrid
 from probcone.registry import (
+    cone_gaussian_space,
     constant_map,
     dirac_space,
     identity_map,
@@ -27,6 +33,8 @@ from probcone.registry import (
     scale_map,
     shift_map,
 )
+from probcone.solver import _chain_bound_on_grid
+from probcone.tnorm import _check_unit
 
 SPACE = dirac_space()
 ROTATE = rotation_half_map()
@@ -108,6 +116,71 @@ class TestPicard:
         assert trace.eps == 1e-2
 
 
+def assert_bitwise(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def _tableless_gaussian(x, y):
+    return GaussianShift(math.hypot(*(x - y)))
+
+
+TABLELESS = PCMSpace(dim=2, distance=_tableless_gaussian, tnorm=TNorm.PRODUCT)
+
+
+class TestDerivedTrace:
+    """``step_dists`` and ``step_values`` are derived from the orbit's points."""
+
+    @staticmethod
+    def assert_derived(trace):
+        grid = trace.grid
+        assert len(trace.step_dists) == trace.n_iters
+        expected = np.array([d.eval(grid.points) for d in trace.step_dists]).reshape(trace.n_iters, len(grid))
+        assert trace.step_values.shape == (trace.n_iters, len(grid))
+        assert_bitwise(trace.step_values, expected)
+        assert trace.step_values is trace.step_values  # computed once
+
+    @pytest.mark.parametrize(
+        "space,mapping,x0",
+        [
+            (SPACE, ROTATE, [1.0, 0.0]),
+            (dirac_space(dim=3), scale_map(0.5), [0.3, -2.0, 1.5]),
+            # rotation-half moves differences in and out of the Gaussian gate
+            (cone_gaussian_space(), ROTATE, [1.0, 0.0]),
+            (cone_gaussian_space(delta=0.3), scale_map(0.5), [1.0, 2.0]),
+            (TABLELESS, ROTATE, [0.4, -0.9]),
+        ],
+        ids=["dirac-rotation", "dirac3-scale", "gauss-rotation", "gauss-scale", "tableless-rotation"],
+    )
+    def test_step_values_match_step_dists(self, space, mapping, x0):
+        trace = picard(space, mapping, x0, eps=1e-6, max_iter=60, grid=np.geomspace(1e-4, 10.0, 37))
+        assert trace.n_iters >= 2
+        self.assert_derived(trace)
+
+    def test_divergence_at_first_step(self):
+        nan_map = Mapping(lambda u: np.full_like(u, np.nan), name="nan")
+        for space in (SPACE, cone_gaussian_space(), TABLELESS):
+            with pytest.raises(DivergenceError) as err:
+                picard(space, nan_map, [1.0, 0.5], eps=1e-6)
+            partial = err.value.trace
+            assert partial.stopped_reason == "diverged" and partial.n_iters == 0
+            assert partial.step_dists == ()
+            self.assert_derived(partial)
+
+    def test_divergence_after_several_steps(self):
+        # 1 -> 1e100 -> 1e200 -> 1e300 -> inf: three finite steps, then a non-finite iterate
+        grow = Mapping(lambda u: u * 1e100, name="grow")
+        for space in (SPACE, cone_gaussian_space(), TABLELESS):
+            with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+                picard(space, grow, [1.0, 1.0], eps=1e-6, max_iter=50)
+            partial = err.value.trace
+            assert partial.stopped_reason == "diverged" and partial.n_iters == 3
+            self.assert_derived(partial)
+
+    def test_trace_fields_are_the_orbit(self):
+        assert list(IterationTrace.__dataclass_fields__) == ["points", "grid", "stopped_reason", "eps", "space"]
+
+
 class TestKannanBound:
     def test_n_zero_is_first_step(self):
         f = from_samples([0.5, 1.0, 2.0])
@@ -158,11 +231,83 @@ class TestCauchyChainBound:
         got = cauchy_chain_bound(DiracStep(1.0), 0.25, 2, 4, 1.0, TNorm.MINIMUM)
         assert got == 1.0
 
+    def test_underflowing_divisor_evaluates_at_infinity(self):
+        # (1/2)^1075 is 0.0, so the later terms sit at t / 0 = inf
+        assert cauchy_chain_bound(DiracStep(1.0), 0.25, 1070, 1080, 1.0, TNorm.MINIMUM) == 1.0
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             cauchy_chain_bound(DiracStep(1.0), 0.25, 3, 3, 1.0, TNorm.MINIMUM)
         with pytest.raises(InvalidParameterError):
             cauchy_chain_bound(DiracStep(1.0), 0.25, 0, 2, -1.0, TNorm.MINIMUM)
+
+
+def _reference_fold(tnorm, values):
+    # TNorm.fold as the scalar chain bound used it: validate, then apply left to right
+    acc = 1.0
+    for i, v in enumerate(values):
+        v = _check_unit(v, f"values[{i}]")
+        acc = tnorm.apply(acc, float(v))
+    return float(acc)
+
+
+def _reference_chain_bound(first_step, alpha, n, m, t, tnorm):
+    gap = float(m - n)
+    terms = []
+    for j in range(n, m):
+        with np.errstate(divide="ignore", over="ignore"):
+            arg = t / (gap * (2.0 * alpha) ** j)
+        terms.append(float(first_step.eval(arg)))
+    return _reference_fold(tnorm, terms)
+
+
+def _reference_chain_bound_on_grid(first_step, alpha, n, m, t, tnorm):
+    gap = float(m - n)
+    acc = np.ones_like(t)
+    for j in range(n, m):
+        with np.errstate(divide="ignore", over="ignore"):
+            arg = t / (gap * (2.0 * alpha) ** j)
+        acc = tnorm.apply(acc, np.asarray(first_step.eval(arg)))
+    return acc
+
+
+class TestChainBoundFold:
+    """The one-array chain fold against the per-term ``apply``/``fold`` loops, bit for bit."""
+
+    FIRST_STEPS = {
+        "dirac": DiracStep(0.7),
+        "dirac-zero": DiracStep(0.0),
+        "empirical": from_samples([0.05, 0.2, 0.2, 0.9, 1.7, 3.0, 11.0]),
+        "empirical-wide": from_samples(np.random.default_rng(3).exponential(2.0, 101)),
+    }
+    WINDOWS = [(0, 1), (0, 2), (0, 7), (2, 5), (3, 40), (10, 11), (25, 90)]
+    ALPHAS = [0.05, 0.25, 0.3, 0.45, 0.499]
+
+    @pytest.mark.parametrize("tnorm", list(TNorm), ids=lambda k: k.value)
+    @pytest.mark.parametrize("first", sorted(FIRST_STEPS))
+    def test_matches_reference_loops(self, tnorm, first):
+        f = self.FIRST_STEPS[first]
+        rng = np.random.default_rng(7)
+        grids = [TimeGrid.default().points, np.sort(rng.uniform(1e-3, 30.0, 23)), np.array([1e-300, 0.5, 1e300])]
+        for alpha in self.ALPHAS:
+            for n, m in self.WINDOWS:
+                for t in grids:
+                    got = _chain_bound_on_grid(f, alpha, n, m, t, tnorm)
+                    assert_bitwise(got, _reference_chain_bound_on_grid(f, alpha, n, m, t, tnorm))
+                for t in grids[1][::4]:
+                    got = cauchy_chain_bound(f, alpha, n, m, float(t), tnorm)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(
+                        _reference_chain_bound(f, alpha, n, m, float(t), tnorm)
+                    ).tobytes()
+
+    def test_out_of_range_terms_rejected(self):
+        class Broken(DiracStep):
+            def eval(self, t):
+                return np.full(np.shape(t), 1.5)
+
+        with pytest.raises(InvalidParameterError):
+            cauchy_chain_bound(Broken(1.0), 0.25, 0, 3, 1.0, TNorm.MINIMUM)
 
 
 class TestCheckBounds:
@@ -197,6 +342,33 @@ class TestCheckBounds:
         b = check_bounds(trace, 0.3, seed=5)
         assert a.chain_pairs == b.chain_pairs
         assert np.array_equal(a.chain_margins, b.chain_margins)
+
+    @pytest.mark.parametrize(
+        "space,mapping,x0",
+        [
+            (SPACE, scale_map(0.2), [1.0, 0.5]),
+            (cone_gaussian_space(tnorm=TNorm.LUKASIEWICZ), ROTATE, [1.0, 0.0]),
+            (TABLELESS, scale_map(0.3), [0.4, -0.9]),
+        ],
+        ids=["dirac", "gauss-rotation", "tableless"],
+    )
+    def test_matches_per_step_and_per_pair_loops(self, space, mapping, x0):
+        # 40 steps give 741 chain pairs, so 32 are sampled
+        trace = picard(space, mapping, x0, eps=1e-12, max_iter=40)
+        grid = TimeGrid(np.geomspace(1e-3, 50.0, 29))
+        check = check_bounds(trace, 0.3, grid=grid, seed=4)
+        t = grid.points
+        first = space.distance(trace.points[0], trace.points[1])
+        step_lhs = np.asarray([np.asarray(d.eval(t)) for d in trace.step_dists])
+        step_rhs = np.asarray([kannan_bound(first, 0.3, n, t) for n in range(trace.n_iters)])
+        assert_bitwise(check.step_lhs, step_lhs)
+        assert_bitwise(check.step_rhs, step_rhs)
+        assert len(check.chain_pairs) == 32
+        for row, (n, m) in enumerate(check.chain_pairs):
+            lhs = np.asarray(space.distance(trace.points[n], trace.points[m]).eval(t))
+            assert_bitwise(check.chain_lhs[row], lhs)
+            rhs = _reference_chain_bound_on_grid(first, 0.3, n, m, t, space.tnorm)
+            assert_bitwise(check.chain_rhs[row], rhs)
 
     def test_requires_two_points(self):
         trace = picard(SPACE, identity_map(), [0.0, 0.0], eps=0.5)
@@ -255,6 +427,21 @@ class TestUniquenessProbe:
         a = uniqueness_probe(SPACE, ROTATE, starts, eps=1e-8, workers=1)
         b = uniqueness_probe(SPACE, ROTATE, starts, eps=1e-8, workers=4)
         assert np.array_equal(a.limits, b.limits)
+
+    def test_one_default_grid_for_all_starts(self, monkeypatch):
+        import probcone.solver as solver
+
+        grids = []
+
+        def recording_picard(*args, **kwargs):
+            trace = picard(*args, **kwargs)
+            grids.append(trace.grid)
+            return trace
+
+        monkeypatch.setattr(solver, "picard", recording_picard)
+        uniqueness_probe(SPACE, ROTATE, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], eps=1e-8)
+        assert len(grids) == 3 and all(g is grids[0] for g in grids)
+        assert_bitwise(grids[0].points, TimeGrid.default().points)
 
     def test_needs_two_starts(self):
         with pytest.raises(InvalidParameterError):
