@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .contract import check_banach, check_chatterjea, check_kannan, check_zamfirescu
-from .dist import TimeGrid
+from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
 from .errors import ConfigError, DivergenceError, InvalidParameterError, ProbconeError
 from .registry import make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
 from .report import (
@@ -212,14 +212,12 @@ def validate_config(config: dict) -> None:
 
 
 def _grid_from_config(config: dict) -> TimeGrid:
-    spec = config.get("grid")
-    if spec is None:
-        return TimeGrid.default()
+    spec = config.get("grid", {})
     if "points" in spec:
         return TimeGrid(np.asarray(spec["points"], dtype=float))
-    start = spec.get("start", 1e-3)
-    stop = spec.get("stop", 1e2)
-    num = spec.get("num", 50)
+    start = spec.get("start", DEFAULT_GRID_START)
+    stop = spec.get("stop", DEFAULT_GRID_STOP)
+    num = spec.get("num", DEFAULT_GRID_SIZE)
     return TimeGrid(np.geomspace(start, stop, num))
 
 
@@ -432,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             cmd.add_argument("--config", required=True, help="path to a JSON experiment config")
         cmd.add_argument("--seed", type=int, default=0, help="root seed for every sampled quantity")
-        cmd.add_argument("--workers", type=int, default=1, help="parallelism of inner loops")
+        cmd.add_argument(
+            "--workers", type=int, default=1, help="threads for the axioms triangle rows; no effect elsewhere"
+        )
         cmd.add_argument("--out", default=".", help="directory for report.json and CSV outputs")
     return parser
 

@@ -189,16 +189,20 @@ def check_chatterjea(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=
     return _certify("chatterjea", {"alpha": alpha}, space, mapping, _margins_chatterjea, pairs, grid, tol, seed)
 
 
-def check_zamfirescu(
-    space, mapping, alpha, beta, gamma, pairs=64, grid=None, tol=None, seed=0
-) -> ContractionCertificate:
-    """Certify the hybrid condition: at each (x, y, t) at least one clause holds."""
+def _check_zamfirescu_rates(alpha, beta, gamma) -> None:
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < beta < 0.5:
         raise InvalidParameterError(f"beta must lie in (0, 1/2), got {beta}")
     if not 0.0 < gamma < 0.5:
         raise InvalidParameterError(f"gamma must lie in (0, 1/2), got {gamma}")
+
+
+def check_zamfirescu(
+    space, mapping, alpha, beta, gamma, pairs=64, grid=None, tol=None, seed=0
+) -> ContractionCertificate:
+    """Certify the hybrid condition: at each (x, y, t) at least one clause holds."""
+    _check_zamfirescu_rates(alpha, beta, gamma)
 
     def margins_fn(space, X, Y, TX, TY, t, alpha, beta, gamma):
         m1 = _margins_banach(space, X, Y, TX, TY, t, alpha)
@@ -227,12 +231,7 @@ def zamfirescu_delta(alpha: float, beta: float, gamma: float) -> float:
     corresponding clause rate leaves (0, 1) and no geometric certificate
     exists.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < beta < 0.5:
-        raise InvalidParameterError(f"beta must lie in (0, 1/2), got {beta}")
-    if not 0.0 < gamma < 0.5:
-        raise InvalidParameterError(f"gamma must lie in (0, 1/2), got {gamma}")
+    _check_zamfirescu_rates(alpha, beta, gamma)
     delta = max(alpha, 2.0 * beta / (1.0 - beta), 2.0 * gamma / (1.0 - gamma))
     if delta >= 1.0:
         raise RateNotCertifiedError(delta)

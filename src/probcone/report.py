@@ -83,8 +83,8 @@ def trace_to_dict(trace: IterationTrace) -> dict:
         "eps": trace.eps,
         "limit": _plain(trace.limit),
         "mean_step_ratio": ratio,
-        "first_step": to_summary(trace.step_dists[0]) if trace.step_dists else None,
-        "last_step": to_summary(trace.step_dists[-1]) if trace.step_dists else None,
+        "first_step": to_summary(trace.space.distance(*trace.points[:2])) if trace.n_iters else None,
+        "last_step": to_summary(trace.space.distance(*trace.points[-2:])) if trace.n_iters else None,
     }
 
 

@@ -27,7 +27,7 @@ from .contract import Mapping
 from .dist import DistFn, TimeGrid, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError
 from .parallel import ordered_map
-from .space import PCMSpace, tau_converged  # noqa: F401  bench/tracer.py patches solver.tau_converged
+from .space import PCMSpace, tau_converged
 from .tnorm import TNorm, _check_unit
 
 
@@ -100,8 +100,7 @@ def picard(
                 f"non-finite iterate after {len(points)} steps", trace=partial
             )
         points.append(x_next)
-        # the tau_converged test on consecutive iterates
-        if float(space.distance(x, x_next).eval(eps)) > 1.0 - eps:
+        if tau_converged(space, x, x_next, eps):
             reason = "converged"
             break
         x = x_next
@@ -200,7 +199,7 @@ def check_bounds(
     tnorm = trace.space.tnorm if tnorm is None else tnorm
     t = grid.points
     points = trace.points
-    first_step = trace.step_dists[0]
+    first_step = trace.space.distance(*points[:2])
     n_steps = trace.n_iters
 
     step_lhs = trace.space.distance_values(points[:-1], points[1:], t)
@@ -277,16 +276,15 @@ def uniqueness_probe(
 
     ``unique`` requires every orbit to converge and every pair of limits to
     pass the tau-closeness test at ``agree_tol``. Divergence of any orbit
-    propagates as an error.
+    propagates as an error. The orbits run in order on the calling thread;
+    ``workers`` is accepted and has no effect.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
 
     grid = TimeGrid.default()
-    traces = ordered_map(
-        lambda s: picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid), starts, workers=workers
-    )
+    traces = ordered_map(lambda s: picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid), starts)
     limits = np.asarray([tr.limit for tr in traces])
     reasons = tuple(tr.stopped_reason for tr in traces)
     unique = all(r == "converged" for r in reasons)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from probcone import (
     verify_fixed_point,
 )
 from probcone.contract import Mapping
-from probcone.dist import TimeGrid
+from probcone.dist import TimeGrid, to_summary
 from probcone.registry import (
     cone_gaussian_space,
     constant_map,
@@ -33,6 +34,7 @@ from probcone.registry import (
     scale_map,
     shift_map,
 )
+from probcone.report import trace_to_dict
 from probcone.solver import _chain_bound_on_grid
 from probcone.tnorm import _check_unit
 
@@ -176,6 +178,26 @@ class TestDerivedTrace:
             partial = err.value.trace
             assert partial.stopped_reason == "diverged" and partial.n_iters == 3
             self.assert_derived(partial)
+
+    def test_summaries_build_only_the_first_and_last_step(self):
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return SPACE.distance(x, y)
+
+        counting.table = SPACE.distance.table
+        space = PCMSpace(dim=2, distance=counting, tnorm=TNorm.MINIMUM)
+        trace = picard(space, ROTATE, [1.0, 0.0], eps=1e-6, max_iter=1000)
+        assert trace.n_iters > 10
+        calls.clear()
+        summary = trace_to_dict(trace)
+        assert len(calls) == 2
+        assert summary["first_step"] == to_summary(SPACE.distance(trace.points[0], trace.points[1]))
+        assert summary["last_step"] == to_summary(SPACE.distance(trace.points[-2], trace.points[-1]))
+        calls.clear()
+        check_bounds(trace, 0.4)
+        assert len(calls) == 1
 
     def test_trace_fields_are_the_orbit(self):
         assert list(IterationTrace.__dataclass_fields__) == ["points", "grid", "stopped_reason", "eps", "space"]
@@ -427,6 +449,16 @@ class TestUniquenessProbe:
         a = uniqueness_probe(SPACE, ROTATE, starts, eps=1e-8, workers=1)
         b = uniqueness_probe(SPACE, ROTATE, starts, eps=1e-8, workers=4)
         assert np.array_equal(a.limits, b.limits)
+
+    def test_orbits_run_on_the_calling_thread(self):
+        threads = set()
+
+        def rotate(u):
+            threads.add(threading.get_ident())
+            return ROTATE(u)
+
+        uniqueness_probe(SPACE, Mapping(rotate, name="rotate"), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], workers=4)
+        assert threads == {threading.get_ident()}
 
     def test_one_default_grid_for_all_starts(self, monkeypatch):
         import probcone.solver as solver

@@ -21,6 +21,7 @@ from probcone import (
 )
 from probcone.registry import cone_gaussian_space, dirac_space, rotation_half_map
 from probcone.report import axiom_report_to_dict
+from probcone.space import _passfail
 
 
 def squared_distance_space(tnorm=TNorm.MINIMUM):
@@ -252,6 +253,150 @@ class TestTriangleKernel:
         assert peak < 16 * 2**20
 
 
+def reference_pair_checks(space, n_points, grid, tol, seed):
+    """Identity, symmetry and the pair lists, one ``DistFn`` per ordered pair.
+
+    The per-pair loops that the table reductions in ``check_axioms`` must
+    reproduce: each row's (pair's) worst t, then a strict ``<`` across rows
+    (pairs i < j in lexicographic order).
+    """
+    grid = TimeGrid.coerce(grid)
+    pts = sample_points(space, n_points, np.random.default_rng(seed))
+    t = grid.points
+    dists = [[space.distance(pts[i], pts[j]) for j in range(n_points)] for i in range(n_points)]
+    on_grid = np.array([[dists[i][j].eval(t) for j in range(n_points)] for i in range(n_points)], dtype=float)
+    id_worst = id_witness = None
+    for i in range(n_points):
+        vals = on_grid[i][i]
+        k = int(np.argmin(vals))
+        margin = float(vals[k] - 1.0)
+        if id_worst is None or margin < id_worst:
+            id_worst = margin
+            id_witness = {"index": i, "point": pts[i].tolist(), "t": float(t[k]), "value": float(vals[k])}
+    ambiguous, sub_pairs = [], []
+    sym_worst = sym_witness = None
+    for i in range(n_points):
+        for j in range(i + 1, n_points):
+            fij, fji = on_grid[i][j], on_grid[j][i]
+            gap = np.abs(fij - fji)
+            k = int(np.argmax(gap))
+            margin = -float(gap[k])
+            if sym_worst is None or margin < sym_worst:
+                sym_worst = margin
+                sym_witness = {"i": i, "j": j, "t": float(t[k]), "forward": float(fij[k]), "reverse": float(fji[k])}
+            if np.all(fij >= 1.0 - tol) and np.all(fji >= 1.0 - tol):
+                ambiguous.append((i, j))
+            if not dists[i][j].is_proper:
+                sub_pairs.append((i, j))
+            if not dists[j][i].is_proper:
+                sub_pairs.append((j, i))
+    return (id_worst, id_witness), (sym_worst, sym_witness), tuple(ambiguous), tuple(sorted(set(sub_pairs)))
+
+
+def assert_pair_checks_match_reference(space, n_points, grid=None, seed=0):
+    # tol = -2 fails every check, so the witnesses are always reported; tol = 0
+    # lets pairs at 1 across the grid count as consistent with identity.
+    for tol in (-2.0, 0.0):
+        report = check_axioms(space, n_points=n_points, grid=grid, tol=tol, seed=seed)
+        (id_worst, id_witness), (sym_worst, sym_witness), ambiguous, sub_pairs = reference_pair_checks(
+            space, n_points, grid, tol, seed
+        )
+        # repr tells -0.0 from 0.0 and prints NaN, so equal reprs mean equal bits
+        assert repr(report.identity) == repr(_passfail("identity", id_worst, tol, id_witness))
+        assert repr(report.symmetry) == repr(_passfail("symmetry", sym_worst, tol, sym_witness))
+        assert repr(report.identity_ambiguous_pairs) == repr(ambiguous)
+        assert repr(report.sub_distribution_pairs) == repr(sub_pairs)
+
+
+class Constant(DistFn):
+    """F(t) = value for every t; NaN breaks the contract, as a user map may."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def eval(self, t):
+        return np.full(np.shape(t), self.value)
+
+
+def broken_space(diagonal=None, one_sided=False):
+    """A Dirac space with a user-supplied F(x, x), or with F(x, y) = 1 when x[0] >= y[0]."""
+
+    def distance(x, y):
+        if diagonal is not None and np.array_equal(x, y):
+            return Constant(diagonal(x))
+        if one_sided and x[0] >= y[0]:
+            return DiracStep(0.0)
+        return DiracStep(float(np.linalg.norm(x - y)))
+
+    return PCMSpace(dim=2, distance=distance, tnorm=TNorm.MINIMUM)
+
+
+BROKEN_SPACES = {
+    # NaN only for x[0] > 0, so row 0 holds a NaN margin for some seeds and a number for others
+    "nan-identity": broken_space(diagonal=lambda x: np.nan if x[0] > 0.0 else 1.0),
+    # distinct values whose margins v - 1.0 all round to -1.0: the first row wins, not the smallest value
+    "tiny-identity": broken_space(diagonal=lambda x: 1e-17 * (2.0 + x[0])),
+    # F(x, y) sits at 1 in one direction only, so no pair is consistent with identity
+    "one-sided": broken_space(one_sided=True),
+}
+
+
+class TestPairChecks:
+    """Identity, symmetry and the pair lists in ``check_axioms`` against the per-pair loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["dirac", "gauss", "squared"]),
+        tnorm=st.sampled_from(list(TNorm)),
+        n_points=st.integers(3, 7),
+        grid=st.one_of(
+            st.none(),
+            st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True).map(sorted),
+            st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8, unique=True).map(sorted),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_pair_loops(self, kind, tnorm, n_points, grid, seed):
+        if kind == "dirac":
+            space = dirac_space(tnorm=tnorm)
+        elif kind == "gauss":
+            space = cone_gaussian_space(delta=0.5, tnorm=tnorm)
+        else:
+            space = squared_distance_space(tnorm)
+        assert_pair_checks_match_reference(space, n_points, grid, seed)
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    def test_repeated_point(self, tnorm):
+        # every pair ties at 1 everywhere, so every witness is decided by tie-breaking
+        space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]), tnorm=tnorm)
+        report = check_axioms(space, n_points=5, seed=0)
+        assert len(report.identity_ambiguous_pairs) == 10
+        assert_pair_checks_match_reference(space, 5, seed=0)
+        assert_pair_checks_match_reference(space, 5, grid=[0.5, 1.0, 2.0], seed=3)
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_SPACES))
+    def test_broken_axioms(self, name):
+        for seed in range(6):
+            assert_pair_checks_match_reference(BROKEN_SPACES[name], 5, grid=[0.5, 1.0, 2.0], seed=seed)
+
+    def test_distance_values_supplies_the_grid_table(self):
+        space = cone_gaussian_space(delta=0.5)
+        calls = []
+
+        def table(X, Y, t):
+            calls.append((len(X), t.size))
+            return space.distance.table(X, Y, t)
+
+        def distance(x, y):
+            return space.distance(x, y)
+
+        distance.table = table
+        n, g = 6, 7
+        check_axioms(PCMSpace(dim=2, distance=distance, tnorm=space.tnorm), n_points=n, grid=np.arange(1.0, g + 1))
+        # the (n, n, G) grid table, then one (n - 1, G * G) block per row of F_ik(t + s)
+        assert calls == [(n * n, g)] + [(n - 1, g * g)] * n
+
+
 class TestTauConverged:
     def test_dirac_reduction(self):
         space = dirac_space()
@@ -304,6 +449,21 @@ class TestCauchyWindow:
             orbit.append(mapping(orbit[-1]))
         assert cauchy_window(space, orbit[20:31], eps=0.1)
         assert not cauchy_window(space, orbit[0:5], eps=0.1)
+
+    def test_pairs_in_row_major_order_until_the_first_failure(self):
+        seen = []
+
+        def recording(x, y):
+            seen.append((float(x[0]), float(y[0])))
+            return DiracStep(float(np.linalg.norm(x - y)))
+
+        space = PCMSpace(dim=1, distance=recording, tnorm=TNorm.MINIMUM)
+        # pairs (0, 1), (0, 2), (0, 3), (1, 0), ... in turn: (0, 2) is the first 0.5 or more apart
+        assert not cauchy_window(space, [[0.0], [0.1], [0.6], [0.7]], eps=0.5)
+        assert seen == [(0.0, 0.1), (0.0, 0.6)]
+        seen.clear()
+        assert cauchy_window(space, [[0.0], [0.1], [0.2]], eps=0.5)
+        assert seen == [(0.0, 0.1), (0.0, 0.2), (0.1, 0.0), (0.1, 0.2), (0.2, 0.0), (0.2, 0.1)]
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
