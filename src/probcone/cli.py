@@ -27,7 +27,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .contract import check_banach, check_chatterjea, check_kannan, check_zamfirescu
+from .contract import check_banach, check_chatterjea, check_kannan, check_zamfirescu, sample_pairs
 from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
 from .errors import ConfigError, DivergenceError, InvalidParameterError, ProbconeError
 from .registry import make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
@@ -242,6 +242,25 @@ def run_axioms(config: dict, seed: int, workers: int) -> dict:
     return {"axioms": axiom_report_to_dict(report)}
 
 
+class _SharedPairs:
+    """The pairs every certificate of one classify run checks, drawn on first use.
+
+    They are the pairs each certificate would sample from the same seed. A
+    certificate reads its pairs only after its own rate check, so a bad rate
+    on the first certificate is still reported (exit 2) before an infeasible
+    sampling region (exit 1).
+    """
+
+    def __init__(self, space, mapping, n_pairs: int, seed: int):
+        self._draw = (space, mapping, n_pairs, np.random.default_rng(seed))
+        self._pairs = None
+
+    def __iter__(self):
+        if self._pairs is None:
+            self._pairs = sample_pairs(*self._draw)
+        return iter(self._pairs)
+
+
 def run_classify(config: dict, seed: int, workers: int) -> dict:
     space = make_space(config.get("space", {}))
     mapping = make_mapping(_require_section(config, "mapping"), space.dim)
@@ -254,23 +273,24 @@ def run_classify(config: dict, seed: int, workers: int) -> dict:
     beta = section.get("beta", 0.25)
     gamma = section.get("gamma", 0.2)
 
+    pairs = _SharedPairs(space, mapping, n_pairs, seed)
     certificates = {}
     for kind in kinds:
         if kind == "banach":
-            cert = check_banach(space, mapping, alpha, pairs=n_pairs, grid=grid, tol=tol, seed=seed)
+            cert = check_banach(space, mapping, alpha, pairs=pairs, grid=grid, tol=tol, seed=seed)
         elif kind == "kannan":
-            cert = check_kannan(space, mapping, alpha, pairs=n_pairs, grid=grid, tol=tol, seed=seed)
+            cert = check_kannan(space, mapping, alpha, pairs=pairs, grid=grid, tol=tol, seed=seed)
         elif kind == "chatterjea":
-            cert = check_chatterjea(space, mapping, alpha, pairs=n_pairs, grid=grid, tol=tol, seed=seed)
+            cert = check_chatterjea(space, mapping, alpha, pairs=pairs, grid=grid, tol=tol, seed=seed)
         else:
             cert = check_zamfirescu(
-                space, mapping, alpha, beta, gamma, pairs=n_pairs, grid=grid, tol=tol, seed=seed
+                space, mapping, alpha, beta, gamma, pairs=pairs, grid=grid, tol=tol, seed=seed
             )
         certificates[kind] = certificate_to_dict(cert)
 
     sweep = {}
     for a in section.get("alpha_sweep", []):
-        cert = check_kannan(space, mapping, a, pairs=n_pairs, grid=grid, tol=tol, seed=seed)
+        cert = check_kannan(space, mapping, a, pairs=pairs, grid=grid, tol=tol, seed=seed)
         sweep[repr(float(a))] = certificate_to_dict(cert)
 
     out = {"mapping": mapping.name, "certificates": certificates}

@@ -22,6 +22,8 @@ from .tnorm import TNorm
 # Mappings
 # ---------------------------------------------------------------------------
 
+_PLANE_ONLY = "rotation-half is a plane map; expected dimension 2"
+
 
 def rotation_half_map() -> Mapping:
     """Average a plane point with its norm-preserving quarter turn.
@@ -35,37 +37,51 @@ def rotation_half_map() -> Mapping:
 
     def fn(u: np.ndarray) -> np.ndarray:
         if u.shape != (2,):
-            raise InvalidParameterError("rotation-half is a plane map; expected dimension 2")
+            raise InvalidParameterError(_PLANE_ONLY)
         norm_u = math.hypot(u[0], u[1])
         if norm_u == 0.0:
             return np.zeros(2)
         rotated = np.array([-u[1], u[0]])
         return 0.5 * (u + (norm_u / math.hypot(rotated[0], rotated[1])) * rotated)
 
+    def rows(X: np.ndarray) -> np.ndarray:
+        if X.shape[1:] != (2,):
+            raise InvalidParameterError(_PLANE_ONLY)
+        rotated = np.column_stack([-X[:, 1], X[:, 0]])
+        # both norms with math.hypot per row, in fn's argument order:
+        # np.hypot rounds differently on some rows
+        norm_u = _row_hypot(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = norm_u / _row_hypot(rotated)
+        out = 0.5 * (X + factor[:, None] * rotated)
+        out[norm_u == 0.0] = 0.0
+        return out
+
     return Mapping(
         fn,
         name="rotation-half",
         note="the defining formula is undefined at the origin; T(0) = 0 is "
         "taken (continuity limit, the unique fixed point)",
+        rows=rows,
     )
 
 
 def scale_map(factor: float) -> Mapping:
-    return Mapping(lambda u: factor * u, name=f"scale:{factor}")
+    return Mapping(lambda u: factor * u, name=f"scale:{factor}", rows=lambda X: factor * X)
 
 
 def constant_map(value) -> Mapping:
     target = np.asarray(value, dtype=float)
-    return Mapping(lambda u: target.copy(), name="constant")
+    return Mapping(lambda u: target.copy(), name="constant", rows=lambda X: np.tile(target, (len(X), 1)))
 
 
 def identity_map() -> Mapping:
-    return Mapping(lambda u: u.copy(), name="identity")
+    return Mapping(lambda u: u.copy(), name="identity", rows=lambda X: X.copy())
 
 
 def shift_map(offset) -> Mapping:
     delta = np.asarray(offset, dtype=float)
-    return Mapping(lambda u: u + delta, name="shift")
+    return Mapping(lambda u: u + delta, name="shift", rows=lambda X: X + delta)
 
 
 def affine_map(matrix, offset) -> Mapping:
@@ -73,7 +89,13 @@ def affine_map(matrix, offset) -> Mapping:
     off = _float_array(offset, "affine offset")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or off.shape != (mat.shape[0],):
         raise InvalidParameterError("affine map needs a square matrix and a matching offset")
-    return Mapping(lambda u: mat @ u + off, name="affine")
+    # a stack of matrix-vector products, so each row is the product fn
+    # computes; X @ mat.T is one matrix product and rounds differently
+    return Mapping(
+        lambda u: mat @ u + off,
+        name="affine",
+        rows=lambda X: np.matmul(mat[None], X[:, :, None])[:, :, 0] + off,
+    )
 
 
 def _float(value, what: str) -> float:

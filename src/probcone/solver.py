@@ -26,7 +26,7 @@ import numpy as np
 from .contract import Mapping
 from .dist import DistFn, TimeGrid, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError
-from .parallel import ordered_map
+from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py's patch points
 from .space import PCMSpace, tau_converged
 from .tnorm import TNorm, _check_unit
 
@@ -77,9 +77,28 @@ def picard(
     the partial trace) when an iterate goes non-finite. Slow
     non-convergence is not an error; it ends with reason "max_iter".
     """
+    x, eps = _checked_start(space, x0, eps, max_iter)
+    grid = TimeGrid.coerce(grid)
+
+    points = [x]
+    reason = "max_iter"
+    for _ in range(max_iter):
+        x_next = mapping(x)
+        if not np.all(np.isfinite(x_next)):
+            raise _diverged(space, points, grid, eps)
+        points.append(x_next)
+        if tau_converged(space, x, x_next, eps):
+            reason = "converged"
+            break
+        x = x_next
+
+    return IterationTrace(np.asarray(points), grid, reason, eps, space)
+
+
+def _checked_start(space: PCMSpace, x0, eps: Optional[float], max_iter: int):
+    """Validate one orbit's start; returns it as a float array with its eps."""
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-    grid = TimeGrid.coerce(grid)
     x = np.asarray(x0, dtype=float)
     if x.shape != (space.dim,):
         raise InvalidParameterError(f"x0 must have dimension {space.dim}, got shape {x.shape}")
@@ -89,23 +108,13 @@ def picard(
         eps = 1e-2 if empirical_sample_count(space.distance(x, x)) is not None else 1e-6
     if not np.isfinite(eps) or eps <= 0.0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
+    return x, eps
 
-    points = [x]
-    reason = "max_iter"
-    for _ in range(max_iter):
-        x_next = mapping(x)
-        if not np.all(np.isfinite(x_next)):
-            partial = IterationTrace(np.asarray(points), grid, "diverged", eps, space)
-            raise DivergenceError(
-                f"non-finite iterate after {len(points)} steps", trace=partial
-            )
-        points.append(x_next)
-        if tau_converged(space, x, x_next, eps):
-            reason = "converged"
-            break
-        x = x_next
 
-    return IterationTrace(np.asarray(points), grid, reason, eps, space)
+def _diverged(space: PCMSpace, points, grid: TimeGrid, eps: float) -> DivergenceError:
+    """The error for an orbit whose next iterate after ``points`` is non-finite."""
+    partial = IterationTrace(np.asarray(points), grid, "diverged", eps, space)
+    return DivergenceError(f"non-finite iterate after {len(points)} steps", trace=partial)
 
 
 def kannan_bound(first_step: DistFn, alpha: float, n: int, t):
@@ -274,19 +283,85 @@ def uniqueness_probe(
 ) -> UniquenessResult:
     """Run independent orbits and test whether all limits coincide.
 
+    The orbits are iterated together as one ``(n_live, dim)`` array: each
+    step maps every live orbit with one ``Mapping.apply_rows`` call and
+    stop-tests them with one ``space.distance_values`` call, which is
+    ``tau_converged`` row by row. An orbit leaves the array when it
+    converges, so each limit and stop reason is the one ``picard`` gives
+    for that start. Errors are those of running ``picard`` on each start in
+    turn: the first start, in order, that is invalid or whose orbit raises
+    or diverges decides the error, and a ``DivergenceError`` carries that
+    orbit's partial trace.
+
     ``unique`` requires every orbit to converge and every pair of limits to
-    pass the tau-closeness test at ``agree_tol``. Divergence of any orbit
-    propagates as an error. The orbits run in order on the calling thread;
-    ``workers`` is accepted and has no effect.
+    pass the tau-closeness test at ``agree_tol``. Everything runs on the
+    calling thread; ``workers`` is accepted and has no effect.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
 
-    grid = TimeGrid.default()
-    traces = ordered_map(lambda s: picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid), starts)
-    limits = np.asarray([tr.limit for tr in traces])
-    reasons = tuple(tr.stopped_reason for tr in traces)
+    # orbit index -> the error picard would raise for it; the lowest index
+    # is raised once every orbit before it has finished
+    failures = {}
+    checked = []
+    for k, start in enumerate(starts):
+        try:
+            checked.append(_checked_start(space, start, eps, max_iter))
+        except Exception as exc:  # re-raised unchanged unless an earlier orbit fails
+            failures[k] = exc
+            break
+    n = len(checked)
+    orbit_eps = np.array([e for _, e in checked], dtype=float)
+    limits = np.empty((n, space.dim))
+    reasons = ["max_iter"] * n
+
+    live = np.arange(n)
+    X = np.array([x for x, _ in checked]).reshape(n, space.dim)
+    history = []  # (live, X) before each step, to rebuild a diverging orbit
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        history.append((live, X))
+        # a map without rows is called once per row straight away, so no
+        # row is mapped twice when one of them raises
+        X_next, errors = _step_rows(
+            (lambda: mapping.apply_rows(X)) if mapping.rows is not None else None,
+            lambda p: mapping(X[p]),
+            X.shape,
+        )
+        ok = np.isfinite(X_next).all(axis=1)
+        ok[list(errors)] = False
+        for row in np.flatnonzero(~ok):
+            k = int(live[row])
+            if row in errors:
+                failures[k] = errors[row]
+            else:
+                points = [Xh[np.searchsorted(lh, k)] for lh, Xh in history]
+                failures[k] = _diverged(space, points, TimeGrid.default(), checked[k][1])
+        stop = np.zeros(len(live), dtype=bool)
+        for e in np.unique(orbit_eps[live[ok]]):
+            rows = np.flatnonzero(ok & (orbit_eps[live] == e))
+            A, B = X[rows], X_next[rows]
+            closed, errors = _step_rows(
+                lambda: space.distance_values(A, B, np.array([e]))[:, 0] > 1.0 - e,
+                lambda p: tau_converged(space, A[p], B[p], e),
+                (len(rows),),
+            )
+            stop[rows] = closed
+            for p, exc in errors.items():
+                failures[int(live[rows[p]])] = exc
+                ok[rows[p]] = False
+        done = ok & stop
+        limits[live[done]] = X_next[done]
+        for k in live[done]:
+            reasons[k] = "converged"
+        keep = ok & ~stop & (live < min(failures, default=n))
+        live, X = live[keep], X_next[keep]
+    limits[live] = X
+    if failures:
+        raise failures[min(failures)]
+
     unique = all(r == "converged" for r in reasons)
     if unique:
         if not np.isfinite(agree_tol) or agree_tol <= 0.0:
@@ -299,4 +374,26 @@ def uniqueness_probe(
             if not np.all(values > 1.0 - agree_tol):
                 unique = False
                 break
-    return UniquenessResult(unique=unique, limits=limits, stopped_reasons=reasons)
+    return UniquenessResult(unique=unique, limits=limits, stopped_reasons=tuple(reasons))
+
+
+def _step_rows(stacked, one, shape):
+    """The values of ``shape[0]`` rows, and ``{row: exception}`` for rows that raise.
+
+    ``stacked()`` computes every row in one call. When it is None or raises,
+    ``one(p)`` computes row p instead, one row at a time; the values of the
+    rows that raised are unspecified.
+    """
+    if stacked is not None:
+        try:
+            return stacked(), {}
+        except Exception:  # find the rows that raise, one call each
+            pass
+    out = np.zeros(shape)
+    errors = {}
+    for p in range(shape[0]):
+        try:
+            out[p] = one(p)
+        except Exception as exc:  # that orbit's failure, raised in orbit order
+            errors[p] = exc
+    return out, errors

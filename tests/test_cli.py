@@ -5,12 +5,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from probcone import cli
+from probcone import cli, contract
 from probcone.cli import CONFIG_SCHEMA, main, validate_config
 from probcone.errors import ConfigError
 
 DIRAC_SPACE = {"dim": 2, "distance": "dirac", "tnorm": "min"}
 GAUSS_SPACE = {"dim": 2, "distance": {"kind": "cone-gaussian", "delta": 0.5}, "tnorm": "min"}
+# no point of the sampling box lies in the cone
+INFEASIBLE_SPACE = {**DIRAC_SPACE, "cone": {"type": "orthant", "dim": 2}, "sampling_box": [[-2, -1], [-2, -1]]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -200,13 +202,26 @@ class TestSchemaValidConfigErrors:
                 {"space": {**DIRAC_SPACE, "distance": {"kind": "cone-gaussian", "delta": float("nan")}}},
                 "'space/distance/delta': nan is not a finite number",
             ),
+            # the first certificate's rate is checked before the pairs are
+            # sampled, so the infeasible region is never reached
+            (
+                "classify",
+                {"space": INFEASIBLE_SPACE, "mapping": "scale:0.5", "classify": {"kinds": ["kannan"], "alpha": 0.7}},
+                "kannan rate must lie in (0, 1/2)",
+            ),
+            (
+                "classify",
+                {"space": INFEASIBLE_SPACE, "mapping": "scale:0.5", "classify": {"beta": 0.6, "kinds": ["zamfirescu"]}},
+                "beta must lie in (0, 1/2)",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "halfspaces-ragged", "scale-1e308", "kernel-value-nan", "forcing-base-inf",
              "nonlinearity-coefficient-nan", "scale-inf", "solve-x0-nan", "axioms-tol-nan", "classify-gamma-inf",
              "classify-tol-inf", "alpha-sweep-nan", "bound-alpha-nan", "grid-points-inf", "sampling-box-nan",
              "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
-             "sie-eps-nan", "sie-lipschitz-inf", "delta-nan"],
+             "sie-eps-nan", "sie-lipschitz-inf", "delta-nan", "kannan-rate-infeasible-region",
+             "zamfirescu-rate-infeasible-region"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -279,6 +294,23 @@ class TestClassifyCommand:
         assert len(recorded) == len(sweep)
         for cert in recorded.values():
             assert "worst_margin" in cert and "passed" in cert
+
+    def test_pairs_sampled_once_per_run(self, tmp_path, monkeypatch):
+        draws = []
+
+        def recording_sample_pairs(*args):
+            draws.append(args[2])
+            return contract.sample_pairs(*args)
+
+        monkeypatch.setattr(cli, "sample_pairs", recording_sample_pairs)
+        cfg = write_config(
+            tmp_path,
+            {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"n_pairs": 16, "alpha_sweep": [0.1, 0.2]}},
+        )
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert draws == [16]
+        certificates = read_report(tmp_path / "o")["results"]["classify"]["certificates"]
+        assert len(certificates) == 4 and all(c["n_pairs"] == 16 for c in certificates.values())
 
     def test_missing_mapping_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"space": DIRAC_SPACE, "classify": {"kinds": ["banach"]}})

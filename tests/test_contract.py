@@ -16,12 +16,14 @@ from probcone import (
     sample_pairs,
     zamfirescu_delta,
 )
+from probcone.contract import Mapping
 from probcone.registry import (
     affine_map,
     cone_gaussian_space,
     constant_map,
     dirac_space,
     identity_map,
+    make_mapping,
     rotation_half_map,
     scale_map,
     shift_map,
@@ -359,3 +361,91 @@ class TestBatchedMargins:
         space = PCMSpace(dim=2, distance=squared, tnorm=TNorm.MINIMUM)
         for kind in KINDS:
             assert_matches_reference(kind, space, scale_map(0.7), 130, seed=4)
+
+
+# every mapping ``make_mapping`` builds, by the registry constructor behind it
+_BUILT_MAPS = {
+    "identity_map": [("identity", 2), ("identity", 3)],
+    "rotation_half_map": [("rotation-half", 2)],
+    "scale_map": [("scale:0.5", 2), ("scale:-3", 3), ("scale:1e300", 2), ("scale:0", 1)],
+    "constant_map": [("constant:0.25,-1", 2), ("constant:-0.0", 3)],
+    "shift_map": [("shift:0.3,-0.1", 2), ("shift:1e300", 1)],
+    "affine_map": [
+        ({"name": "affine", "matrix": np.random.default_rng(d).standard_normal((d, d)).tolist(), "offset": [0.1] * d}, d)
+        for d in (1, 2, 3, 5, 8)
+    ],
+}
+_BUILT_CASES = [case for cases in _BUILT_MAPS.values() for case in cases]
+_BUILT_IDS = [f"{spec if isinstance(spec, str) else spec['name']}-{dim}d" for spec, dim in _BUILT_CASES]
+
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+             np.inf, -np.inf, np.nan, 1.0, -2.5]
+
+
+def _rows_cases(dim):
+    """Special values in every position, plus ordinary points of many magnitudes."""
+    rng = np.random.default_rng(dim)
+    if dim <= 2:
+        specials = np.array(np.meshgrid(*[_SPECIALS] * dim)).reshape(dim, -1).T
+    else:
+        specials = rng.choice(_SPECIALS, (400, dim))
+    ordinary = rng.standard_normal((2000, dim)) * 10.0 ** rng.integers(-5, 6, (2000, 1))
+    return np.concatenate([specials, ordinary])
+
+
+def _outcome(call):
+    """``(value, None)``, or ``(None, exception type)`` when ``call`` raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return call(), None
+        except Exception as exc:  # compared by type with the other side's outcome
+            return None, type(exc)
+
+
+def _reprs(rows):
+    # repr tells -0.0 from 0.0 and matches NaN with NaN
+    return [[repr(v) for v in row] for row in rows]
+
+
+class TestMappingRows:
+    """``Mapping.rows`` of every built-in equals ``fn`` row by row, bit for bit."""
+
+    def test_every_constructor_is_covered(self):
+        from probcone import registry
+
+        assert {name for name in vars(registry) if name.endswith("_map")} == set(_BUILT_MAPS)
+
+    @pytest.mark.parametrize("spec,dim", _BUILT_CASES, ids=_BUILT_IDS)
+    def test_rows_equal_fn_per_row(self, spec, dim):
+        mapping = make_mapping(spec, dim)
+        assert mapping.rows is not None
+        X = _rows_cases(dim)
+        expected, _ = _outcome(lambda: [mapping(x) for x in X])
+        for call in (mapping.rows, mapping.apply_rows):
+            got, error = _outcome(lambda: call(X))
+            assert error is None and got.shape == (len(X), dim)
+            assert _reprs(got) == _reprs(expected)
+
+    @pytest.mark.parametrize("spec,dim", _BUILT_CASES, ids=_BUILT_IDS)
+    def test_rows_raise_what_fn_raises(self, spec, dim):
+        mapping = make_mapping(spec, dim)
+        for wrong in {1, dim + 1, dim + 2} - {dim}:
+            X = np.random.default_rng(wrong).standard_normal((5, wrong))
+            per_row, per_row_error = _outcome(lambda: np.array([mapping(x) for x in X]))
+            stacked, stacked_error = _outcome(lambda: mapping.rows(X))
+            assert stacked_error is per_row_error
+            if per_row_error is None:
+                assert stacked.shape == per_row.shape and _reprs(stacked) == _reprs(per_row)
+
+    def test_map_without_rows_falls_back_per_row(self):
+        calls = []
+
+        def halve(u):
+            calls.append(1)
+            return u / 2.0
+
+        mapping = Mapping(halve, "halve", "")  # the positional form stays
+        assert mapping.rows is None
+        X = np.random.default_rng(3).standard_normal((7, 2))
+        assert mapping.apply_rows(X).tobytes() == (X / 2.0).tobytes()
+        assert len(calls) == 7

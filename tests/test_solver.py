@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probcone import (
     DiracStep,
@@ -13,6 +14,7 @@ from probcone import (
     Orthant,
     PCMSpace,
     TNorm,
+    UniquenessResult,
     cauchy_chain_bound,
     check_bounds,
     check_kannan,
@@ -24,8 +26,9 @@ from probcone import (
     verify_fixed_point,
 )
 from probcone.contract import Mapping
-from probcone.dist import TimeGrid, to_summary
+from probcone.dist import TimeGrid, empirical_sample_count, to_summary
 from probcone.registry import (
+    affine_map,
     cone_gaussian_space,
     constant_map,
     dirac_space,
@@ -460,20 +463,20 @@ class TestUniquenessProbe:
         uniqueness_probe(SPACE, Mapping(rotate, name="rotate"), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], workers=4)
         assert threads == {threading.get_ident()}
 
-    def test_one_default_grid_for_all_starts(self, monkeypatch):
+    def test_orbits_are_stacked_not_run_through_picard(self, monkeypatch):
         import probcone.solver as solver
 
-        grids = []
+        calls = []
 
         def recording_picard(*args, **kwargs):
-            trace = picard(*args, **kwargs)
-            grids.append(trace.grid)
-            return trace
+            calls.append(1)
+            return picard(*args, **kwargs)
 
         monkeypatch.setattr(solver, "picard", recording_picard)
-        uniqueness_probe(SPACE, ROTATE, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], eps=1e-8)
-        assert len(grids) == 3 and all(g is grids[0] for g in grids)
-        assert_bitwise(grids[0].points, TimeGrid.default().points)
+        starts = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+        result = uniqueness_probe(SPACE, ROTATE, starts, eps=1e-8)
+        assert calls == []
+        assert_same_probe(result, None, *_outcome(lambda: reference_probe(SPACE, ROTATE, starts, eps=1e-8)))
 
     def test_needs_two_starts(self):
         with pytest.raises(InvalidParameterError):
@@ -525,3 +528,269 @@ class TestTheoremConsistency:
         check = check_bounds(trace, alpha, tnorm=TNorm.MINIMUM)
         assert check.holds
         assert check.n_violations == 0
+
+
+# ---------------------------------------------------------------------------
+# The stacked uniqueness probe against the per-start loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_picard(space, mapping, x0, eps=None, max_iter=10_000, grid=None):
+    """``picard`` as it was when ``uniqueness_probe`` ran one orbit per start."""
+    if max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+    grid = TimeGrid.coerce(grid)
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (space.dim,):
+        raise InvalidParameterError(f"x0 must have dimension {space.dim}, got shape {x.shape}")
+    if not space.feasible(x):
+        raise InvalidParameterError("x0 is outside the declared cone")
+    if eps is None:
+        eps = 1e-2 if empirical_sample_count(space.distance(x, x)) is not None else 1e-6
+    if not np.isfinite(eps) or eps <= 0.0:
+        raise InvalidParameterError(f"eps must be positive, got {eps}")
+
+    points = [x]
+    reason = "max_iter"
+    for _ in range(max_iter):
+        x_next = mapping(x)
+        if not np.all(np.isfinite(x_next)):
+            partial = IterationTrace(np.asarray(points), grid, "diverged", eps, space)
+            raise DivergenceError(f"non-finite iterate after {len(points)} steps", trace=partial)
+        points.append(x_next)
+        if tau_converged(space, x, x_next, eps):
+            reason = "converged"
+            break
+        x = x_next
+    return IterationTrace(np.asarray(points), grid, reason, eps, space)
+
+
+def reference_probe(space, mapping, starts, eps=None, max_iter=10_000, agree_tol=1e-6):
+    """``uniqueness_probe`` as one ``reference_picard`` orbit per start, in order."""
+    starts = [np.asarray(s, dtype=float) for s in starts]
+    if len(starts) < 2:
+        raise InvalidParameterError("need at least two starts to probe uniqueness")
+    grid = TimeGrid.default()
+    traces = [reference_picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid) for s in starts]
+    limits = np.asarray([tr.limit for tr in traces])
+    reasons = tuple(tr.stopped_reason for tr in traces)
+    unique = all(r == "converged" for r in reasons)
+    if unique:
+        if not np.isfinite(agree_tol) or agree_tol <= 0.0:
+            raise InvalidParameterError(f"agree_tol must be positive, got {agree_tol}")
+        unique = all(
+            tau_converged(space, limits[i], limits[j], agree_tol)
+            for i in range(len(limits))
+            for j in range(len(limits))
+            if i != j
+        )
+    return UniquenessResult(unique=unique, limits=limits, stopped_reasons=reasons)
+
+
+def _outcome(call):
+    with np.errstate(all="ignore"):
+        try:
+            return call(), None
+        except Exception as exc:  # compared with the other side's outcome
+            return None, exc
+
+
+def assert_same_probe(got, got_error, expected, expected_error):
+    if expected_error is None:
+        assert got_error is None, repr(got_error)
+        assert got.unique == expected.unique
+        assert got.stopped_reasons == expected.stopped_reasons
+        assert_bitwise(got.limits, expected.limits)
+        return
+    assert type(got_error) is type(expected_error)
+    assert str(got_error) == str(expected_error)
+    if isinstance(expected_error, DivergenceError):
+        got_trace, expected_trace = got_error.trace, expected_error.trace
+        assert_bitwise(got_trace.points, expected_trace.points)
+        assert got_trace.stopped_reason == expected_trace.stopped_reason == "diverged"
+        assert repr(got_trace.eps) == repr(expected_trace.eps) and got_trace.space is expected_trace.space
+        assert_bitwise(got_trace.grid.points, expected_trace.grid.points)
+
+
+def assert_probe_matches_reference(space, mapping, starts, **kwargs):
+    assert_same_probe(
+        *_outcome(lambda: uniqueness_probe(space, mapping, starts, **kwargs)),
+        *_outcome(lambda: reference_probe(space, mapping, starts, **kwargs)),
+    )
+
+
+def _mixed_distance(x, y):
+    # empirical where x[0] > 0, so eps=None resolves to 1e-2 for some starts
+    # and 1e-6 for others; no table
+    gap = math.hypot(*(x - y))
+    if x[0] > 0.0:
+        return from_samples(gap * np.linspace(0.5, 1.5, 10))
+    return DiracStep(gap)
+
+
+def _per_row(fn):
+    """A user map with ``rows`` that is the per-row loop, so a raising row raises the stack."""
+    return Mapping(fn, name="user-rows", rows=lambda X: np.array([fn(x) for x in X]))
+
+
+_PROBE_SPACES = {
+    "dirac": SPACE,
+    "cone-gaussian": cone_gaussian_space(),
+    "tableless": TABLELESS,
+    "mixed-eps": PCMSpace(dim=2, distance=_mixed_distance, tnorm=TNorm.MINIMUM),
+}
+
+_PROBE_MAPS = {
+    "identity": identity_map(),
+    "rotation-half": ROTATE,
+    "scale-half": scale_map(0.5),
+    "scale-grow": scale_map(1.7),
+    "constant": constant_map([0.25, -0.5]),
+    "shift": shift_map([1e-3, -2e-3]),
+    "affine": affine_map([[0.5, -0.2], [0.1, 0.4]], [0.05, 0.0]),
+    "user-no-rows": Mapping(lambda u: 0.6 * np.tanh(u), name="tanh"),
+}
+
+
+def _tagged(fn):
+    """Starts (1, k) for orbit k; the map halves u[0] and keeps the tag u[1] = k."""
+
+    def step(u):
+        out = fn(u)
+        return np.array([0.5 * u[0], u[1]]) if out is None else out
+
+    return step
+
+
+def _diverge_2_at_5_and_4_at_1(u):
+    if u[1] == 2.0 and u[0] == 0.5**5:
+        return np.array([np.nan, u[1]])
+    if u[1] == 4.0:
+        return np.array([np.inf, u[1]])
+    return None
+
+
+def _raise_on_1_and_3(u):
+    if u[1] in (1.0, 3.0) and u[0] < 0.5 ** (6 - u[1]):
+        raise ValueError(f"map undefined at {u.tolist()}")
+    return None
+
+
+def _tag_starts(n):
+    return [[1.0, float(k)] for k in range(n)]
+
+
+class TestStackedProbeOracle:
+    """Limits, stop reasons, verdicts and errors equal the per-start ``picard`` loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        space_name=st.sampled_from(sorted(_PROBE_SPACES)),
+        map_name=st.sampled_from(sorted(_PROBE_MAPS)),
+        starts=st.lists(
+            st.tuples(*[st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e-300]))] * 2),
+            min_size=2,
+            max_size=7,
+        ),
+        eps=st.one_of(st.none(), st.sampled_from([0.3, 1e-2, 1e-6, 1e-10]), st.floats(1e-9, 0.9)),
+        max_iter=st.integers(1, 60),
+        agree_tol=st.sampled_from([1e-6, 0.3]),
+    )
+    def test_matches_per_start_loop(self, space_name, map_name, starts, eps, max_iter, agree_tol):
+        assert_probe_matches_reference(
+            _PROBE_SPACES[space_name], _PROBE_MAPS[map_name], starts, eps=eps, max_iter=max_iter, agree_tol=agree_tol
+        )
+
+    @pytest.mark.parametrize("space_name", sorted(_PROBE_SPACES))
+    @pytest.mark.parametrize("map_name", sorted(_PROBE_MAPS))
+    def test_some_orbits_hit_max_iter_while_others_converge(self, space_name, map_name):
+        # start norms from 1e-7 to 2: with eps 1e-6 the short orbits stop
+        # after a step or two, the long ones run into max_iter
+        starts = [[1e-7, 0.0], [2.0, -1.0], [0.0, 0.0], [1e-3, 1e-3], [-0.5, 1.5]]
+        for max_iter in (1, 3, 12, 400):
+            assert_probe_matches_reference(
+                _PROBE_SPACES[space_name], _PROBE_MAPS[map_name], starts, eps=1e-6, max_iter=max_iter
+            )
+
+    @pytest.mark.parametrize("map_name", ["scale-half", "rotation-half", "user-no-rows"])
+    def test_per_start_eps_and_stop_test_ties(self, map_name):
+        # eps=None resolves to 1e-2 where x[0] > 0 (empirical distance) and
+        # to 1e-6 elsewhere; at eps=0.3 an empirical value of 7/10 equals
+        # 1 - eps, which the strict stop test must not accept
+        starts = [[1.0, 0.5], [-1.0, 0.5], [0.3, -0.2], [-0.02, 0.01], [2.0, 2.0], [0.45, 0.0], [0.5, 0.0]]
+        for eps in (None, 0.3):
+            assert_probe_matches_reference(
+                _PROBE_SPACES["mixed-eps"], _PROBE_MAPS[map_name], starts, eps=eps, max_iter=200
+            )
+
+    def test_no_orbit_after_a_failure_keeps_running(self):
+        # orbit 0 diverges at its first step; the per-start loop never runs
+        # the others, and the stack drops them after that step
+        calls = []
+
+        def blow_up_first(u):
+            calls.append(u[1])
+            return np.array([np.inf, u[1]]) if u[1] == 0.0 else u + 1.0
+
+        with pytest.raises(DivergenceError):
+            uniqueness_probe(SPACE, Mapping(blow_up_first), _tag_starts(4), eps=1e-6, max_iter=10_000)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("wrap", [lambda fn: Mapping(fn, name="user"), _per_row], ids=["no-rows", "rows"])
+    @pytest.mark.parametrize("space_name", ["dirac", "tableless"])
+    def test_divergence_is_the_lowest_failing_orbit(self, wrap, space_name):
+        # orbit 4 diverges at its first step, orbit 2 at its sixth; the
+        # per-start loop reaches orbit 2 first, so that is the error
+        mapping = wrap(_tagged(_diverge_2_at_5_and_4_at_1))
+        space = _PROBE_SPACES[space_name]
+        for n in (3, 5, 6):
+            assert_probe_matches_reference(space, mapping, _tag_starts(n), eps=1e-6, max_iter=60)
+        with pytest.raises(DivergenceError) as err:
+            uniqueness_probe(space, mapping, _tag_starts(6), eps=1e-6, max_iter=60)
+        assert err.value.trace.n_iters == 5
+        assert_bitwise(err.value.trace.points[:, 0], 0.5 ** np.arange(6))
+
+    @pytest.mark.parametrize("wrap", [lambda fn: Mapping(fn, name="user"), _per_row], ids=["no-rows", "rows"])
+    def test_map_raising_is_the_lowest_failing_orbit(self, wrap):
+        # orbit 3 raises at step 3, orbit 1 at step 5: orbit 1's error is raised
+        mapping = wrap(_tagged(_raise_on_1_and_3))
+        for n in (2, 3, 4, 5):
+            assert_probe_matches_reference(SPACE, mapping, _tag_starts(n), eps=1e-6)
+        with pytest.raises(ValueError, match=r"map undefined at \[0\.015625, 1\.0\]"):
+            uniqueness_probe(SPACE, mapping, _tag_starts(5), eps=1e-6)
+
+    def test_stop_test_raising_is_that_orbits_failure(self):
+        # (1e308, 0) maps to (-1e308, 0): both finite, but their gap
+        # overflows, so the Dirac table raises and the rows are redone
+        def flip_or_halve(u):
+            return -u if abs(u[0]) > 1e300 else 0.5 * u
+
+        for wrap in (lambda fn: Mapping(fn, name="user"), _per_row):
+            mapping = wrap(flip_or_halve)
+            for starts in ([[0.5, 0.0], [1e308, 0.0], [0.25, 0.0]], [[1e308, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.25, 0.0]]):
+                assert_probe_matches_reference(SPACE, mapping, starts, eps=1e-6)
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="finite"):
+            uniqueness_probe(SPACE, Mapping(flip_or_halve), [[0.5, 0.0], [1e308, 0.0]], eps=1e-6)
+
+    def test_invalid_start_raised_after_earlier_orbits(self):
+        space = dirac_space(point_cone=Orthant(2))
+        mapping = Mapping(_tagged(_diverge_2_at_5_and_4_at_1), name="user")
+        outside = [-1.0, 3.0]
+        cases = [
+            # a diverging orbit before the infeasible start decides the error
+            [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], outside],
+            [[1.0, 0.0], [1.0, 4.0], outside, [1.0, 1.0]],
+            # otherwise the infeasible start does, after the orbits before it
+            [[1.0, 0.0], [1.0, 1.0], outside, [1.0, 2.0]],
+            [outside, [1.0, 2.0]],
+            # wrong dimension and a bad eps are start errors too
+            [[1.0, 0.0], [1.0, 2.0, 0.0]],
+        ]
+        for starts in cases:
+            assert_probe_matches_reference(space, mapping, starts, eps=1e-6)
+        assert_probe_matches_reference(space, mapping, [[1.0, 0.0], [1.0, 2.0]], eps=-1.0)
+        assert_probe_matches_reference(space, mapping, [[1.0, 0.0], [1.0, 2.0]], max_iter=0)
+        with pytest.raises(DivergenceError):
+            uniqueness_probe(space, mapping, cases[0], eps=1e-6)
+        with pytest.raises(InvalidParameterError, match="outside the declared cone"):
+            uniqueness_probe(space, mapping, cases[2], eps=1e-6)

@@ -31,6 +31,7 @@ def test_traced_solve_restores_every_patch(tmp_path, monkeypatch):
     with tracer.installed(run):
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
-    # one stop test per Picard step, main orbit and uniqueness orbits alike
+    # one stop test per step of the main orbit; the uniqueness probe stacks
+    # its orbits and calls neither picard nor tau_converged
     assert run.counts["solver.picard_iters"] > 0
     assert run.calls["solver.tau_converged"] == run.counts["solver.picard_iters"]
