@@ -258,7 +258,15 @@ def make_kernel(spec):
         value = _float(params.get("value", 1.0), "kernel value")
         return lambda t, s, path: np.full(np.broadcast(t, s).shape, value)
     if name == "exp-decay":
-        return lambda t, s, path: np.exp(-(t - s))
+
+        def exp_decay(t, s, path):
+            # e^{-(t - s)} in one buffer, bitwise equal to np.exp(-(t - s))
+            out = np.subtract(t, s)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            return out
+
+        return exp_decay
     raise InvalidParameterError(f"unknown kernel {spec!r}")
 
 

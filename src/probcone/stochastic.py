@@ -18,6 +18,7 @@ count or worker count changes.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -197,7 +198,12 @@ class SIEProblem:
 
     ``kernel(t_mesh, s_mesh, path)`` and ``forcing(t_grid, path, rng)`` are
     vectorized over their grid arguments; ``rng`` is the path's own
-    deterministic generator. ``nonlinearity(s, x)`` must be elementwise with
+    deterministic generator. The kernel gets read-only broadcast
+    coordinate meshes (zero-stride views of the grid) and returns an
+    (n_time+1, n_time+1) array. A fresh float64 result that nothing else
+    references becomes the operator's storage and is overwritten; any
+    other result (cached, read-only, another dtype or layout, a view) is
+    copied and left as it was. ``nonlinearity(s, x)`` must be elementwise with
     declared Lipschitz constant ``lipschitz`` in x. A zero nonlinearity may
     declare lipschitz = 0.
     """
@@ -232,27 +238,29 @@ class SIEProblem:
         return int(self.time_grid.size - 1)
 
 
-def causal_trapezoid_weights(t: np.ndarray) -> np.ndarray:
+def causal_trapezoid_weights(t: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
     """W[i, l]: trapezoid weight of node l in the integral over [0, t_i].
 
     Row 0 is all zeros (empty integral). Row i holds the composite
     trapezoid rule on nodes t_0 .. t_i: every row shares the interior
     weights (t_{l+1} - t_{l-1}) / 2, summed as seg[l]/2 + seg[l-1]/2, and
-    ends in the diagonal seg[i-1]/2.
+    ends in the diagonal seg[i-1]/2. ``start`` and ``stop`` select rows
+    start .. stop-1, bitwise equal to those rows of the full matrix.
     """
     n = t.size
+    stop = n if stop is None else stop
     half = np.diff(t) / 2.0
     interior = np.zeros(n)
     interior[:-1] += half
     interior[1:-1] += half[:-1]
-    w = np.tril(np.broadcast_to(interior, (n, n)), -1)
-    diagonal = np.arange(1, n)
-    w[diagonal, diagonal] = half
+    w = np.tril(np.broadcast_to(interior, (stop - start, n)), start - 1)
+    diagonal = np.arange(max(start, 1), stop)
+    w[diagonal - start, diagonal] = half[diagonal - 1]
     return w
 
 
-# Rows per block of the (paths, rows, n) condition temporaries: about 2 MiB
-# of float64 each, however large the mesh.
+# Rows per block of the (paths, rows, n) build and condition temporaries:
+# about 2 MiB of float64 each, however large the mesh.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -263,16 +271,50 @@ def _row_blocks(mesh: np.ndarray):
     return ((r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step))
 
 
+def _refcount(a) -> int:
+    """sys.getrefcount of an array that only this call's parameter holds, for ``np.empty(0)``."""
+    return sys.getrefcount(a)
+
+
+def _kernel_array(result, n: int) -> np.ndarray:
+    """One kernel result as an (n, n) float64 array the build may overwrite.
+
+    Pass the kernel call itself as ``result``. An array that is
+    exactly ``np.ndarray``, float64, C-contiguous, writable, owns its data
+    and is referenced by nothing but this call (the test numpy's temporary
+    elision makes) is taken over; anything else is copied, so a kernel
+    that returns a cached array never sees it written.
+    """
+    if np.shape(result) != (n, n):
+        raise InvalidParameterError(
+            f"kernel must return one value per mesh node; got shape {np.shape(result)}"
+        )
+    if (
+        type(result) is np.ndarray
+        and result.dtype == np.float64
+        and result.flags.c_contiguous
+        and result.flags.writeable
+        and result.flags.owndata
+        and sys.getrefcount(result) == _refcount(np.empty(0))
+    ):
+        return result
+    return np.array(result, dtype=float, order="C")
+
+
 class _DiscreteOperator:
     """Compiled form of one problem: forcing matrix plus weighted kernel.
 
-    The kernel mesh lives only while the build takes its causal sup and
-    forms ``weighted``; the two coordinate meshes are dropped before that.
+    The build holds one (paths, n, n) float64 array: the kernel's own
+    result when it may be taken over (see :class:`SIEProblem`), else a
+    copy. One pass over 2 MiB row blocks takes the causal sup of |k| and
+    multiplies each block in place by its trapezoid weight rows, which
+    turns the kernel into ``weighted``.
     """
 
     def __init__(self, problem: SIEProblem):
         self.problem = problem
         t = problem.time_grid
+        n = t.size
         self.h = np.stack(
             [
                 np.asarray(
@@ -281,24 +323,32 @@ class _DiscreteOperator:
                 for j in range(problem.n_paths)
             ]
         )
-        if self.h.shape != (problem.n_paths, t.size):
+        if self.h.shape != (problem.n_paths, n):
             raise InvalidParameterError(
                 f"forcing must return one value per time node; got shape {self.h.shape}"
             )
-        t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij")
+        # trapezoid node weights of step_norm
+        seg = np.diff(t)
+        self.node_weights = np.zeros_like(t)
+        self.node_weights[:-1] += seg / 2.0
+        self.node_weights[1:] += seg / 2.0
+        # read-only zero-stride views of the grid: no memory
+        t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij", copy=False)
         if problem.kernel_is_random:
-            kernels = np.stack(
-                [np.asarray(problem.kernel(t_mesh, s_mesh, j), dtype=float) for j in range(problem.n_paths)]
-            )
+            weighted = np.empty((problem.n_paths, n, n))
+            for j in range(problem.n_paths):
+                weighted[j] = _kernel_array(problem.kernel(t_mesh, s_mesh, j), n)
         else:
-            kernels = np.asarray(problem.kernel(t_mesh, s_mesh, 0), dtype=float)[None, :, :]
-        del t_mesh, s_mesh
+            weighted = _kernel_array(problem.kernel(t_mesh, s_mesh, 0), n)[None]
         # only the causal half s <= t enters the equation; np.tril zeroes the
         # rest, which leaves the max of |k| >= 0 unchanged
-        self.sup_kernel = float(
-            np.max([np.tril(np.abs(kernels[:, r0:r1]), r0).max() for r0, r1 in _row_blocks(kernels)])
-        )
-        self.weighted = causal_trapezoid_weights(t) * kernels
+        sups = []
+        for r0, r1 in _row_blocks(weighted):
+            block = weighted[:, r0:r1]
+            sups.append(np.tril(np.abs(block), r0).max())
+            block *= causal_trapezoid_weights(t, r0, r1)
+        self.sup_kernel = float(np.max(sups))
+        self.weighted = weighted
 
     def apply(self, field: PathField) -> PathField:
         f_vals = np.asarray(self.problem.nonlinearity(self.problem.time_grid[None, :], field))
@@ -312,14 +362,12 @@ class _DiscreteOperator:
             out[j] = self.h[j] + matrix @ f_vals[j]
         return out
 
-    def l2_norm(self, field: PathField) -> float:
-        """Discrete L2 norm: trapezoid in time, uniform average over paths."""
-        t = self.problem.time_grid
-        w = np.zeros_like(t)
-        seg = np.diff(t)
-        w[:-1] += seg / 2.0
-        w[1:] += seg / 2.0
-        return float(np.sqrt(np.mean(np.sum(w[None, :] * field**2, axis=1))))
+    def step_norm(self, new: PathField, old: PathField) -> float:
+        """Discrete L2 norm of new - old: trapezoid in time, uniform average over paths."""
+        d = np.subtract(new, old)
+        np.square(d, out=d)
+        d *= self.node_weights
+        return float(np.sqrt(np.mean(np.sum(d, axis=1))))
 
     def conditions(self) -> SIEConditions:
         """Contraction diagnostics of this discretization; see :func:`sie_conditions`."""
@@ -421,7 +469,7 @@ def sie_solve(problem: SIEProblem, eps: float = 1e-8, max_iter: int = 500) -> SI
         nxt = op.apply(field)
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(f"non-finite path values after {len(norms) + 1} iterations")
-        norms.append(op.l2_norm(nxt - field))
+        norms.append(op.step_norm(nxt, field))
         field = nxt
         if norms[-1] < eps:
             converged = True

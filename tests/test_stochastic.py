@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +240,21 @@ class TestTrapezoidWeights:
         assert np.array_equal(causal_trapezoid_weights(t), loop_trapezoid_weights(t))
 
 
+    @pytest.mark.parametrize("n", [2, 3, 13])
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_row_slices_match_full_matrix_bitwise(self, n, seed):
+        t = np.linspace(0.0, 1.0, n) if seed is None else nonuniform_grid(n, seed)
+        full = causal_trapezoid_weights(t)
+        assert np.array_equal(causal_trapezoid_weights(t, 0, n), full)
+        for r0 in range(n):
+            for r1 in range(r0 + 1, n + 1):
+                rows = causal_trapezoid_weights(t, r0, r1)
+                assert rows.shape == (r1 - r0, n)
+                assert np.array_equal(rows, full[r0:r1]), (r0, r1)
+        assert np.all(causal_trapezoid_weights(t, 0, 1) == 0.0)
+        assert np.array_equal(causal_trapezoid_weights(t, n - 1, n)[0], full[-1])
+
+
 class TestSieApply:
     def test_zero_nonlinearity_returns_forcing(self):
         f, lip = make_nonlinearity("zero")
@@ -377,6 +393,241 @@ class TestBlockedConditions:
             tracemalloc.stop()
         assert sol.converged
         assert peak < 110 * 2**20
+
+
+def old_build(problem):
+    """Reference: the full-mesh build, ``weighted`` and the causal sup of |k|."""
+    kernels = kernel_meshes(problem)
+    causal = np.tril(np.ones(kernels.shape[1:], dtype=bool))
+    return causal_trapezoid_weights(problem.time_grid) * kernels, float(np.abs(kernels)[:, causal].max())
+
+
+def nonuniform_grid(n, seed=5):
+    return np.concatenate([[0.0], np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n - 2)), [1.0]])
+
+
+BUILD_KERNELS = {
+    "constant": (CONST_KERNEL, False),
+    "negative": (make_kernel({"name": "constant", "value": -0.7}), False),
+    "exp-decay": (make_kernel("exp-decay"), False),
+    "random": (random_kernel, True),
+}
+
+
+class TestBlockedBuild:
+    """The one-array blocked build equals the full-mesh build bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 12, 13, None])
+    @pytest.mark.parametrize("kernel", sorted(BUILD_KERNELS))
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_matches_full_mesh_build(self, monkeypatch, block_rows, kernel, n_paths):
+        fn, random = BUILD_KERNELS[kernel]
+        if block_rows is not None:
+            monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", block_rows * 13 * (n_paths if random else 1))
+        p = SIEProblem(
+            nonuniform_grid(13), fn, UNIT_FORCING, LINEAR_04, L_04, n_paths=n_paths, kernel_is_random=random,
+        )
+        weighted, sup = old_build(p)
+        op = stochastic._DiscreteOperator(p)
+        assert op.weighted.shape == weighted.shape
+        assert np.array_equal(op.weighted, weighted)
+        assert op.sup_kernel == sup
+
+    def test_random_kernel_called_once_per_path(self):
+        calls = []
+
+        def kernel(t, s, path):
+            calls.append(path)
+            return random_kernel(t, s, path)
+
+        p = SIEProblem(
+            np.linspace(0, 1, 21), kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=5, kernel_is_random=True,
+        )
+        sie_solve(p, eps=1e-10)
+        assert calls == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("kernel", ["constant", "exp-decay"])
+    def test_solve_peak_memory_one_mesh(self, kernel):
+        # one 2001^2 float64 array is 30.5 MiB; the build adds 2 MiB blocks
+        f, lip = make_nonlinearity({"name": "linear", "coefficient": 0.4})
+        p = SIEProblem(np.linspace(0, 1, 2001), make_kernel(kernel), UNIT_FORCING, f, lip)
+        tracemalloc.start()
+        try:
+            sol = sie_solve(p, eps=1e-12, max_iter=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 46 * 2**20
+
+
+def meshes(n):
+    t = np.linspace(0.0, 1.0, n)
+    return np.meshgrid(t, t, indexing="ij")
+
+
+def exp_decay_mesh(n=13):
+    t_mesh, s_mesh = meshes(n)
+    return np.exp(-(t_mesh - s_mesh))
+
+
+class TestKernelOwnership:
+    """A kernel's result is taken over only when nothing else can see it."""
+
+    def problem(self, kernel, n_time=12, **kwargs):
+        return SIEProblem(np.linspace(0, 1, n_time + 1), kernel, UNIT_FORCING, LINEAR_04, L_04, **kwargs)
+
+    def expected(self, n=13):
+        return old_build(self.problem(make_kernel("exp-decay"), n_time=n - 1))[0]
+
+    def test_meshes_are_read_only_broadcast_views(self):
+        seen = []
+
+        def kernel(t, s, path):
+            seen.append((t, s))
+            return np.exp(-(t - s))
+
+        stochastic._DiscreteOperator(self.problem(kernel))
+        t_mesh, s_mesh = seen[0]
+        ref_t, ref_s = meshes(13)
+        assert np.array_equal(t_mesh, ref_t) and np.array_equal(s_mesh, ref_s)
+        for mesh in (t_mesh, s_mesh):
+            assert not mesh.flags.writeable
+            assert 0 in mesh.strides
+
+    @pytest.mark.parametrize("kernel", ["constant", "exp-decay"])
+    def test_fresh_result_is_taken_over(self, kernel):
+        made = make_kernel(kernel)
+        refs = []
+
+        def tracked(t, s, path):
+            k = made(t, s, path)
+            refs.append(weakref.ref(k))
+            return k
+
+        op = stochastic._DiscreteOperator(self.problem(tracked))
+        assert op.weighted.base is refs[0]()
+
+    def test_cached_result_is_never_written(self):
+        cache = exp_decay_mesh()
+        before = cache.copy()
+        p = self.problem(lambda t, s, path: cache)
+        first = stochastic._DiscreteOperator(p)
+        second = stochastic._DiscreteOperator(p)
+        assert np.array_equal(cache, before)
+        assert first.weighted is not second.weighted
+        assert not np.shares_memory(first.weighted, cache)
+        assert np.array_equal(first.weighted, second.weighted)
+        assert np.array_equal(first.weighted, self.expected())
+
+    def test_cached_result_of_random_kernel_is_never_written(self):
+        cache = exp_decay_mesh()
+        before = cache.copy()
+        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: cache, n_paths=3, kernel_is_random=True))
+        assert np.array_equal(cache, before)
+        assert np.array_equal(op.weighted, np.repeat(self.expected(), 3, axis=0))
+
+    @staticmethod
+    def read_only(k):
+        k.setflags(write=False)
+        return k
+
+    @staticmethod
+    def view(k):
+        # a fresh C-contiguous, writable view: only ``owndata`` tells it apart
+        v = np.concatenate([k.ravel(), k.ravel()])[: k.size].reshape(k.shape)
+        assert v.flags.c_contiguous and v.flags.writeable and not v.flags.owndata
+        return v
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda k: TestKernelOwnership.read_only(k),
+            lambda k: np.asfortranarray(k),
+            lambda k: TestKernelOwnership.view(k),
+            lambda k: k.astype(np.float32),
+            lambda k: np.rint(k * 4.0).astype(np.int64),
+        ],
+        ids=["read-only", "fortran", "view", "float32", "int64"],
+    )
+    def test_fresh_unsafe_results_are_copied(self, convert):
+        refs = []
+        values = []
+
+        def kernel(t, s, path):
+            k = convert(np.exp(-(t - s)))
+            values.append(np.array(k, dtype=float))
+            refs.append(weakref.ref(k if k.base is None else k.base))
+            return k
+
+        op = stochastic._DiscreteOperator(self.problem(kernel))
+        # the result's memory was dropped after the copy, not kept as storage
+        assert refs[0]() is None
+        assert op.weighted.flags.c_contiguous
+        assert np.array_equal(op.weighted, (causal_trapezoid_weights(op.problem.time_grid) * values[0])[None])
+
+    def test_integer_result_is_converted(self):
+        held = np.full((13, 13), 2, dtype=np.int64)
+        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: held))
+        assert held.dtype == np.int64 and np.all(held == 2)
+        expected = old_build(self.problem(make_kernel({"name": "constant", "value": 2.0})))[0]
+        assert np.array_equal(op.weighted, expected)
+
+    def test_nested_list_result_is_converted(self):
+        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: np.exp(-(t - s)).tolist()))
+        assert np.array_equal(op.weighted, self.expected())
+
+    @pytest.mark.parametrize(
+        "make_shared",
+        [
+            lambda k: TestKernelOwnership.read_only(k.copy()),
+            lambda k: np.asfortranarray(k),
+            lambda k: np.concatenate([k, k])[: k.shape[0]],
+        ],
+        ids=["read-only", "fortran", "view"],
+    )
+    def test_held_unsafe_results_are_unchanged(self, make_shared):
+        held = make_shared(exp_decay_mesh())
+        before = held.copy()
+        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: held))
+        assert np.array_equal(held, before)
+        assert not np.shares_memory(op.weighted, held)
+        assert np.array_equal(op.weighted, self.expected())
+
+    @pytest.mark.parametrize("shape", [(), (13,), (1, 13), (13, 1), (12, 13)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidParameterError, match="one value per mesh node"):
+            stochastic._DiscreteOperator(self.problem(lambda t, s, path: np.ones(shape)))
+
+
+class TestKernelsAndNorm:
+    @pytest.mark.parametrize("n", [13, 201, 1001])
+    def test_exp_decay_bitwise(self, n):
+        t_mesh, s_mesh = meshes(n)
+        expected = np.exp(-(t_mesh - s_mesh))
+        kernel = make_kernel("exp-decay")
+        assert np.array_equal(kernel(t_mesh, s_mesh, 0), expected)
+        grid = np.linspace(0.0, 1.0, n)
+        views = np.meshgrid(grid, grid, indexing="ij", copy=False)
+        assert np.array_equal(kernel(*views, 0), expected)
+
+    @pytest.mark.parametrize("n_paths", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_step_norm_matches_full_formula_bitwise(self, n_paths, seed):
+        rng = np.random.default_rng(seed)
+        t = nonuniform_grid(41, seed)
+        old, new = rng.standard_normal((2, n_paths, t.size)) * 10.0 ** rng.integers(-8, 8, (2, n_paths, 1))
+        old_copy, new_copy = old.copy(), new.copy()
+        w = np.zeros_like(t)
+        seg = np.diff(t)
+        w[:-1] += seg / 2.0
+        w[1:] += seg / 2.0
+        expected = float(np.sqrt(np.mean(np.sum(w[None, :] * (new - old) ** 2, axis=1))))
+        op = stochastic._DiscreteOperator(
+            SIEProblem(t, CONST_KERNEL, UNIT_FORCING, LINEAR_04, L_04, n_paths=n_paths)
+        )
+        assert op.step_norm(new, old) == expected
+        assert np.array_equal(old, old_copy) and np.array_equal(new, new_copy)
 
 
 class TestDirectSolveOracle:
