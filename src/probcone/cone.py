@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleRegionError, InvalidParameterError
+from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -120,8 +120,7 @@ def normality_check(cone: Cone, bound: float, sample_count: int, seed: int = 0) 
     ||x|| <= bound * ||y||; ``worst_ratio`` is the largest observed
     ||x|| / ||y|| over samples with nonzero y.
     """
-    if bound <= 0.0:
-        raise InvalidParameterError(f"normality bound must be positive, got {bound}")
+    _check_positive("normality bound", bound)
     if sample_count < 1:
         raise InvalidParameterError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .dist import TimeGrid, default_comparison_tol
-from .errors import InvalidParameterError, RateNotCertifiedError
+from .errors import InvalidParameterError, RateNotCertifiedError, _check_rate, _check_tol
 from .space import PCMSpace, sample_points
 
 _BLOCK = 128  # pairs per margin block: bounds the (pairs, t) temporaries
@@ -119,29 +119,37 @@ def _coerce_pairs(space, mapping, pairs, seed):
 
 def _resolve_tol(space: PCMSpace, pairs, tol) -> float:
     if tol is not None:
+        _check_tol(tol)
         return float(tol)
     x, y = pairs[0]
     return default_comparison_tol(space.distance(x, y))
 
 
-def _margins_banach(space, X, Y, TX, TY, t, alpha):
-    return space.distance_values(TX, TY, t) - space.distance_values(X, Y, t / alpha)
+def _banach_bound(space, X, Y, TX, TY, t, alpha):
+    return space.distance_values(X, Y, t / alpha)
 
 
-def _margins_kannan(space, X, Y, TX, TY, t, alpha):
+def _kannan_bound(space, X, Y, TX, TY, t, alpha):
+    """min(F(x, Tx), F(y, Ty)) at t / (2 alpha); Chatterjea's bound swaps Tx and Ty."""
     scaled = t / (2.0 * alpha)
-    rhs = np.minimum(space.distance_values(X, TX, scaled), space.distance_values(Y, TY, scaled))
-    return space.distance_values(TX, TY, t) - rhs
+    return np.minimum(space.distance_values(X, TX, scaled), space.distance_values(Y, TY, scaled))
 
 
-def _margins_chatterjea(space, X, Y, TX, TY, t, alpha):
-    scaled = t / (2.0 * alpha)
-    rhs = np.minimum(space.distance_values(X, TY, scaled), space.distance_values(Y, TX, scaled))
-    return space.distance_values(TX, TY, t) - rhs
+def _chatterjea_bound(space, X, Y, TX, TY, t, alpha):
+    return _kannan_bound(space, X, Y, TY, TX, t, alpha)
 
 
-def _certify(kind, params, space, mapping, margins_fn, pairs, grid, tol, seed, notes=()):
-    """Worst margin over all pairs and grid times, with its witness.
+def _zamfirescu_bound(space, X, Y, TX, TY, t, alpha, beta, gamma):
+    # F(Tx, Ty) minus the least clause bound is the best clause margin, bit
+    # for bit: rounding is monotone and NaN propagates through min and max
+    b1 = _banach_bound(space, X, Y, TX, TY, t, alpha)
+    b2 = _kannan_bound(space, X, Y, TX, TY, t, beta)
+    b3 = _chatterjea_bound(space, X, Y, TX, TY, t, gamma)
+    return np.minimum(np.minimum(b1, b2), b3)
+
+
+def _certify(kind, params, space, mapping, bound, pairs, grid, tol, seed):
+    """Worst margin F(Tx, Ty)(t) - bound over all pairs and grid times, with its witness.
 
     The map is applied to all points at once with ``Mapping.apply_rows``.
     Margins are evaluated as (pairs, t) arrays over blocks of ``_BLOCK``
@@ -161,8 +169,9 @@ def _certify(kind, params, space, mapping, margins_fn, pairs, grid, tol, seed, n
     worst = np.inf
     witness = None
     for start in range(0, len(X), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        margins = margins_fn(space, X[rows], Y[rows], TX[rows], TY[rows], t, **params)
+        block = slice(start, start + _BLOCK)
+        x, y, tx, ty = X[block], Y[block], TX[block], TY[block]
+        margins = space.distance_values(tx, ty, t) - bound(space, x, y, tx, ty, t, **params)
         flat = int(np.argmin(margins))
         if margins.flat[flat] < worst:
             worst = float(margins.flat[flat])
@@ -178,38 +187,31 @@ def _certify(kind, params, space, mapping, margins_fn, pairs, grid, tol, seed, n
         passed=passed,
         tol=tol,
         witness=None if passed else witness,
-        notes=tuple(notes),
     )
 
 
 def check_banach(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=0) -> ContractionCertificate:
     """Certify F(Tx, Ty)(t) >= F(x, y)(t / alpha) over sampled pairs and a grid."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"banach rate must lie in (0, 1), got {alpha}")
-    return _certify("banach", {"alpha": alpha}, space, mapping, _margins_banach, pairs, grid, tol, seed)
+    _check_rate("banach rate", alpha, 1.0)
+    return _certify("banach", {"alpha": alpha}, space, mapping, _banach_bound, pairs, grid, tol, seed)
 
 
 def check_kannan(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=0) -> ContractionCertificate:
     """Certify the self-displacement contraction condition at rate alpha."""
-    if not 0.0 < alpha < 0.5:
-        raise InvalidParameterError(f"kannan rate must lie in (0, 1/2), got {alpha}")
-    return _certify("kannan", {"alpha": alpha}, space, mapping, _margins_kannan, pairs, grid, tol, seed)
+    _check_rate("kannan rate", alpha)
+    return _certify("kannan", {"alpha": alpha}, space, mapping, _kannan_bound, pairs, grid, tol, seed)
 
 
 def check_chatterjea(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=0) -> ContractionCertificate:
     """Certify the cross-displacement contraction condition at rate alpha."""
-    if not 0.0 < alpha < 0.5:
-        raise InvalidParameterError(f"chatterjea rate must lie in (0, 1/2), got {alpha}")
-    return _certify("chatterjea", {"alpha": alpha}, space, mapping, _margins_chatterjea, pairs, grid, tol, seed)
+    _check_rate("chatterjea rate", alpha)
+    return _certify("chatterjea", {"alpha": alpha}, space, mapping, _chatterjea_bound, pairs, grid, tol, seed)
 
 
 def _check_zamfirescu_rates(alpha, beta, gamma) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < beta < 0.5:
-        raise InvalidParameterError(f"beta must lie in (0, 1/2), got {beta}")
-    if not 0.0 < gamma < 0.5:
-        raise InvalidParameterError(f"gamma must lie in (0, 1/2), got {gamma}")
+    _check_rate("alpha", alpha, 1.0)
+    _check_rate("beta", beta)
+    _check_rate("gamma", gamma)
 
 
 def check_zamfirescu(
@@ -217,24 +219,8 @@ def check_zamfirescu(
 ) -> ContractionCertificate:
     """Certify the hybrid condition: at each (x, y, t) at least one clause holds."""
     _check_zamfirescu_rates(alpha, beta, gamma)
-
-    def margins_fn(space, X, Y, TX, TY, t, alpha, beta, gamma):
-        m1 = _margins_banach(space, X, Y, TX, TY, t, alpha)
-        m2 = _margins_kannan(space, X, Y, TX, TY, t, beta)
-        m3 = _margins_chatterjea(space, X, Y, TX, TY, t, gamma)
-        return np.maximum(np.maximum(m1, m2), m3)
-
-    return _certify(
-        "zamfirescu",
-        {"alpha": alpha, "beta": beta, "gamma": gamma},
-        space,
-        mapping,
-        margins_fn,
-        pairs,
-        grid,
-        tol,
-        seed,
-    )
+    params = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    return _certify("zamfirescu", params, space, mapping, _zamfirescu_bound, pairs, grid, tol, seed)
 
 
 def zamfirescu_delta(alpha: float, beta: float, gamma: float) -> float:

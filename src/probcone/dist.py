@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_positive, _check_tol
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -201,8 +201,7 @@ class Rescaled(DistFn):
     scale: float
 
     def __post_init__(self):
-        if not np.isfinite(self.scale) or self.scale <= 0.0:
-            raise InvalidParameterError(f"scale must be positive, got {self.scale}")
+        _check_positive("scale", self.scale)
 
     def eval(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
@@ -228,8 +227,7 @@ def timescale(dist: DistFn, c: float) -> DistFn:
     Step and empirical variants rescale their support exactly; the
     Gaussian shapes are wrapped, since Phi(t/c - d) leaves the family.
     """
-    if not np.isfinite(c) or c <= 0.0:
-        raise InvalidParameterError(f"timescale factor must be positive, got {c}")
+    _check_positive("timescale factor", c)
     if c == 1.0:
         return dist
     return dist._scaled(c)
@@ -285,6 +283,7 @@ def dominates(f: DistFn, g: DistFn, grid=None, tol=None) -> DominanceResult:
     grid = TimeGrid.coerce(grid)
     if tol is None:
         tol = default_comparison_tol(f, g)
+    _check_tol(tol)
     margins = np.asarray(f.eval(grid.points)) - np.asarray(g.eval(grid.points))
     idx = int(np.argmin(margins))
     worst = float(margins[idx])

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by every probcone module."""
+"""Exception hierarchy and parameter range checks shared by every probcone module."""
 
 from __future__ import annotations
+
+import math
 
 
 class ProbconeError(Exception):
@@ -37,3 +39,21 @@ class InfeasibleRegionError(ProbconeError):
 
 class ConfigError(ProbconeError, ValueError):
     """A CLI configuration file failed schema validation."""
+
+
+def _check_rate(name: str, value, upper: float = 0.5) -> None:
+    """Raise unless ``0 < value < upper``, where ``upper`` is 1/2 or 1."""
+    if not 0.0 < value < upper:
+        raise InvalidParameterError(f"{name} must lie in (0, {'1/2' if upper == 0.5 else 1}), got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise unless ``value`` is finite and > 0 (cheaper than ``np.isfinite`` on a float)."""
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive, got {value}")
+
+
+def _check_tol(tol) -> None:
+    """Raise unless the tolerance ``tol`` is finite; negative values are allowed."""
+    if not -math.inf < tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite, got {tol}")

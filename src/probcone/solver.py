@@ -25,7 +25,7 @@ import numpy as np
 
 from .contract import Mapping
 from .dist import DistFn, TimeGrid, empirical_sample_count
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
 from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py's patch points
 from .space import PCMSpace, tau_converged
 from .tnorm import TNorm, _check_unit
@@ -106,8 +106,7 @@ def _checked_start(space: PCMSpace, x0, eps: Optional[float], max_iter: int):
         raise InvalidParameterError("x0 is outside the declared cone")
     if eps is None:
         eps = 1e-2 if empirical_sample_count(space.distance(x, x)) is not None else 1e-6
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     return x, eps
 
 
@@ -124,8 +123,7 @@ def kannan_bound(first_step: DistFn, alpha: float, n: int, t):
     t / (2 alpha)^n. n = 0 reduces to the first step itself. ``t`` may be
     a scalar or an array of positive times.
     """
-    if not 0.0 < alpha < 0.5:
-        raise InvalidParameterError(f"rate must lie in (0, 1/2), got {alpha}")
+    _check_rate("rate", alpha)
     if n < 0:
         raise InvalidParameterError(f"step index must be >= 0, got {n}")
     t_arr = np.asarray(t, dtype=float)
@@ -147,24 +145,25 @@ def cauchy_chain_bound(
     j = n .. m-1 with the given t-norm (left fold, empty never occurs since
     n < m).
     """
-    if not 0.0 < alpha < 0.5:
-        raise InvalidParameterError(f"rate must lie in (0, 1/2), got {alpha}")
+    _check_rate("rate", alpha)
     if not (0 <= n < m):
         raise InvalidParameterError(f"need 0 <= n < m, got n={n}, m={m}")
-    if not np.isfinite(t) or t <= 0.0:
-        raise InvalidParameterError(f"t must be positive, got {t}")
+    _check_positive("t", t)
     return float(_chain_bound_on_grid(first_step, alpha, n, m, np.array([t], dtype=float), tnorm)[0])
 
 
 def _chain_bound_on_grid(first_step, alpha, n, m, t, tnorm) -> np.ndarray:
     """``cauchy_chain_bound`` at every time of the 1-d array ``t``."""
     gap = float(m - n)
-    # Python ** per j, so each divisor is the float the scalar formula uses
-    divisors = np.array([gap * (2.0 * alpha) ** j for j in range(n, m)])
-    with np.errstate(divide="ignore", over="ignore"):
-        args = t[None, :] / divisors[:, None]
-    terms = _check_unit(first_step.eval(args), "first-step values")
+    values = _first_step_at(first_step, t, [gap * (2.0 * alpha) ** j for j in range(n, m)])
+    terms = _check_unit(values, "first-step values")
     return reduce(tnorm._combine, terms, np.ones_like(t))
+
+
+def _first_step_at(first_step, t, divisors) -> np.ndarray:
+    """F(x_0, x_1)(t / d), one row per divisor d (built with Python ``**``, as the scalar formulas are)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return first_step.eval(t[None, :] / np.array(divisors)[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +199,8 @@ def check_bounds(
     Chain pairs (n, m) with n < m are enumerated exhaustively when few,
     otherwise sampled deterministically from ``seed``.
     """
-    if not 0.0 < alpha < 0.5:
-        raise InvalidParameterError(f"rate must lie in (0, 1/2), got {alpha}")
+    _check_rate("rate", alpha)
+    _check_tol(tol)
     if trace.points.shape[0] < 2:
         raise InvalidParameterError("trace must contain at least two points")
     grid = TimeGrid.coerce(grid)
@@ -212,7 +211,7 @@ def check_bounds(
     n_steps = trace.n_iters
 
     step_lhs = trace.space.distance_values(points[:-1], points[1:], t)
-    step_rhs = np.asarray([kannan_bound(first_step, alpha, n, t) for n in range(n_steps)])
+    step_rhs = _first_step_at(first_step, t, [(2.0 * alpha) ** n for n in range(n_steps)])
     step_margins = step_lhs - step_rhs
 
     all_pairs = [(n, m) for n in range(n_steps) for m in range(n + 1, n_steps + 1) if m - n >= 2]
@@ -258,6 +257,7 @@ class FixedPointCheck:
 
 def verify_fixed_point(space: PCMSpace, mapping: Mapping, x, grid=None, tol: float = 0.0) -> FixedPointCheck:
     """Accept x as fixed iff F(Tx, x) sits at 1 (within tol) across the grid."""
+    _check_tol(tol)
     grid = TimeGrid.coerce(grid)
     x = np.asarray(x, dtype=float)
     values = np.asarray(space.distance(mapping(x), x).eval(grid.points))
@@ -364,8 +364,7 @@ def uniqueness_probe(
 
     unique = all(r == "converged" for r in reasons)
     if unique:
-        if not np.isfinite(agree_tol) or agree_tol <= 0.0:
-            raise InvalidParameterError(f"agree_tol must be positive, got {agree_tol}")
+        _check_positive("agree_tol", agree_tol)
         # tau_converged(space, limits[i], limits[j], agree_tol) for all j != i, one row i at a time
         at = np.array([agree_tol])
         for i in range(len(limits)):

@@ -22,7 +22,6 @@ exactly when a check fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .cone import Cone
 from .dist import DistFn, TimeGrid
-from .errors import InfeasibleRegionError, InvalidParameterError
+from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _check_tol
 from .parallel import ordered_map
 from .tnorm import TNorm, _check_unit
 
@@ -198,6 +197,7 @@ def check_axioms(
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
+    _check_tol(tol)
     grid = TimeGrid.coerce(grid)
     rng = np.random.default_rng(seed)
     pts = sample_points(space, n_points, rng)
@@ -333,17 +333,14 @@ def check_axioms(
 
 def tau_converged(space: PCMSpace, x, y, eps: float) -> bool:
     """Distributional closeness test: F(x, y)(eps) > 1 - eps."""
-    # runs once per Picard step, where np.isfinite on a float would add about 15%
-    if not 0.0 < eps < math.inf:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     value = float(space.distance(np.asarray(x, float), np.asarray(y, float)).eval(eps))
     return value > 1.0 - eps
 
 
 def cauchy_window(space: PCMSpace, pts: Sequence, eps: float) -> bool:
     """True iff every ordered pair in the window meets the closeness test."""
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     pts = [np.asarray(p, dtype=float) for p in pts]
     if not pts:
         raise InvalidParameterError("window must contain at least one point")

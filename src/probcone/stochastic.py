@@ -27,7 +27,7 @@ import numpy as np
 
 from .cone import Cone
 from .dist import Empirical, TimeGrid, default_comparison_tol, from_samples
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
 from .contract import ContractionCertificate
 from .rng import path_generator
 
@@ -127,8 +127,9 @@ def check_random_kannan(
     t / alpha form implies it for alpha < 1/2 since the distributions are
     non-decreasing.
     """
-    if not 0.0 < alpha < 0.5:
-        raise InvalidParameterError(f"rate must lie in (0, 1/2), got {alpha}")
+    _check_rate("rate", alpha)
+    if tol is not None:
+        _check_tol(tol)
     if not ensembles:
         raise InvalidParameterError("need at least one ensemble pair")
     grid = TimeGrid.coerce(grid)
@@ -327,11 +328,8 @@ class _DiscreteOperator:
             raise InvalidParameterError(
                 f"forcing must return one value per time node; got shape {self.h.shape}"
             )
-        # trapezoid node weights of step_norm
-        seg = np.diff(t)
-        self.node_weights = np.zeros_like(t)
-        self.node_weights[:-1] += seg / 2.0
-        self.node_weights[1:] += seg / 2.0
+        # trapezoid node weights of step_norm: the last row of the causal rule
+        self.node_weights = causal_trapezoid_weights(t, n - 1)[0]
         # read-only zero-stride views of the grid: no memory
         t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij", copy=False)
         if problem.kernel_is_random:
@@ -449,8 +447,7 @@ def sie_solve(problem: SIEProblem, eps: float = 1e-8, max_iter: int = 500) -> SI
     conditions fail (with a warning in the returned diagnostics); raises on
     non-finite values only.
     """
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
     op = _DiscreteOperator(problem)

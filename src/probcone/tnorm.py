@@ -8,6 +8,7 @@ pointwise ordered LUKASIEWICZ <= PRODUCT <= MINIMUM.
 from __future__ import annotations
 
 import enum
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -64,11 +65,8 @@ class TNorm(enum.Enum):
         The fold order is fixed (left to right) so results are bitwise
         reproducible; by associativity the choice is semantically neutral.
         """
-        acc = 1.0
-        for i, v in enumerate(values):
-            v = _check_unit(v, f"values[{i}]")
-            acc = self.apply(acc, float(v))
-        return float(acc)
+        checked = [_check_unit(v, f"values[{i}]") for i, v in enumerate(values)]
+        return float(reduce(self._combine, checked, 1.0))
 
     @classmethod
     def from_name(cls, name: str) -> "TNorm":

@@ -301,7 +301,8 @@ def assert_matches_reference(kind, space, mapping, pairs, grid=None, seed=0):
     else:
         pair_list = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in pairs]
     worst, witness = reference_certify(space, mapping, ref_margins, pair_list, grid, params)
-    assert cert.worst_margin == worst
+    # by repr, so a -0.0 against 0.0 or a NaN differs
+    assert repr(cert.worst_margin) == repr(worst)
     assert cert.witness == witness
 
 
@@ -361,6 +362,20 @@ class TestBatchedMargins:
         space = PCMSpace(dim=2, distance=squared, tnorm=TNorm.MINIMUM)
         for kind in KINDS:
             assert_matches_reference(kind, space, scale_map(0.7), 130, seed=4)
+
+    def test_zamfirescu_evaluates_each_distance_once_per_block(self, monkeypatch):
+        # F(TX, TY) once, plus one banach and two displacement terms per clause
+        calls = []
+        original = PCMSpace.distance_values
+        monkeypatch.setattr(PCMSpace, "distance_values", lambda *args: calls.append(1) or original(*args))
+        check_zamfirescu(SPACE, scale_map(0.5), 0.5, 0.25, 0.25, pairs=129, seed=2)
+        assert len(calls) == 2 * 6
+
+    def test_user_distance_with_clause_margins_tied_at_zero(self):
+        # every distribution is the unit step at 0, so every clause margin is exactly 0
+        space = PCMSpace(dim=2, distance=lambda x, y: DiracStep(0.0), tnorm=TNorm.MINIMUM)
+        for kind in KINDS:
+            assert_matches_reference(kind, space, shift_map([0.3, -0.1]), 130, seed=4)
 
 
 # every mapping ``make_mapping`` builds, by the registry constructor behind it

@@ -1,9 +1,10 @@
 """Import footprint: scipy loads only when a Gaussian distance is evaluated.
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported scipy itself.
+since imported scipy itself. The package also imports no name it never uses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -60,3 +61,26 @@ def test_cli_run_loads_scipy_only_for_gaussian_distances(tmp_path, command, payl
     cfg = write_config(tmp_path, payload)
     loaded = loaded_after(RUN_MAIN, command, "--config", cfg, "--out", str(tmp_path / "out"))
     assert ("scipy" in loaded) == scipy_loaded
+
+
+def unused_imports(path: Path) -> set:
+    """Names ``path`` imports but never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return imported - used
+
+
+def test_only_the_tracer_patch_points_are_imported_unused():
+    # bench/tracer.py patches these two module attributes, so they stay imported
+    unused = {f"{path.stem}.{name}" for path in sorted((SRC / "probcone").glob("*.py")) for name in unused_imports(path)}
+    assert unused == {"cli.sie_conditions", "solver.ordered_map"}

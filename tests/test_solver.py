@@ -9,15 +9,23 @@ from probcone import (
     DiracStep,
     GaussianShift,
     DivergenceError,
+    Ensemble,
     InvalidParameterError,
     IterationTrace,
     Orthant,
     PCMSpace,
+    RandomOperator,
     TNorm,
     UniquenessResult,
     cauchy_chain_bound,
+    check_axioms,
+    check_banach,
     check_bounds,
+    check_chatterjea,
     check_kannan,
+    check_random_kannan,
+    check_zamfirescu,
+    dominates,
     from_samples,
     kannan_bound,
     picard,
@@ -320,11 +328,14 @@ class TestChainBoundFold:
                     got = _chain_bound_on_grid(f, alpha, n, m, t, tnorm)
                     assert_bitwise(got, _reference_chain_bound_on_grid(f, alpha, n, m, t, tnorm))
                 for t in grids[1][::4]:
+                    expected = np.float64(_reference_chain_bound(f, alpha, n, m, float(t), tnorm)).tobytes()
                     got = cauchy_chain_bound(f, alpha, n, m, float(t), tnorm)
                     assert type(got) is float
-                    assert np.float64(got).tobytes() == np.float64(
-                        _reference_chain_bound(f, alpha, n, m, float(t), tnorm)
-                    ).tobytes()
+                    assert np.float64(got).tobytes() == expected
+                    terms = [f.eval(t / ((m - n) * (2.0 * alpha) ** j)) for j in range(n, m)]
+                    folded = tnorm.fold(terms)
+                    assert type(folded) is float
+                    assert np.float64(folded).tobytes() == np.float64(_reference_fold(tnorm, terms)).tobytes()
 
     def test_out_of_range_terms_rejected(self):
         class Broken(DiracStep):
@@ -395,11 +406,43 @@ class TestCheckBounds:
             rhs = _reference_chain_bound_on_grid(first, 0.3, n, m, t, space.tnorm)
             assert_bitwise(check.chain_rhs[row], rhs)
 
+    def test_step_bounds_take_one_first_step_eval(self, monkeypatch):
+        # the dirac table serves the observed sides; each chain pair adds one eval
+        calls = []
+        original = DiracStep.eval
+        monkeypatch.setattr(DiracStep, "eval", lambda self, t: calls.append(1) or original(self, t))
+        check = check_bounds(_SHIFT_ORBIT, 0.25)
+        assert len(calls) == 1 + len(check.chain_pairs)
+
     def test_requires_two_points(self):
         trace = picard(SPACE, identity_map(), [0.0, 0.0], eps=0.5)
         check_bounds(trace, 0.25)  # 2 points: fine
         with pytest.raises(InvalidParameterError):
             check_bounds(trace, 0.75)
+
+
+_SHIFT_ORBIT = picard(SPACE, shift_map([0.1, 0.0]), [0.0, 0.0], eps=1e-6, max_iter=30)
+_HALF = RandomOperator(lambda j, x: 0.5 * x)
+_ENSEMBLES = [(Ensemble(np.array([[1.0, 0.0], [0.0, 1.0]])), Ensemble(np.array([[0.5, 0.5], [2.0, 0.0]])))]
+_TOL_CHECKS = {
+    "check_bounds": lambda tol: check_bounds(_SHIFT_ORBIT, 0.25, tol=tol),
+    "verify_fixed_point": lambda tol: verify_fixed_point(SPACE, ROTATE, [1.0, 0.0], tol=tol),
+    "check_banach": lambda tol: check_banach(SPACE, ROTATE, 0.5, pairs=4, tol=tol),
+    "check_kannan": lambda tol: check_kannan(SPACE, ROTATE, 0.25, pairs=4, tol=tol),
+    "check_chatterjea": lambda tol: check_chatterjea(SPACE, ROTATE, 0.25, pairs=4, tol=tol),
+    "check_zamfirescu": lambda tol: check_zamfirescu(SPACE, ROTATE, 0.5, 0.25, 0.25, pairs=4, tol=tol),
+    "check_axioms": lambda tol: check_axioms(SPACE, 4, tol=tol),
+    "check_random_kannan": lambda tol: check_random_kannan(_HALF, _ENSEMBLES, 0.25, tol=tol),
+    "dominates": lambda tol: dominates(DiracStep(0.5), DiracStep(1.0), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("check", sorted(_TOL_CHECKS))
+def test_non_finite_tol_rejected(check, tol):
+    # a NaN or +inf tolerance would pass every margin, a -inf one fail every margin
+    with pytest.raises(InvalidParameterError, match=f"tol must be finite, got {tol}"):
+        _TOL_CHECKS[check](tol)
 
 
 class TestVerifyFixedPoint:
