@@ -27,7 +27,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .contract import check_banach, check_chatterjea, check_kannan, check_zamfirescu, sample_pairs
+from .contract import _check_rates, check_banach, check_chatterjea, check_kannan, check_zamfirescu, sample_pairs
 from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
 from .errors import ConfigError, DivergenceError, InvalidParameterError, ProbconeError
 from .registry import make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
@@ -242,25 +242,6 @@ def run_axioms(config: dict, seed: int, workers: int) -> dict:
     return {"axioms": axiom_report_to_dict(report)}
 
 
-class _SharedPairs:
-    """The pairs every certificate of one classify run checks, drawn on first use.
-
-    They are the pairs each certificate would sample from the same seed. A
-    certificate reads its pairs only after its own rate check, so a bad rate
-    on the first certificate is still reported (exit 2) before an infeasible
-    sampling region (exit 1).
-    """
-
-    def __init__(self, space, mapping, n_pairs: int, seed: int):
-        self._draw = (space, mapping, n_pairs, np.random.default_rng(seed))
-        self._pairs = None
-
-    def __iter__(self):
-        if self._pairs is None:
-            self._pairs = sample_pairs(*self._draw)
-        return iter(self._pairs)
-
-
 def run_classify(config: dict, seed: int, workers: int) -> dict:
     space = make_space(config.get("space", {}))
     mapping = make_mapping(_require_section(config, "mapping"), space.dim)
@@ -272,8 +253,16 @@ def run_classify(config: dict, seed: int, workers: int) -> dict:
     alpha = section.get("alpha", 0.3)
     beta = section.get("beta", 0.25)
     gamma = section.get("gamma", 0.2)
+    sweep_rates = section.get("alpha_sweep", [])
 
-    pairs = _SharedPairs(space, mapping, n_pairs, seed)
+    # every rate is a config error (exit 2), so check them all before the
+    # pairs are drawn: an infeasible sampling region is a computation failure
+    for kind in kinds:
+        _check_rates(kind, {"alpha": alpha, "beta": beta, "gamma": gamma})
+    for a in sweep_rates:
+        _check_rates("kannan", {"alpha": a})
+    # the pairs each certificate would sample from the same seed, drawn once
+    pairs = sample_pairs(space, mapping, n_pairs, np.random.default_rng(seed))
     certificates = {}
     for kind in kinds:
         if kind == "banach":
@@ -289,7 +278,7 @@ def run_classify(config: dict, seed: int, workers: int) -> dict:
         certificates[kind] = certificate_to_dict(cert)
 
     sweep = {}
-    for a in section.get("alpha_sweep", []):
+    for a in sweep_rates:
         cert = check_kannan(space, mapping, a, pairs=pairs, grid=grid, tol=tol, seed=seed)
         sweep[repr(float(a))] = certificate_to_dict(cert)
 

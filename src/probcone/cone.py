@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import _row_norms
 from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive
 
 MEMBERSHIP_TOL = 1e-12
@@ -139,11 +140,11 @@ def normality_check(cone: Cone, bound: float, sample_count: int, seed: int = 0) 
             x = y - p
             if not cone.contains(x):
                 continue
-        ny = float(np.linalg.norm(y))
+        nx, ny = _row_norms(np.array([x, y])).tolist()
         if ny == 0.0:
             continue
         kept += 1
-        ratio = float(np.linalg.norm(x)) / ny
+        ratio = nx / ny
         if ratio > worst:
             worst = ratio
             wx, wy = x, y

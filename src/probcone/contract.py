@@ -98,31 +98,27 @@ def sample_pairs(
     left = sample_points(space, n_pairs, rng)
     right = sample_points(space, n_pairs, rng)
     pairs = [(left[i], right[i]) for i in range(n_pairs)]
-    if n_pairs >= 1:
-        pairs[0] = (left[0], left[0])
+    pairs[0] = (left[0], left[0])
     if n_pairs >= 2:
         pairs[1] = (left[1], mapping(left[1]))
     return pairs
 
 
-def _coerce_pairs(space, mapping, pairs, seed):
+def _coerce_pairs(space, mapping, pairs, seed) -> np.ndarray:
+    """The pairs as one ``(n, 2, d)`` array; an int n samples n pairs from ``seed``."""
     if isinstance(pairs, int):
-        rng = np.random.default_rng(seed)
-        return sample_pairs(space, mapping, pairs, rng)
-    out = []
-    for x, y in pairs:
-        out.append((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-    if not out:
-        raise InvalidParameterError("explicit pair list must be nonempty")
-    return out
+        pairs = sample_pairs(space, mapping, pairs, np.random.default_rng(seed))
+    stacked = np.array(list(pairs), dtype=float)
+    if stacked.ndim != 3 or stacked.shape[1] != 2 or stacked.size == 0:
+        raise InvalidParameterError(f"pairs must be a nonempty list of (x, y) points, got shape {stacked.shape}")
+    return stacked
 
 
-def _resolve_tol(space: PCMSpace, pairs, tol) -> float:
+def _resolve_tol(space: PCMSpace, pairs: np.ndarray, tol) -> float:
     if tol is not None:
         _check_tol(tol)
         return float(tol)
-    x, y = pairs[0]
-    return default_comparison_tol(space.distance(x, y))
+    return default_comparison_tol(space.distance(*pairs[0]))
 
 
 def _banach_bound(space, X, Y, TX, TY, t, alpha):
@@ -148,7 +144,22 @@ def _zamfirescu_bound(space, X, Y, TX, TY, t, alpha, beta, gamma):
     return np.minimum(np.minimum(b1, b2), b3)
 
 
-def _certify(kind, params, space, mapping, bound, pairs, grid, tol, seed):
+# condition -> (lower bound of its margin, (parameter, name in errors, upper end of its range) per rate)
+_CONDITIONS = {
+    "banach": (_banach_bound, (("alpha", "banach rate", 1.0),)),
+    "kannan": (_kannan_bound, (("alpha", "kannan rate", 0.5),)),
+    "chatterjea": (_chatterjea_bound, (("alpha", "chatterjea rate", 0.5),)),
+    "zamfirescu": (_zamfirescu_bound, (("alpha", "alpha", 1.0), ("beta", "beta", 0.5), ("gamma", "gamma", 0.5))),
+}
+
+
+def _check_rates(kind: str, rates: dict) -> None:
+    """Raise unless each rate the ``kind`` condition reads from ``rates`` lies in its range."""
+    for key, name, upper in _CONDITIONS[kind][1]:
+        _check_rate(name, rates[key], upper)
+
+
+def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
     """Worst margin F(Tx, Ty)(t) - bound over all pairs and grid times, with its witness.
 
     The map is applied to all points at once with ``Mapping.apply_rows``.
@@ -157,13 +168,14 @@ def _certify(kind, params, space, mapping, bound, pairs, grid, tol, seed):
     strict ``<``. The witness is therefore the first pair, in pair order,
     that attains the worst margin, and within it the first grid time.
     """
-    pair_list = _coerce_pairs(space, mapping, pairs, seed)
+    _check_rates(kind, params)
+    bound = _CONDITIONS[kind][0]
+    stacked = _coerce_pairs(space, mapping, pairs, seed)
     grid = TimeGrid.coerce(grid)
-    tol = _resolve_tol(space, pair_list, tol)
+    tol = _resolve_tol(space, stacked, tol)
     t = grid.points
 
-    X = np.array([x for x, _ in pair_list])
-    Y = np.array([y for _, y in pair_list])
+    X, Y = stacked[:, 0], stacked[:, 1]
     TX = mapping.apply_rows(X)
     TY = mapping.apply_rows(Y)
     worst = np.inf
@@ -181,7 +193,7 @@ def _certify(kind, params, space, mapping, bound, pairs, grid, tol, seed):
     return ContractionCertificate(
         kind=kind,
         params=dict(params),
-        n_pairs=len(pair_list),
+        n_pairs=len(stacked),
         grid=grid,
         worst_margin=worst,
         passed=passed,
@@ -192,35 +204,25 @@ def _certify(kind, params, space, mapping, bound, pairs, grid, tol, seed):
 
 def check_banach(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=0) -> ContractionCertificate:
     """Certify F(Tx, Ty)(t) >= F(x, y)(t / alpha) over sampled pairs and a grid."""
-    _check_rate("banach rate", alpha, 1.0)
-    return _certify("banach", {"alpha": alpha}, space, mapping, _banach_bound, pairs, grid, tol, seed)
+    return _certify("banach", {"alpha": alpha}, space, mapping, pairs, grid, tol, seed)
 
 
 def check_kannan(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=0) -> ContractionCertificate:
     """Certify the self-displacement contraction condition at rate alpha."""
-    _check_rate("kannan rate", alpha)
-    return _certify("kannan", {"alpha": alpha}, space, mapping, _kannan_bound, pairs, grid, tol, seed)
+    return _certify("kannan", {"alpha": alpha}, space, mapping, pairs, grid, tol, seed)
 
 
 def check_chatterjea(space, mapping, alpha, pairs=64, grid=None, tol=None, seed=0) -> ContractionCertificate:
     """Certify the cross-displacement contraction condition at rate alpha."""
-    _check_rate("chatterjea rate", alpha)
-    return _certify("chatterjea", {"alpha": alpha}, space, mapping, _chatterjea_bound, pairs, grid, tol, seed)
-
-
-def _check_zamfirescu_rates(alpha, beta, gamma) -> None:
-    _check_rate("alpha", alpha, 1.0)
-    _check_rate("beta", beta)
-    _check_rate("gamma", gamma)
+    return _certify("chatterjea", {"alpha": alpha}, space, mapping, pairs, grid, tol, seed)
 
 
 def check_zamfirescu(
     space, mapping, alpha, beta, gamma, pairs=64, grid=None, tol=None, seed=0
 ) -> ContractionCertificate:
     """Certify the hybrid condition: at each (x, y, t) at least one clause holds."""
-    _check_zamfirescu_rates(alpha, beta, gamma)
     params = {"alpha": alpha, "beta": beta, "gamma": gamma}
-    return _certify("zamfirescu", params, space, mapping, _zamfirescu_bound, pairs, grid, tol, seed)
+    return _certify("zamfirescu", params, space, mapping, pairs, grid, tol, seed)
 
 
 def zamfirescu_delta(alpha: float, beta: float, gamma: float) -> float:
@@ -231,7 +233,7 @@ def zamfirescu_delta(alpha: float, beta: float, gamma: float) -> float:
     corresponding clause rate leaves (0, 1) and no geometric certificate
     exists.
     """
-    _check_zamfirescu_rates(alpha, beta, gamma)
+    _check_rates("zamfirescu", {"alpha": alpha, "beta": beta, "gamma": gamma})
     delta = max(alpha, 2.0 * beta / (1.0 - beta), 2.0 * gamma / (1.0 - gamma))
     if delta >= 1.0:
         raise RateNotCertifiedError(delta)

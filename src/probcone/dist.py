@@ -101,6 +101,16 @@ def _normal_cdf(x: ArrayLike) -> ArrayLike:
     return ndtr(x)
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the 2-d array ``diff``: the package's one norm.
+
+    ``np.hypot`` folds each row in order and scales internally, so a row's
+    norm does not depend on the other rows, and huge-but-finite rows do not
+    overflow in the squares.
+    """
+    return np.hypot.reduce(diff, axis=1)
+
+
 def _as_eval_result(values: np.ndarray, scalar: bool) -> ArrayLike:
     if scalar:
         return float(values)

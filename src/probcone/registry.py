@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .cone import MEMBERSHIP_TOL, Cone, Orthant, cone_from_config
-from .dist import DiracStep, GaussianShift, ScaledGaussian, _normal_cdf
+from .dist import DiracStep, GaussianShift, ScaledGaussian, _normal_cdf, _row_norms
 from .errors import InvalidParameterError
 from .contract import Mapping
 from .space import PCMSpace
@@ -25,6 +25,11 @@ from .tnorm import TNorm
 _PLANE_ONLY = "rotation-half is a plane map; expected dimension 2"
 
 
+def _by_rows(rows, name: str, note: str = "") -> Mapping:
+    """A built-in map written once as ``rows``; its ``fn`` maps one point as a one-row batch."""
+    return Mapping(lambda u: rows(u[None])[0], name=name, note=note, rows=rows)
+
+
 def rotation_half_map() -> Mapping:
     """Average a plane point with its norm-preserving quarter turn.
 
@@ -35,53 +40,41 @@ def rotation_half_map() -> Mapping:
     the unique fixed point.
     """
 
-    def fn(u: np.ndarray) -> np.ndarray:
-        if u.shape != (2,):
-            raise InvalidParameterError(_PLANE_ONLY)
-        norm_u = math.hypot(u[0], u[1])
-        if norm_u == 0.0:
-            return np.zeros(2)
-        rotated = np.array([-u[1], u[0]])
-        return 0.5 * (u + (norm_u / math.hypot(rotated[0], rotated[1])) * rotated)
-
     def rows(X: np.ndarray) -> np.ndarray:
         if X.shape[1:] != (2,):
             raise InvalidParameterError(_PLANE_ONLY)
         rotated = np.column_stack([-X[:, 1], X[:, 0]])
-        # both norms with math.hypot per row, in fn's argument order:
-        # np.hypot rounds differently on some rows
-        norm_u = _row_hypot(X)
+        norm_u = _row_norms(X)
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor = norm_u / _row_hypot(rotated)
+            factor = norm_u / _row_norms(rotated)
         out = 0.5 * (X + factor[:, None] * rotated)
         out[norm_u == 0.0] = 0.0
         return out
 
-    return Mapping(
-        fn,
+    return _by_rows(
+        rows,
         name="rotation-half",
         note="the defining formula is undefined at the origin; T(0) = 0 is "
         "taken (continuity limit, the unique fixed point)",
-        rows=rows,
     )
 
 
 def scale_map(factor: float) -> Mapping:
-    return Mapping(lambda u: factor * u, name=f"scale:{factor}", rows=lambda X: factor * X)
+    return _by_rows(lambda X: factor * X, name=f"scale:{factor}")
 
 
 def constant_map(value) -> Mapping:
     target = np.asarray(value, dtype=float)
-    return Mapping(lambda u: target.copy(), name="constant", rows=lambda X: np.tile(target, (len(X), 1)))
+    return _by_rows(lambda X: np.tile(target, (len(X), 1)), name="constant")
 
 
 def identity_map() -> Mapping:
-    return Mapping(lambda u: u.copy(), name="identity", rows=lambda X: X.copy())
+    return _by_rows(lambda X: X.copy(), name="identity")
 
 
 def shift_map(offset) -> Mapping:
     delta = np.asarray(offset, dtype=float)
-    return Mapping(lambda u: u + delta, name="shift", rows=lambda X: X + delta)
+    return _by_rows(lambda X: X + delta, name="shift")
 
 
 def affine_map(matrix, offset) -> Mapping:
@@ -89,13 +82,9 @@ def affine_map(matrix, offset) -> Mapping:
     off = _float_array(offset, "affine offset")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or off.shape != (mat.shape[0],):
         raise InvalidParameterError("affine map needs a square matrix and a matching offset")
-    # a stack of matrix-vector products, so each row is the product fn
-    # computes; X @ mat.T is one matrix product and rounds differently
-    return Mapping(
-        lambda u: mat @ u + off,
-        name="affine",
-        rows=lambda X: np.matmul(mat[None], X[:, :, None])[:, :, 0] + off,
-    )
+    # a stack of matrix-vector products, one per row; X @ mat.T is one
+    # matrix product, whose rounding depends on the batch
+    return _by_rows(lambda X: np.matmul(mat[None], X[:, :, None])[:, :, 0] + off, name="affine")
 
 
 def _float(value, what: str) -> float:
@@ -166,12 +155,10 @@ def dirac_space(
     """The classical embedding: distance is a step at the Euclidean gap."""
 
     def distance(x, y):
-        # hypot scales internally, so huge-but-finite iterates keep a
-        # finite distance instead of overflowing in the squares
-        return DiracStep(math.hypot(*(x - y)))
+        return DiracStep(float(_row_norms((x - y)[None])[0]))
 
     def table(X, Y, t):
-        d = _row_hypot(X - Y)
+        d = _row_norms(X - Y)
         _check_finite(d, "DiracStep distance must be finite and >= 0")
         return np.where(t[None, :] > d[:, None], 1.0, 0.0)
 
@@ -196,14 +183,14 @@ def cone_gaussian_space(
     def distance(u, v):
         diff = u - v
         if gate.contains(diff):
-            return GaussianShift(math.hypot(diff[0], diff[1]))
+            return GaussianShift(float(_row_norms(diff[None])[0]))
         return ScaledGaussian(delta)
 
     def table(X, Y, t):
         diff = X - Y
         # the gate's own test, row by row: a NaN component fails it
         inside = diff.min(axis=1) >= -MEMBERSHIP_TOL
-        d = _row_hypot(diff[inside])
+        d = _row_norms(diff[inside])
         _check_finite(d, "GaussianShift offset must be finite")
         out = np.empty((len(diff), t.size))
         out[inside] = _normal_cdf(t[None, :] - d[:, None])
@@ -212,12 +199,6 @@ def cone_gaussian_space(
 
     distance.table = table
     return PCMSpace(dim=2, distance=distance, tnorm=tnorm, point_cone=None, sampling_box=sampling_box)
-
-
-def _row_hypot(diff: np.ndarray) -> np.ndarray:
-    # math.hypot per row, not np.hypot or np.linalg.norm: those round
-    # differently on some rows, and the tables must match ``distance``
-    return np.array([math.hypot(*row) for row in diff.tolist()], dtype=float)
 
 
 def _check_finite(d: np.ndarray, message: str) -> None:

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .dist import to_summary
+from .dist import _row_norms, to_summary
 from .solver import BoundCheck, FixedPointCheck, IterationTrace, UniquenessResult
 from .space import AxiomCheck, AxiomReport
 from .contract import ContractionCertificate
@@ -74,7 +74,7 @@ def certificate_to_dict(cert: ContractionCertificate) -> dict:
 
 
 def trace_to_dict(trace: IterationTrace) -> dict:
-    steps = np.linalg.norm(np.diff(trace.points, axis=0), axis=1)
+    steps = _row_norms(np.diff(trace.points, axis=0))
     nonzero = steps[:-1] > 0.0
     ratio = float(np.mean(steps[1:][nonzero] / steps[:-1][nonzero])) if np.any(nonzero) else None
     return {

@@ -127,7 +127,7 @@ def kannan_bound(first_step: DistFn, alpha: float, n: int, t):
     if n < 0:
         raise InvalidParameterError(f"step index must be >= 0, got {n}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
+    if not np.all((t_arr > 0.0) & (t_arr < np.inf)):  # NaN fails both
         raise InvalidParameterError("t must be positive")
     scale = (2.0 * alpha) ** n
     with np.errstate(divide="ignore", over="ignore"):

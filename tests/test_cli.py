@@ -202,8 +202,8 @@ class TestSchemaValidConfigErrors:
                 {"space": {**DIRAC_SPACE, "distance": {"kind": "cone-gaussian", "delta": float("nan")}}},
                 "'space/distance/delta': nan is not a finite number",
             ),
-            # the first certificate's rate is checked before the pairs are
-            # sampled, so the infeasible region is never reached
+            # every rate is checked before the pairs are sampled, so the
+            # infeasible region is never reached
             (
                 "classify",
                 {"space": INFEASIBLE_SPACE, "mapping": "scale:0.5", "classify": {"kinds": ["kannan"], "alpha": 0.7}},
@@ -214,6 +214,24 @@ class TestSchemaValidConfigErrors:
                 {"space": INFEASIBLE_SPACE, "mapping": "scale:0.5", "classify": {"beta": 0.6, "kinds": ["zamfirescu"]}},
                 "beta must lie in (0, 1/2)",
             ),
+            (
+                "classify",
+                {
+                    "space": INFEASIBLE_SPACE,
+                    "mapping": "scale:0.5",
+                    "classify": {"kinds": ["banach", "kannan"], "alpha": 0.7},
+                },
+                "kannan rate must lie in (0, 1/2)",
+            ),
+            (
+                "classify",
+                {
+                    "space": INFEASIBLE_SPACE,
+                    "mapping": "scale:0.5",
+                    "classify": {"kinds": ["banach"], "alpha_sweep": [0.1, 0.6]},
+                },
+                "kannan rate must lie in (0, 1/2)",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "halfspaces-ragged", "scale-1e308", "kernel-value-nan", "forcing-base-inf",
@@ -221,7 +239,8 @@ class TestSchemaValidConfigErrors:
              "classify-tol-inf", "alpha-sweep-nan", "bound-alpha-nan", "grid-points-inf", "sampling-box-nan",
              "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
              "sie-eps-nan", "sie-lipschitz-inf", "delta-nan", "kannan-rate-infeasible-region",
-             "zamfirescu-rate-infeasible-region"],
+             "zamfirescu-rate-infeasible-region", "second-kind-rate-infeasible-region",
+             "sweep-rate-infeasible-region"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)

@@ -16,7 +16,7 @@ from probcone import (
     pointwise_min,
     timescale,
 )
-from probcone.dist import _normal_cdf
+from probcone.dist import _normal_cdf, _row_norms
 
 # frozen from the analytic oracle: 0.5 * Phi(3)
 HALF_PHI_3 = 0.49932505098418495
@@ -92,6 +92,38 @@ class TestNormalCdfAccessor:
         assert np.asarray(got).dtype == np.asarray(want).dtype
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_NORM_SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, np.inf, -np.inf, np.nan, 1.0, -2.5
+]
+
+
+class TestRowNorms:
+    """The package's one Euclidean norm: a row's norm does not depend on its batch."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_row_alone_equals_its_row_of_the_batch(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = np.concatenate(
+            [
+                rng.choice(_NORM_SPECIALS, (400, dim)),
+                rng.standard_normal((400, dim)) * 10.0 ** rng.integers(-300, 300, (400, 1)),
+            ]
+        )
+        batch = _row_norms(rows)
+        alone = np.array([_row_norms(row[None])[0] for row in rows])
+        assert batch.shape == (len(rows),)
+        assert batch.tobytes() == alone.tobytes()
+
+    def test_one_dimension_is_the_absolute_value(self):
+        x = np.array(_NORM_SPECIALS)
+        # by repr, which tells -0.0 from 0.0 and matches NaN with NaN
+        assert [repr(v) for v in _row_norms(x[:, None]).tolist()] == [repr(abs(v)) for v in x.tolist()]
+
+    def test_huge_finite_rows_do_not_overflow(self):
+        big = 2.0**900
+        assert _row_norms(np.array([[1e300, -1e300], [3 * big, 4 * big]])).tolist() == [1.4142135623730952e300, 5 * big]
 
 
 class TestConstruction:

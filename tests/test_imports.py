@@ -1,7 +1,8 @@
 """Import footprint: scipy loads only when a Gaussian distance is evaluated.
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported scipy itself. The package also imports no name it never uses.
+since imported scipy itself. The package also imports no name it never uses,
+and computes a Euclidean norm in one place only.
 """
 
 import ast
@@ -84,3 +85,28 @@ def test_only_the_tracer_patch_points_are_imported_unused():
     # bench/tracer.py patches these two module attributes, so they stay imported
     unused = {f"{path.stem}.{name}" for path in sorted((SRC / "probcone").glob("*.py")) for name in unused_imports(path)}
     assert unused == {"cli.sie_conditions", "solver.ordered_map"}
+
+
+def norm_uses(path: Path) -> list:
+    """``module.function`` for each mention of ``hypot`` or ``linalg.norm`` in ``path``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                name, owner = child.attr, getattr(child.value, "attr", getattr(child.value, "id", None))
+            elif isinstance(child, ast.alias):  # from ... import hypot / norm
+                name, owner = child.name, "linalg" if child.name == "norm" else None
+            else:
+                name, owner = getattr(child, "id", None), None
+            if name == "hypot" or (name == "norm" and owner == "linalg"):
+                uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_euclidean_norm_is_computed_only_in_row_norms():
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in norm_uses(path)]
+    assert uses == ["dist._row_norms"]

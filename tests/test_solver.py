@@ -247,6 +247,13 @@ class TestKannanBound:
         with pytest.raises(InvalidParameterError):
             kannan_bound(DiracStep(1.0), 0.25, 1, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_t_is_refused(self, bad):
+        # as cauchy_chain_bound refuses it; NaN used to give 0.0 and +inf 1.0
+        for t in (bad, np.array([1.0, bad])):
+            with pytest.raises(InvalidParameterError, match="t must be positive"):
+                kannan_bound(DiracStep(1.0), 0.25, 0, t)
+
 
 class TestCauchyChainBound:
     def test_single_term_reduces_to_step_bound(self):

@@ -155,6 +155,15 @@ class TestEmpiricalMetric:
         with pytest.raises(InvalidParameterError):
             empirical_metric(Ensemble(np.zeros((3, 2))), Ensemble(np.zeros((4, 2))))
 
+    def test_huge_finite_gaps_stay_finite(self):
+        # the squares of 1e200 overflow; the gaps themselves do not
+        x = Ensemble(np.array([[1e200, 0.0], [0.0, 1e200]]))
+        zero = Ensemble(np.zeros((2, 2)))
+        assert empirical_metric(x, zero).samples.tolist() == [1e200, 1e200]
+        to_origin = RandomOperator(lambda j, u: np.zeros(2), name="to origin")
+        result = check_random_kannan(to_origin, [(x, zero)], 0.45)
+        assert result.samplewise_violations == 0 and result.passed
+
 
 class TestCheckRandomKannan:
     def _scaled_pair(self, n=2000, c=0.92, seed=11):
