@@ -16,6 +16,7 @@ only part allowed to differ between repeated runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,6 @@ import time
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -49,7 +49,7 @@ from .space import check_axioms, sample_points
 from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  bench/tracer.py patches cli.sie_conditions
 
 # ``json.load`` reads NaN, Infinity and overflowing literals such as 1e400 as
-# floats, and "type": "number" admits them; the "finite" keyword (``_finite``)
+# floats, and "type": "number" admits them; the "finite" keyword
 # rejects them in every number field, so the message names the field.
 _NUMBER = {"type": "number", "finite": True}
 _POSITIVE = {**_NUMBER, "exclusiveMinimum": 0}
@@ -173,22 +173,82 @@ CONFIG_SCHEMA = {
 }
 
 
-def _finite(validator, finite, instance, schema):
-    if not (finite and validator.is_type(instance, "number")):
-        return
+def _is_finite(number) -> bool:
     try:
-        ok = math.isfinite(instance)
+        return math.isfinite(number)
     except OverflowError:  # an int beyond the float range the code computes in
-        ok = False
-    if not ok:
-        yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+        return False
 
 
-# Built once: ``jsonschema.validate`` would re-check the schema itself on
-# every call. ``tests/test_cli.py`` checks the schema instead.
-_CONFIG_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.validators.validator_for(CONFIG_SCHEMA), {"finite": _finite}
-)(CONFIG_SCHEMA)
+def _is_number(instance) -> bool:
+    return isinstance(instance, (int, float)) and not isinstance(instance, bool)
+
+
+# Draft 2020-12 types as jsonschema checks them for what json.load returns:
+# bool is not a number, 2.0 is an integer, and only list and dict are arrays
+# and objects.
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+# keyword -> check(instance, value, schema); each passes instances of the
+# types the keyword does not apply to, as jsonschema does.
+_KEYWORDS = {
+    "$schema": lambda x, v, s: True,
+    "type": lambda x, v, s: v in _JSON_TYPES and _JSON_TYPES[v](x),
+    "properties": lambda x, v, s: not isinstance(x, dict) or all(_conforms(x[k], v[k]) for k in v if k in x),
+    "additionalProperties": lambda x, v, s: (
+        v is False and (not isinstance(x, dict) or x.keys() <= s.get("properties", {}).keys())
+    ),
+    "required": lambda x, v, s: not isinstance(x, dict) or all(k in x for k in v),
+    "anyOf": lambda x, v, s: any(_conforms(x, sub) for sub in v),
+    "const": lambda x, v, s: isinstance(x, str) and x == v,
+    "enum": lambda x, v, s: isinstance(x, str) and x in v,
+    "items": lambda x, v, s: not isinstance(x, list) or all(_conforms(item, v) for item in x),
+    "minItems": lambda x, v, s: not isinstance(x, list) or len(x) >= v,
+    "maxItems": lambda x, v, s: not isinstance(x, list) or len(x) <= v,
+    "minimum": lambda x, v, s: not (_is_number(x) and x < v),
+    "maximum": lambda x, v, s: not (_is_number(x) and x > v),
+    "exclusiveMinimum": lambda x, v, s: not (_is_number(x) and x <= v),
+    "finite": lambda x, v, s: not (v and _is_number(x)) or _is_finite(x),
+}
+
+
+def _conforms(instance, schema: dict) -> bool:
+    """True only if jsonschema would accept ``instance`` under ``schema``.
+
+    Interprets the keywords of ``CONFIG_SCHEMA`` directly, so a valid config
+    is accepted without importing jsonschema; a keyword it does not know
+    makes it return False, which leaves the verdict to jsonschema.
+    """
+    return all(
+        keyword in _KEYWORDS and _KEYWORDS[keyword](instance, value, schema) for keyword, value in schema.items()
+    )
+
+
+@functools.cache
+def _config_validator():
+    """The draft 2020-12 validator of ``CONFIG_SCHEMA`` with the ``finite`` keyword.
+
+    Built once and only for a config ``_conforms`` refuses: importing
+    jsonschema is most of what validation would cost a valid config.
+    ``jsonschema.validate`` would also re-check the schema itself on every
+    call; ``tests/test_cli.py`` checks the schema instead.
+    """
+    import jsonschema
+
+    def finite(validator, finite, instance, schema):
+        if finite and validator.is_type(instance, "number") and not _is_finite(instance):
+            yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+
+    return jsonschema.validators.extend(jsonschema.validators.validator_for(CONFIG_SCHEMA), {"finite": finite})(
+        CONFIG_SCHEMA
+    )
 
 
 def load_config(path: str) -> dict:
@@ -205,7 +265,11 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if _conforms(config, CONFIG_SCHEMA):
+        return
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
     if error is not None:
         location = "/".join(str(p) for p in error.absolute_path) or "<top level>"
         raise ConfigError(f"config field {location!r}: {error.message}") from error

@@ -108,7 +108,10 @@ def _coerce_pairs(space, mapping, pairs, seed) -> np.ndarray:
     """The pairs as one ``(n, 2, d)`` array; an int n samples n pairs from ``seed``."""
     if isinstance(pairs, int):
         pairs = sample_pairs(space, mapping, pairs, np.random.default_rng(seed))
-    stacked = np.array(list(pairs), dtype=float)
+    try:
+        stacked = np.array(list(pairs), dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric pairs
+        raise InvalidParameterError(f"pairs must be numeric (x, y) points of one dimension: {exc}") from exc
     if stacked.ndim != 3 or stacked.shape[1] != 2 or stacked.size == 0:
         raise InvalidParameterError(f"pairs must be a nonempty list of (x, y) points, got shape {stacked.shape}")
     return stacked

@@ -6,7 +6,6 @@ downstream reductions behave identically for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -16,5 +15,9 @@ R = TypeVar("R")
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> List[R]:
     if workers is None or workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures loads logging and queue, which a
+    # one-worker run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -1,9 +1,12 @@
+import copy
 import csv
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probcone import cli, contract
 from probcone.cli import CONFIG_SCHEMA, main, validate_config
@@ -86,6 +89,145 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as raised:
             validate_config(config)
         assert str(raised.value) == f"config field {location!r}: {expected.value.message}"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+# What a hand-edited or mistyped field may hold: every schema bound and its
+# neighbours, int and float alike, NaN, +-inf (json.load reads 1e400 as inf),
+# an int no float can hold, bools, strings, null, and empty or ragged arrays.
+ODD_VALUES = [
+    *(b + d for b in (0, 1, 2, 3) for d in (-1, -0.5, 0, 0.0, 0.5)),
+    -0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 10**400, True, False,
+    None, "", "x", "min", "dirac", [], [[]], [1.0], [[1.0], [1.0, 2.0]], {}, {"kind": "cone-gaussian"},
+]
+
+
+def _in_range(x, schema) -> bool:
+    return (
+        x >= schema.get("minimum", -math.inf)
+        and x > schema.get("exclusiveMinimum", -math.inf)
+        and x <= schema.get("maximum", math.inf)
+        and (schema["type"] == "number" or float(x).is_integer())
+    )
+
+
+def schema_values(schema: dict) -> st.SearchStrategy:
+    """Small values ``schema`` admits, built from its own keywords.
+
+    Every enum member and optional key can be drawn, and numbers are drawn
+    from the schema's bounds: the bound itself where it is inclusive, its
+    neighbours, and ints as floats (2.0 is an integer).
+    """
+    if "anyOf" in schema:
+        return st.one_of([schema_values(sub) for sub in schema["anyOf"]])
+    if "const" in schema:
+        return st.just(schema["const"])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema.get("type")
+    if kind == "object":
+        properties = {key: schema_values(sub) for key, sub in schema.get("properties", {}).items()}
+        required = schema.get("required", [])
+        if not properties:  # a free-form object such as a mapping spec
+            return st.fixed_dictionaries({key: JSON_VALUES for key in required}, optional={"extra": JSON_VALUES})
+        optional = {key: value for key, value in properties.items() if key not in required}
+        return st.fixed_dictionaries({key: properties[key] for key in required}, optional=optional)
+    if kind == "array":
+        return st.lists(
+            schema_values(schema["items"]), min_size=schema.get("minItems", 0), max_size=schema.get("maxItems", 3)
+        )
+    if kind in ("number", "integer"):
+        bounds = [schema[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in schema] or [0]
+        near = {b + d for b in bounds for d in (-1, -0.5, 0, 0.5, 1, 2)} | {1e-300, 0.5, 2.0, 7}
+        candidates = sorted({x for b in near for x in (b, float(b))}, key=repr)
+        return st.sampled_from([x for x in candidates if _in_range(x, schema)])
+    if kind == "string":
+        return st.text(max_size=4)
+    if kind == "null":
+        return st.none()
+    return JSON_VALUES  # {} admits anything
+
+
+def _slots(value):
+    """(container, key) for every dict entry and list item inside ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield value, key
+        yield from _slots(item)
+
+
+def config_mutants(schema: dict = CONFIG_SCHEMA) -> st.SearchStrategy:
+    """Values ``schema`` admits, after 0 to 3 edits that may or may not break them.
+
+    Each edit replaces an entry with one of ``ODD_VALUES``, deletes it, or
+    adds an entry; the whole config is sometimes replaced too.
+    """
+    admitted = schema_values(schema)
+
+    @st.composite
+    def mutants(draw):
+        config = copy.deepcopy(draw(admitted))
+        for _ in range(draw(st.integers(0, 3))):
+            container, key = draw(st.sampled_from([(None, None), *_slots(config)]))
+            action = draw(st.sampled_from(["replace", "delete", "add"]))
+            odd = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+            if container is None:
+                config = odd if action == "replace" else config
+            elif action == "replace":
+                container[key] = odd
+            elif action == "delete":
+                del container[key]
+            elif isinstance(container, dict):
+                container[draw(st.sampled_from(["extra", "name", "type", "dim", "kind", "x0"]))] = odd
+            else:
+                container.append(odd)
+        return config
+
+    return mutants()
+
+
+class TestFastConformanceCheck:
+    """``cli._conforms`` accepts a config exactly when jsonschema does."""
+
+    def test_agrees_with_jsonschema(self):
+        validator = cli._config_validator()
+        verdicts = []
+
+        @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+        @given(config_mutants())
+        def agree(config):
+            valid = validator.is_valid(config)
+            assert cli._conforms(config, CONFIG_SCHEMA) == valid
+            verdicts.append(valid)
+
+        agree()
+        # both verdicts are drawn often enough to mean something
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+    @pytest.mark.parametrize(
+        "config,valid",
+        [
+            ({"axioms": {"n_points": 3.0}}, True),
+            ({"axioms": {"n_points": 10**400}}, True),
+            ({"axioms": {"n_points": True}}, False),
+            ({"axioms": {"tol": False}}, False),
+            ({"axioms": {"tol": 10**400}}, False),
+            ({"space": {"distance": ("dirac",)}}, False),
+            ({"solve": {"x0": (1.0,)}}, False),
+        ],
+        ids=["int-as-float", "huge-int", "bool-int", "bool-number", "int-past-float", "tuple-const", "tuple-array"],
+    )
+    def test_json_types_as_jsonschema_sees_them(self, config, valid):
+        assert cli._config_validator().is_valid(config) == valid
+        assert cli._conforms(config, CONFIG_SCHEMA) == valid
+
+    def test_unknown_keyword_defers_to_jsonschema(self):
+        assert cli._conforms(1, {"type": "integer"})
+        assert not cli._conforms(1, {"type": "integer", "multipleOf": 2})
 
 
 class TestSchemaValidConfigErrors:

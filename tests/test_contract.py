@@ -170,6 +170,22 @@ class TestZamfirescu:
             check_zamfirescu(SPACE, identity_map(), 0.5, 0.2, 0.5)
 
 
+class TestExplicitPairs:
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(np.zeros(2), np.ones(3))],
+            [(np.zeros(2), np.ones(2)), (np.zeros(3), np.ones(3))],
+            [(np.zeros(2), ["a", "b"])],
+            [({"x": 0}, {"y": 1})],
+        ],
+        ids=["mixed-dims-in-pair", "mixed-dims-across-pairs", "string-coordinates", "dict-points"],
+    )
+    def test_ragged_or_non_numeric_pairs_are_refused(self, pairs):
+        with pytest.raises(InvalidParameterError, match="points of one dimension"):
+            check_banach(SPACE, identity_map(), 0.5, pairs=pairs)
+
+
 class TestZamfirescuDelta:
     def test_exact_values(self):
         assert zamfirescu_delta(0.5, 0.25, 0.2) == 2.0 / 3.0

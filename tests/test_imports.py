@@ -1,8 +1,10 @@
-"""Import footprint: scipy loads only when a Gaussian distance is evaluated.
+"""Import footprint: scipy loads only when a Gaussian distance is evaluated,
+jsonschema only when a config is invalid, and the thread pool only for more
+than one worker.
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported scipy itself. The package also imports no name it never uses,
-and computes a Euclidean norm in one place only.
+since imported them itself. The package also imports no name it never
+uses, and computes a Euclidean norm in one place only.
 """
 
 import ast
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from probcone import cli
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 DIRAC_AXIOMS = {"space": {"dim": 2, "distance": "dirac", "tnorm": "min"}, "axioms": {"n_points": 4}}
@@ -22,16 +26,31 @@ GAUSS_AXIOMS = {
     "axioms": {"n_points": 4},
 }
 SMALL_SIE = {"sie": {"n_time": 20, "n_paths": 2, "max_iter": 50}}
+DIRAC_CLASSIFY = {
+    "space": {"dim": 2, "distance": "dirac", "tnorm": "min"},
+    "mapping": "scale:0.5",
+    "classify": {"kinds": ["banach", "kannan"], "n_pairs": 4},
+}
+DIRAC_SOLVE = {
+    "space": {"dim": 2, "distance": "dirac", "tnorm": "min"},
+    "mapping": "scale:0.5",
+    "solve": {"x0": [1.0, 2.0], "uniqueness_starts": 2},
+}
+WITH_POOL = ("scipy", "jsonschema", "concurrent.futures")
 
 
-def loaded_after(code: str, *args: str) -> set:
-    """Names among scipy and jsonschema in sys.modules after running code."""
-    probe = code + "\nimport json, sys; print(json.dumps([m for m in ('scipy', 'jsonschema') if m in sys.modules]))"
+def run_fresh(code: str, *args: str, watched=("scipy", "jsonschema")):
+    """Names among ``watched`` in sys.modules after running code, and its stderr."""
+    probe = code + f"\nimport json, sys; print(json.dumps([m for m in {watched!r} if m in sys.modules]))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
     )
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return set(json.loads(done.stdout.splitlines()[-1])), done.stderr
+
+
+def loaded_after(code: str, *args: str, watched=("scipy", "jsonschema")) -> set:
+    return run_fresh(code, *args, watched=watched)[0]
 
 
 def write_config(tmp_path, payload) -> str:
@@ -47,7 +66,7 @@ def test_library_import_loads_neither_scipy_nor_jsonschema():
 def test_cli_config_validation_does_not_load_scipy(tmp_path):
     cfg = write_config(tmp_path, DIRAC_AXIOMS)
     loaded = loaded_after("import sys; from probcone.cli import load_config; load_config(sys.argv[1])", cfg)
-    assert loaded == {"jsonschema"}
+    assert loaded == set()
 
 
 RUN_MAIN = "import sys; from probcone import cli; assert cli.main(sys.argv[1:]) == 0"
@@ -62,6 +81,78 @@ def test_cli_run_loads_scipy_only_for_gaussian_distances(tmp_path, command, payl
     cfg = write_config(tmp_path, payload)
     loaded = loaded_after(RUN_MAIN, command, "--config", cfg, "--out", str(tmp_path / "out"))
     assert ("scipy" in loaded) == scipy_loaded
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [("axioms", DIRAC_AXIOMS), ("classify", DIRAC_CLASSIFY), ("solve", DIRAC_SOLVE), ("sie", SMALL_SIE)],
+    ids=["axioms", "classify", "solve", "sie"],
+)
+def test_valid_one_worker_run_loads_neither_jsonschema_nor_thread_pool(tmp_path, command, payload):
+    cfg = write_config(tmp_path, payload)
+    args = ("--config", cfg, "--workers", "1", "--out", str(tmp_path / "out"))
+    assert loaded_after(RUN_MAIN, command, *args, watched=WITH_POOL) == set()
+
+
+def test_two_worker_run_loads_thread_pool(tmp_path):
+    cfg = write_config(tmp_path, DIRAC_AXIOMS)
+    args = ("--config", cfg, "--workers", "2", "--out", str(tmp_path / "out"))
+    assert loaded_after(RUN_MAIN, "axioms", *args, watched=WITH_POOL) == {"concurrent.futures"}
+
+
+def test_invalid_config_loads_jsonschema_for_the_message(tmp_path):
+    cfg = write_config(tmp_path, {"space": {"dim": 2, "tnorm": "median"}})
+    code = "import sys; from probcone import cli; assert cli.main(sys.argv[1:]) == 2"
+    loaded, stderr = run_fresh(code, "axioms", "--config", cfg, "--out", str(tmp_path / "out"), watched=WITH_POOL)
+    assert loaded == {"jsonschema"}
+    assert stderr == "config error: config field 'space/tnorm': 'median' is not one of ['min', 'product', 'lukasiewicz']\n"
+
+
+def imports_outside_functions(path: Path) -> set:
+    """Top-level package names ``path`` imports outside any function body."""
+    names = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names.update(a.name.split(".")[0] for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names.add(child.module.split(".")[0])
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return names
+
+
+def test_scipy_and_jsonschema_are_imported_only_inside_functions():
+    eager = {
+        f"{path.stem}: {name}"
+        for path in sorted((SRC / "probcone").glob("*.py"))
+        for name in imports_outside_functions(path) & {"scipy", "jsonschema"}
+    }
+    assert eager == set()
+
+
+def schema_keywords(schema: dict):
+    """Every (keyword, value) of ``schema`` and of each subschema in it."""
+    for keyword, value in schema.items():
+        yield keyword, value
+        if keyword == "properties":
+            for sub in value.values():
+                yield from schema_keywords(sub)
+        elif keyword == "anyOf":
+            for sub in value:
+                yield from schema_keywords(sub)
+        elif keyword == "items":
+            yield from schema_keywords(value)
+
+
+def test_every_schema_keyword_is_one_the_fast_check_knows():
+    # an unknown keyword would make every config take the jsonschema path
+    pairs = list(schema_keywords(cli.CONFIG_SCHEMA))
+    assert {keyword for keyword, _ in pairs} <= set(cli._KEYWORDS)
+    assert {value for keyword, value in pairs if keyword == "type"} <= set(cli._JSON_TYPES)
 
 
 def unused_imports(path: Path) -> set:
