@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .contract import _check_rates, check_banach, check_chatterjea, check_kannan, check_zamfirescu, sample_pairs
 from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
-from .errors import ConfigError, DivergenceError, InvalidParameterError, ProbconeError
+from .errors import ConfigError, InvalidParameterError, ProbconeError
 from .registry import make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
 from .report import (
     axiom_report_to_dict,
@@ -531,9 +531,6 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
     except ProbconeError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1

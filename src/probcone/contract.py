@@ -106,7 +106,8 @@ def sample_pairs(
 
 def _coerce_pairs(space, mapping, pairs, seed) -> np.ndarray:
     """The pairs as one ``(n, 2, d)`` array; an int n samples n pairs from ``seed``."""
-    if isinstance(pairs, int):
+    explicit = not isinstance(pairs, int)
+    if not explicit:
         pairs = sample_pairs(space, mapping, pairs, np.random.default_rng(seed))
     try:
         stacked = np.array(list(pairs), dtype=float)
@@ -114,6 +115,9 @@ def _coerce_pairs(space, mapping, pairs, seed) -> np.ndarray:
         raise InvalidParameterError(f"pairs must be numeric (x, y) points of one dimension: {exc}") from exc
     if stacked.ndim != 3 or stacked.shape[1] != 2 or stacked.size == 0:
         raise InvalidParameterError(f"pairs must be a nonempty list of (x, y) points, got shape {stacked.shape}")
+    # None becomes NaN above; sampled pairs are left to the distance's own finiteness check
+    if explicit and not np.isfinite(stacked).all():
+        raise InvalidParameterError("pairs must have finite coordinates (None, NaN and +-inf are refused)")
     return stacked
 
 

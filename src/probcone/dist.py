@@ -37,8 +37,9 @@ DEFAULT_GRID_SIZE = 50
 class TimeGrid:
     """Strictly increasing positive evaluation times.
 
-    Finite grids stand in for the "for all t > 0" quantifier; every
-    monotone DistFn variant bounds the error of that relaxation.
+    Finite grids stand in for the "for all t > 0" quantifier: a verdict
+    computed on a grid holds at its points only, and nothing between them
+    is bounded.
     """
 
     points: np.ndarray

@@ -283,15 +283,12 @@ def uniqueness_probe(
 ) -> UniquenessResult:
     """Run independent orbits and test whether all limits coincide.
 
-    The orbits are iterated together as one ``(n_live, dim)`` array: each
-    step maps every live orbit with one ``Mapping.apply_rows`` call and
-    stop-tests them with one ``space.distance_values`` call, which is
-    ``tau_converged`` row by row. An orbit leaves the array when it
-    converges, so each limit and stop reason is the one ``picard`` gives
-    for that start. Errors are those of running ``picard`` on each start in
-    turn: the first start, in order, that is invalid or whose orbit raises
-    or diverges decides the error, and a ``DivergenceError`` carries that
-    orbit's partial trace.
+    Limits, stop reasons and errors are those of ``picard`` run on each
+    start in turn, so the first failing start's error is raised (a
+    ``DivergenceError`` with its partial trace). A map with ``rows`` first
+    iterates all orbits as one stacked array; without ``rows``, or when
+    the stacked run fails, the starts are replayed through ``picard``, so
+    a failing probe calls the map again from the starts.
 
     ``unique`` requires every orbit to converge and every pair of limits to
     pass the tau-closeness test at ``agree_tol``. Everything runs on the
@@ -301,66 +298,12 @@ def uniqueness_probe(
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
 
-    # orbit index -> the error picard would raise for it; the lowest index
-    # is raised once every orbit before it has finished
-    failures = {}
-    checked = []
-    for k, start in enumerate(starts):
-        try:
-            checked.append(_checked_start(space, start, eps, max_iter))
-        except Exception as exc:  # re-raised unchanged unless an earlier orbit fails
-            failures[k] = exc
-            break
-    n = len(checked)
-    orbit_eps = np.array([e for _, e in checked], dtype=float)
-    limits = np.empty((n, space.dim))
-    reasons = ["max_iter"] * n
-
-    live = np.arange(n)
-    X = np.array([x for x, _ in checked]).reshape(n, space.dim)
-    history = []  # (live, X) before each step, to rebuild a diverging orbit
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        history.append((live, X))
-        # a map without rows is called once per row straight away, so no
-        # row is mapped twice when one of them raises
-        X_next, errors = _step_rows(
-            (lambda: mapping.apply_rows(X)) if mapping.rows is not None else None,
-            lambda p: mapping(X[p]),
-            X.shape,
-        )
-        ok = np.isfinite(X_next).all(axis=1)
-        ok[list(errors)] = False
-        for row in np.flatnonzero(~ok):
-            k = int(live[row])
-            if row in errors:
-                failures[k] = errors[row]
-            else:
-                points = [Xh[np.searchsorted(lh, k)] for lh, Xh in history]
-                failures[k] = _diverged(space, points, TimeGrid.default(), checked[k][1])
-        stop = np.zeros(len(live), dtype=bool)
-        for e in np.unique(orbit_eps[live[ok]]):
-            rows = np.flatnonzero(ok & (orbit_eps[live] == e))
-            A, B = X[rows], X_next[rows]
-            closed, errors = _step_rows(
-                lambda: space.distance_values(A, B, np.array([e]))[:, 0] > 1.0 - e,
-                lambda p: tau_converged(space, A[p], B[p], e),
-                (len(rows),),
-            )
-            stop[rows] = closed
-            for p, exc in errors.items():
-                failures[int(live[rows[p]])] = exc
-                ok[rows[p]] = False
-        done = ok & stop
-        limits[live[done]] = X_next[done]
-        for k in live[done]:
-            reasons[k] = "converged"
-        keep = ok & ~stop & (live < min(failures, default=n))
-        live, X = live[keep], X_next[keep]
-    limits[live] = X
-    if failures:
-        raise failures[min(failures)]
+    stacked = _stacked_orbits(space, mapping, starts, eps, max_iter) if mapping.rows is not None else None
+    if stacked is None:
+        grid = TimeGrid.default()
+        traces = [picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid) for s in starts]
+        stacked = np.array([tr.limit for tr in traces]), [tr.stopped_reason for tr in traces]
+    limits, reasons = stacked
 
     unique = all(r == "converged" for r in reasons)
     if unique:
@@ -376,23 +319,37 @@ def uniqueness_probe(
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=tuple(reasons))
 
 
-def _step_rows(stacked, one, shape):
-    """The values of ``shape[0]`` rows, and ``{row: exception}`` for rows that raise.
+def _stacked_orbits(space: PCMSpace, mapping: Mapping, starts, eps, max_iter):
+    """``(limits, reasons)`` of every start's ``picard`` orbit, or None on any failure.
 
-    ``stacked()`` computes every row in one call. When it is None or raises,
-    ``one(p)`` computes row p instead, one row at a time; the values of the
-    rows that raised are unspecified.
+    The live orbits are one ``(n_live, dim)`` array: each step maps them
+    with one ``Mapping.apply_rows`` call and stop-tests them with one
+    ``space.distance_values`` call per distinct eps, which is
+    ``tau_converged`` row by row. An orbit leaves the array when it
+    converges. An invalid start, a raising call or a non-finite iterate
+    gives None.
     """
-    if stacked is not None:
-        try:
-            return stacked(), {}
-        except Exception:  # find the rows that raise, one call each
-            pass
-    out = np.zeros(shape)
-    errors = {}
-    for p in range(shape[0]):
-        try:
-            out[p] = one(p)
-        except Exception as exc:  # that orbit's failure, raised in orbit order
-            errors[p] = exc
-    return out, errors
+    try:
+        checked = [_checked_start(space, s, eps, max_iter) for s in starts]
+        orbit_eps = np.array([e for _, e in checked])
+        X = np.array([x for x, _ in checked])
+        limits = X.copy()
+        reasons = ["max_iter"] * len(starts)
+        live = np.arange(len(starts))
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            X_next = mapping.apply_rows(X)
+            if not np.isfinite(X_next).all():
+                return None
+            stop = np.zeros(len(live), dtype=bool)
+            for e in np.unique(orbit_eps[live]):
+                rows = np.flatnonzero(orbit_eps[live] == e)
+                stop[rows] = space.distance_values(X[rows], X_next[rows], np.array([e]))[:, 0] > 1.0 - e
+            limits[live] = X_next
+            for k in live[stop]:
+                reasons[k] = "converged"
+            live, X = live[~stop], X_next[~stop]
+    except Exception:  # the caller replays the starts through picard, which raises it
+        return None
+    return limits, reasons

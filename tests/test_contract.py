@@ -185,6 +185,15 @@ class TestExplicitPairs:
         with pytest.raises(InvalidParameterError, match="points of one dimension"):
             check_banach(SPACE, identity_map(), 0.5, pairs=pairs)
 
+    @pytest.mark.parametrize(
+        "bad", [None, float("nan"), float("inf"), -float("inf")], ids=["none", "nan", "inf", "-inf"]
+    )
+    def test_non_finite_coordinates_are_refused(self, bad):
+        with pytest.raises(InvalidParameterError, match="pairs must have finite coordinates"):
+            check_banach(SPACE, identity_map(), 0.5, pairs=[([bad, bad], [1.0, 2.0])])
+        with pytest.raises(InvalidParameterError, match="pairs must have finite coordinates"):
+            check_kannan(SPACE, identity_map(), 0.25, pairs=[([0.0, 0.0], [1.0, 2.0]), ([1.0, 0.0], [0.5, bad])])
+
 
 class TestZamfirescuDelta:
     def test_exact_values(self):

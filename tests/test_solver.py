@@ -468,6 +468,20 @@ class TestVerifyFixedPoint:
             assert verify_fixed_point(SPACE, identity_map(), x).is_fixed
 
 
+def _record_picard_starts(monkeypatch):
+    """Patch ``solver.picard`` to record the start of each call; returns the record."""
+    import probcone.solver as solver
+
+    seen = []
+
+    def recording_picard(space, mapping, x0, **kwargs):
+        seen.append(x0)
+        return picard(space, mapping, x0, **kwargs)
+
+    monkeypatch.setattr(solver, "picard", recording_picard)
+    return seen
+
+
 class TestUniquenessProbe:
     def test_rotation_limits_agree(self):
         rng = np.random.default_rng(15)
@@ -527,6 +541,23 @@ class TestUniquenessProbe:
         result = uniqueness_probe(SPACE, ROTATE, starts, eps=1e-8)
         assert calls == []
         assert_same_probe(result, None, *_outcome(lambda: reference_probe(SPACE, ROTATE, starts, eps=1e-8)))
+
+    def test_a_map_without_rows_runs_picard_once_per_start(self, monkeypatch):
+        seen = _record_picard_starts(monkeypatch)
+        starts = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+        mapping = Mapping(ROTATE.fn, name="rotate")
+        result = uniqueness_probe(SPACE, mapping, starts, eps=1e-8)
+        assert_bitwise(np.array(seen), np.array(starts))
+        assert_same_probe(result, None, *_outcome(lambda: reference_probe(SPACE, mapping, starts, eps=1e-8)))
+
+    def test_a_failing_stack_is_replayed_through_picard(self, monkeypatch):
+        seen = _record_picard_starts(monkeypatch)
+        # the second start's first iterate is NaN, so picard stops there
+        starts = [[1.0, 1.0], [-1.0, 1.0], [0.5, 0.5]]
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+            uniqueness_probe(SPACE, _PROBE_MAPS["sqrt-nan"], starts, eps=1e-6)
+        assert_bitwise(np.array(seen), np.array(starts[:2]))
+        assert_bitwise(err.value.trace.points, np.array([starts[1]]))
 
     def test_needs_two_starts(self):
         with pytest.raises(InvalidParameterError):
@@ -683,6 +714,13 @@ def _per_row(fn):
     return Mapping(fn, name="user-rows", rows=lambda X: np.array([fn(x) for x in X]))
 
 
+def _halve_or_raise(u):
+    """u / 2, undefined below the anti-diagonal u[0] + u[1] = 0."""
+    if u[0] + u[1] < 0.0:
+        raise ValueError(f"map undefined at {u.tolist()}")
+    return 0.5 * u
+
+
 _PROBE_SPACES = {
     "dirac": SPACE,
     "cone-gaussian": cone_gaussian_space(),
@@ -699,6 +737,9 @@ _PROBE_MAPS = {
     "shift": shift_map([1e-3, -2e-3]),
     "affine": affine_map([[0.5, -0.2], [0.1, 0.4]], [0.05, 0.0]),
     "user-no-rows": Mapping(lambda u: 0.6 * np.tanh(u), name="tanh"),
+    # rows maps that fail on part of [-2, 2]^2, so the oracle draws replays too
+    "sqrt-nan": _per_row(lambda u: 0.5 * np.sqrt(u)),
+    "halve-or-raise": _per_row(_halve_or_raise),
 }
 
 
