@@ -16,6 +16,11 @@ margin and, on failure, the witnessing (x, y, t). Four conditions ship:
 The disjunction is evaluated per (x, y, t) triple, matching the quantifier
 "for each x, y and t > 0, at least one of"; a per-(x, y) reading would be
 stricter and is not implemented.
+
+Each checker's ``pairs`` is an int n, which samples n pairs from ``seed``
+with :func:`sample_pairs`, or the pairs themselves: an ``(n, 2, d)`` array
+such as ``sample_pairs`` returns, or a sequence of ``(x, y)`` points. Their
+coordinates must be finite.
 """
 
 from __future__ import annotations
@@ -86,37 +91,58 @@ class ContractionCertificate:
 
 def sample_pairs(
     space: PCMSpace, mapping: Mapping, n_pairs: int, rng: np.random.Generator
-) -> list:
-    """Sample n point pairs for falsification.
+) -> np.ndarray:
+    """Sample n point pairs for falsification, as an ``(n, 2, d)`` float array.
 
-    The first two pairs are chosen deliberately: a diagonal pair (x, x) and
-    a displacement pair (x, Tx), both of which the fixed-point arguments
+    Row p is the pair ``(x, y) = (out[p, 0], out[p, 1])``. The first two
+    pairs are chosen deliberately: a diagonal pair (x, x) and a
+    displacement pair (x, Tx), both of which the fixed-point arguments
     lean on. The rest are independent uniform draws.
     """
     if n_pairs < 1:
         raise InvalidParameterError(f"need at least one pair, got {n_pairs}")
     left = sample_points(space, n_pairs, rng)
     right = sample_points(space, n_pairs, rng)
-    pairs = [(left[i], right[i]) for i in range(n_pairs)]
-    pairs[0] = (left[0], left[0])
+    right[0] = left[0]
     if n_pairs >= 2:
-        pairs[1] = (left[1], mapping(left[1]))
-    return pairs
+        right[1] = _checked_images(mapping, left[1:2], [mapping(left[1])])[0]
+    return np.stack([left, right], axis=1)
+
+
+def _checked_images(mapping: Mapping, X: np.ndarray, TX) -> np.ndarray:
+    """``TX``, the map's images of the rows of ``X``, once each is a NaN-free point of X's dimension.
+
+    The error names the map and the first point it fails at. An infinite
+    coordinate is left to the distance map, as for any other point; the
+    built-in distances refuse it.
+    """
+    TX = np.asarray(TX, dtype=float)
+    if TX.shape == X.shape:
+        bad = np.isnan(TX).any(axis=1)
+        if not bad.any():
+            return TX
+        p = int(np.argmax(bad))
+        image = f"is {TX[p].tolist()}"
+    else:
+        p, image = 0, f"has shape {TX.shape[1:]}"
+    name = mapping.name or getattr(mapping.fn, "__name__", "map")
+    raise InvalidParameterError(
+        f"map {name!r} must send each point to a point of dimension {X.shape[1]} with no NaN coordinate; "
+        f"its image of x = {X[p].tolist()} {image}"
+    )
 
 
 def _coerce_pairs(space, mapping, pairs, seed) -> np.ndarray:
     """The pairs as one ``(n, 2, d)`` array; an int n samples n pairs from ``seed``."""
-    explicit = not isinstance(pairs, int)
-    if not explicit:
+    if isinstance(pairs, int):
         pairs = sample_pairs(space, mapping, pairs, np.random.default_rng(seed))
     try:
-        stacked = np.array(list(pairs), dtype=float)
+        stacked = np.array(pairs, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric pairs
         raise InvalidParameterError(f"pairs must be numeric (x, y) points of one dimension: {exc}") from exc
     if stacked.ndim != 3 or stacked.shape[1] != 2 or stacked.size == 0:
         raise InvalidParameterError(f"pairs must be a nonempty list of (x, y) points, got shape {stacked.shape}")
-    # None becomes NaN above; sampled pairs are left to the distance's own finiteness check
-    if explicit and not np.isfinite(stacked).all():
+    if not np.isfinite(stacked).all():  # None became NaN above
         raise InvalidParameterError("pairs must have finite coordinates (None, NaN and +-inf are refused)")
     return stacked
 
@@ -183,8 +209,8 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
     t = grid.points
 
     X, Y = stacked[:, 0], stacked[:, 1]
-    TX = mapping.apply_rows(X)
-    TY = mapping.apply_rows(Y)
+    TX = _checked_images(mapping, X, mapping.apply_rows(X))
+    TY = _checked_images(mapping, Y, mapping.apply_rows(Y))
     worst = np.inf
     witness = None
     for start in range(0, len(X), _BLOCK):

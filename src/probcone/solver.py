@@ -27,7 +27,7 @@ from .contract import Mapping
 from .dist import DistFn, TimeGrid, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
 from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py's patch points
-from .space import PCMSpace, tau_converged
+from .space import PCMSpace, _tau_close, tau_converged
 from .tnorm import TNorm, _check_unit
 
 
@@ -72,10 +72,11 @@ def picard(
 
     ``eps=None`` picks 1e-6, or 1e-2 when the space's distances are
     empirical (sampling noise makes tighter stopping unreachable). Raises
-    :class:`~probcone.errors.InvalidParameterError` when x0 is outside the
-    declared cone, and :class:`~probcone.errors.DivergenceError` (carrying
-    the partial trace) when an iterate goes non-finite. Slow
-    non-convergence is not an error; it ends with reason "max_iter".
+    :class:`~probcone.errors.InvalidParameterError` when x0 is not a numeric
+    point of the space's dimension or is outside the declared cone, and
+    :class:`~probcone.errors.DivergenceError` (carrying the partial trace)
+    when an iterate goes non-finite. Slow non-convergence is not an error;
+    it ends with reason "max_iter".
     """
     x, eps = _checked_start(space, x0, eps, max_iter)
     grid = TimeGrid.coerce(grid)
@@ -99,7 +100,10 @@ def _checked_start(space: PCMSpace, x0, eps: Optional[float], max_iter: int):
     """Validate one orbit's start; returns it as a float array with its eps."""
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-    x = np.asarray(x0, dtype=float)
+    try:
+        x = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InvalidParameterError(f"x0 must be a numeric point: {exc}") from exc
     if x.shape != (space.dim,):
         raise InvalidParameterError(f"x0 must have dimension {space.dim}, got shape {x.shape}")
     if not space.feasible(x):
@@ -196,8 +200,8 @@ def check_bounds(
 ) -> BoundCheck:
     """Verify the per-step and chain lower bounds along a trace.
 
-    Chain pairs (n, m) with n < m are enumerated exhaustively when few,
-    otherwise sampled deterministically from ``seed``.
+    Chain pairs (n, m) with m - n >= 2 are all tested when few, otherwise
+    ``max_chain_pairs`` of them sampled deterministically from ``seed``.
     """
     _check_rate("rate", alpha)
     _check_tol(tol)
@@ -214,16 +218,9 @@ def check_bounds(
     step_rhs = _first_step_at(first_step, t, [(2.0 * alpha) ** n for n in range(n_steps)])
     step_margins = step_lhs - step_rhs
 
-    all_pairs = [(n, m) for n in range(n_steps) for m in range(n + 1, n_steps + 1) if m - n >= 2]
-    if len(all_pairs) > max_chain_pairs:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(all_pairs), size=max_chain_pairs, replace=False)
-        pairs = [all_pairs[i] for i in sorted(idx)]
-    else:
-        pairs = all_pairs
-
-    ends = np.array(pairs, dtype=int).reshape(len(pairs), 2)
-    chain_lhs = trace.space.distance_values(points[ends[:, 0]], points[ends[:, 1]], t)
+    n_idx, m_idx = _chain_ends(n_steps, max_chain_pairs, seed)
+    pairs = tuple(zip(n_idx.tolist(), m_idx.tolist()))
+    chain_lhs = trace.space.distance_values(points[n_idx], points[m_idx], t)
     chain_rhs = np.array(
         [_chain_bound_on_grid(first_step, alpha, n, m, t, tnorm) for n, m in pairs]
     ).reshape(len(pairs), len(t))
@@ -239,7 +236,7 @@ def check_bounds(
         step_lhs=step_lhs,
         step_rhs=step_rhs,
         step_margins=step_margins,
-        chain_pairs=tuple(pairs),
+        chain_pairs=pairs,
         chain_lhs=chain_lhs,
         chain_rhs=chain_rhs,
         chain_margins=chain_margins,
@@ -247,6 +244,26 @@ def check_bounds(
         n_violations=violations,
         worst_margin=worst,
     )
+
+
+def _chain_ends(n_steps: int, max_pairs: int, seed: int):
+    """Index arrays (n, m) of the chain pairs ``check_bounds`` tests, in row-major order.
+
+    The candidates are the row-major list of (n, m) with 0 <= n and
+    n + 2 <= m <= n_steps; all are taken when at most ``max_pairs``, else
+    ``max_pairs`` of them drawn from ``seed``. Row n holds n_steps - n - 1
+    pairs, so a drawn list index decodes to its pair through the row
+    starts, without building the list.
+    """
+    total = n_steps * (n_steps - 1) // 2
+    if total > max_pairs:
+        idx = np.sort(np.random.default_rng(seed).choice(total, size=max_pairs, replace=False))
+    else:
+        idx = np.arange(total)
+    row_len = np.arange(n_steps - 1, 0, -1)
+    row_start = np.cumsum(row_len) - row_len
+    n = np.searchsorted(row_start, idx, side="right") - 1
+    return n, n + 2 + (idx - row_start[n])
 
 
 @dataclass(frozen=True)
@@ -294,7 +311,7 @@ def uniqueness_probe(
     pass the tau-closeness test at ``agree_tol``. Everything runs on the
     calling thread; ``workers`` is accepted and has no effect.
     """
-    starts = [np.asarray(s, dtype=float) for s in starts]
+    starts = list(starts)
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
 
@@ -309,11 +326,9 @@ def uniqueness_probe(
     if unique:
         _check_positive("agree_tol", agree_tol)
         # tau_converged(space, limits[i], limits[j], agree_tol) for all j != i, one row i at a time
-        at = np.array([agree_tol])
         for i in range(len(limits)):
             others = np.delete(limits, i, axis=0)
-            values = space.distance_values(np.broadcast_to(limits[i], others.shape), others, at)
-            if not np.all(values > 1.0 - agree_tol):
+            if not _tau_close(space, np.broadcast_to(limits[i], others.shape), others, agree_tol).all():
                 unique = False
                 break
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=tuple(reasons))
@@ -324,8 +339,7 @@ def _stacked_orbits(space: PCMSpace, mapping: Mapping, starts, eps, max_iter):
 
     The live orbits are one ``(n_live, dim)`` array: each step maps them
     with one ``Mapping.apply_rows`` call and stop-tests them with one
-    ``space.distance_values`` call per distinct eps, which is
-    ``tau_converged`` row by row. An orbit leaves the array when it
+    ``_tau_close`` call per distinct eps. An orbit leaves the array when it
     converges. An invalid start, a raising call or a non-finite iterate
     gives None.
     """
@@ -345,7 +359,7 @@ def _stacked_orbits(space: PCMSpace, mapping: Mapping, starts, eps, max_iter):
             stop = np.zeros(len(live), dtype=bool)
             for e in np.unique(orbit_eps[live]):
                 rows = np.flatnonzero(orbit_eps[live] == e)
-                stop[rows] = space.distance_values(X[rows], X_next[rows], np.array([e]))[:, 0] > 1.0 - e
+                stop[rows] = _tau_close(space, X[rows], X_next[rows], e)
             limits[live] = X_next
             for k in live[stop]:
                 reasons[k] = "converged"

@@ -338,6 +338,11 @@ def tau_converged(space: PCMSpace, x, y, eps: float) -> bool:
     return value > 1.0 - eps
 
 
+def _tau_close(space: PCMSpace, X, Y, eps: float) -> np.ndarray:
+    """``tau_converged(space, X[p], Y[p], eps)`` for every row p, from one ``distance_values`` call."""
+    return space.distance_values(X, Y, np.array([eps]))[:, 0] > 1.0 - eps
+
+
 def cauchy_window(space: PCMSpace, pts: Sequence, eps: float) -> bool:
     """True iff every ordered pair in the window meets the closeness test."""
     _check_positive("eps", eps)

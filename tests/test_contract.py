@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from probcone import (
     DiracStep,
     InvalidParameterError,
+    Orthant,
     PCMSpace,
     RateNotCertifiedError,
     TimeGrid,
@@ -17,6 +18,7 @@ from probcone import (
     zamfirescu_delta,
 )
 from probcone.contract import Mapping
+from probcone.space import sample_points
 from probcone.registry import (
     affine_map,
     cone_gaussian_space,
@@ -193,6 +195,92 @@ class TestExplicitPairs:
             check_banach(SPACE, identity_map(), 0.5, pairs=[([bad, bad], [1.0, 2.0])])
         with pytest.raises(InvalidParameterError, match="pairs must have finite coordinates"):
             check_kannan(SPACE, identity_map(), 0.25, pairs=[([0.0, 0.0], [1.0, 2.0]), ([1.0, 0.0], [0.5, bad])])
+
+
+def _tuple_list_pairs(space, mapping, n_pairs, rng):
+    """``sample_pairs`` as it was when it returned a list of (x, y) tuples."""
+    left = sample_points(space, n_pairs, rng)
+    right = sample_points(space, n_pairs, rng)
+    pairs = [(left[i], right[i]) for i in range(n_pairs)]
+    pairs[0] = (left[0], left[0])
+    if n_pairs >= 2:
+        pairs[1] = (left[1], mapping(left[1]))
+    return pairs
+
+
+def _sqrt_half(u):
+    with np.errstate(invalid="ignore"):
+        return 0.5 * np.sqrt(u)
+
+
+class TestPairArray:
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 130])
+    @pytest.mark.parametrize(
+        "space,mapping",
+        [
+            (SPACE, scale_map(0.5)),
+            (dirac_space(point_cone=Orthant(2)), Mapping(lambda u: u[::-1], name="swap")),
+            (cone_gaussian_space(delta=0.5), rotation_half_map()),
+        ],
+        ids=["dirac-scale", "orthant-swap", "gauss-rotation"],
+    )
+    def test_sample_pairs_is_the_tuple_list_as_one_array(self, space, mapping, n_pairs):
+        rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
+        pairs = sample_pairs(space, mapping, n_pairs, rng)
+        expected = _tuple_list_pairs(space, mapping, n_pairs, oracle_rng)
+        assert pairs.dtype == np.float64 and pairs.shape == (n_pairs, 2, space.dim)
+        for (x, y), (ex, ey) in zip(pairs, expected):
+            assert x.tobytes() == ex.tobytes() and y.tobytes() == ey.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["banach", "kannan", "chatterjea", "zamfirescu"])
+    def test_lists_and_arrays_of_pairs_give_identical_certificates(self, kind):
+        check, _, params = KINDS[kind]
+        space, mapping = cone_gaussian_space(delta=0.5), rotation_half_map()
+        drawn = sample_pairs(space, mapping, 40, np.random.default_rng(22))
+        forms = [40, drawn, [(x, y) for x, y in drawn], drawn.tolist()]
+        # tol=-2 fails every certificate (margins are >= -1), so each carries its witness
+        certs = [check(space, mapping, pairs=pairs, tol=-2.0, seed=22, **params) for pairs in forms]
+        for cert in certs[1:]:
+            assert repr(cert.worst_margin) == repr(certs[0].worst_margin)
+            assert cert.witness == certs[0].witness
+            assert (cert.n_pairs, cert.tol) == (certs[0].n_pairs, certs[0].tol)
+
+    def test_one_shot_iterator_of_pairs_is_refused(self):
+        pairs = iter([([0.0, 0.0], [1.0, 0.0])])
+        with pytest.raises(InvalidParameterError, match="points of one dimension"):
+            check_banach(SPACE, identity_map(), 0.5, pairs=pairs)
+
+
+class TestMapImages:
+    """Every image the classifiers use is a point of the space's dimension without NaN."""
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["fn", "rows"])
+    @pytest.mark.parametrize(
+        "fn,image",
+        [
+            (lambda u: 0.5, "has shape ()"),
+            (lambda u: np.zeros(3), "has shape (3,)"),
+            (_sqrt_half, "is [nan, "),
+        ],
+        ids=["scalar", "wrong-dimension", "nan"],
+    )
+    def test_bad_image_at_the_sampled_displacement_point(self, fn, image, with_rows):
+        mapping = Mapping(fn, name="bad", rows=fn if with_rows else None)
+        x = sample_points(SPACE, 8, np.random.default_rng(1))[1]
+        with pytest.raises(InvalidParameterError) as err:
+            check_banach(SPACE, mapping, 0.5, pairs=8, seed=1)
+        rule = "map 'bad' must send each point to a point of dimension 2 with no NaN coordinate"
+        assert f"{rule}; its image of x = {x.tolist()} {image}" in str(err.value)
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["fn", "rows"])
+    def test_nan_image_of_an_explicit_pair_names_the_first_bad_point(self, with_rows):
+        mapping = Mapping(_sqrt_half, rows=_sqrt_half if with_rows else None)
+        pairs = [([1.0, 1.0], [0.25, 0.0]), ([1.0, 1.0], [-1.0, 0.0]), ([-4.0, 1.0], [1.0, 1.0])]
+        with pytest.raises(InvalidParameterError, match=r"map '_sqrt_half' .* image of x = \[-4\.0, 1\.0\] is \[nan, 0\.5\]"):
+            check_kannan(SPACE, mapping, 0.25, pairs=pairs)
+        with pytest.raises(InvalidParameterError, match=r"image of x = \[-1\.0, 0\.0\] is \[nan, 0\.0\]"):
+            check_chatterjea(SPACE, mapping, 0.25, pairs=pairs[:2])
 
 
 class TestZamfirescuDelta:

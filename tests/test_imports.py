@@ -4,7 +4,8 @@ than one worker.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
-uses, and computes a Euclidean norm in one place only.
+uses, computes a Euclidean norm in one place only, and spells the
+tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only.
 """
 
 import ast
@@ -201,3 +202,30 @@ def norm_uses(path: Path) -> list:
 def test_euclidean_norm_is_computed_only_in_row_norms():
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in norm_uses(path)]
     assert uses == ["dist._row_norms"]
+
+
+def closeness_tests(path: Path) -> list:
+    """``module.function`` for each comparison ``a > 1.0 - b`` (or ``1 - b``) in ``path``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare):
+                for op, right in zip(child.ops, child.comparators):
+                    if (
+                        isinstance(op, ast.Gt)
+                        and isinstance(right, ast.BinOp)
+                        and isinstance(right.op, ast.Sub)
+                        and isinstance(right.left, ast.Constant)
+                        and right.left.value == 1
+                    ):
+                        uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_tau_closeness_is_spelled_only_in_space():
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in closeness_tests(path)]
+    assert sorted(uses) == ["space._tau_close", "space.tau_converged"]

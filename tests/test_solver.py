@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from probcone import (
     verify_fixed_point,
 )
 from probcone.contract import Mapping
+from probcone.solver import _chain_ends
 from probcone.dist import TimeGrid, empirical_sample_count, to_summary
 from probcone.registry import (
     affine_map,
@@ -111,6 +113,11 @@ class TestPicard:
             picard(SPACE, ROTATE, [1.0, 0.0], eps=1e-6, max_iter=0)
         with pytest.raises(InvalidParameterError):
             picard(SPACE, ROTATE, [1.0, 0.0, 0.0], eps=1e-6)
+
+    @pytest.mark.parametrize("x0", [["a", "b"], [[1.0], [2.0, 3.0]], {"x": 1.0}], ids=["strings", "ragged", "dict"])
+    def test_non_numeric_start_is_refused_by_name(self, x0):
+        with pytest.raises(InvalidParameterError, match="x0 must be a numeric point"):
+            picard(SPACE, scale_map(0.5), x0)
 
     def test_default_eps_loosens_for_empirical_spaces(self):
         from probcone import PCMSpace, from_samples
@@ -421,6 +428,33 @@ class TestCheckBounds:
         check = check_bounds(_SHIFT_ORBIT, 0.25)
         assert len(calls) == 1 + len(check.chain_pairs)
 
+    def test_chain_pairs_match_the_enumerated_list(self):
+        def enumerated(n_steps, k, seed):
+            listed = [(n, m) for n in range(n_steps) for m in range(n + 1, n_steps + 1) if m - n >= 2]
+            if len(listed) <= k:
+                return listed
+            idx = np.random.default_rng(seed).choice(len(listed), size=k, replace=False)
+            return [listed[i] for i in sorted(idx)]
+
+        for n_steps in range(1, 80):
+            for k in (1, 5, 32):
+                for seed in range(4):
+                    n, m = _chain_ends(n_steps, k, seed)
+                    assert list(zip(n.tolist(), m.tolist())) == enumerated(n_steps, k, seed)
+
+    def test_long_trace_samples_chain_pairs_without_listing_them(self):
+        # 10,000 steps have about 5e7 chain pairs; listing them took gigabytes
+        points = np.column_stack([0.01 * np.arange(10_001.0), np.zeros(10_001)])
+        trace = IterationTrace(points, TimeGrid.default(), "max_iter", 1e-6, SPACE)
+        tracemalloc.start()
+        try:
+            check = check_bounds(trace, 0.25, grid=[0.5, 1.0, 2.0], max_chain_pairs=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(check.chain_pairs) == 4 and all(m - n >= 2 for n, m in check.chain_pairs)
+        assert peak < 8 * 2**20
+
     def test_requires_two_points(self):
         trace = picard(SPACE, identity_map(), [0.0, 0.0], eps=0.5)
         check_bounds(trace, 0.25)  # 2 points: fine
@@ -585,6 +619,10 @@ class TestUniquenessProbe:
                 assert result.unique == expected
                 seen.add(expected)
         assert seen == {True, False}
+
+    def test_non_numeric_start_is_refused_by_name(self):
+        with pytest.raises(InvalidParameterError, match="x0 must be a numeric point"):
+            uniqueness_probe(SPACE, scale_map(0.5), [[1, 0], ["a", "b"]])
 
     def test_agree_tol_validated(self):
         with pytest.raises(InvalidParameterError):
