@@ -110,15 +110,13 @@ def sample_pairs(
 
 
 def _checked_images(mapping: Mapping, X: np.ndarray, TX) -> np.ndarray:
-    """``TX``, the map's images of the rows of ``X``, once each is a NaN-free point of X's dimension.
+    """``TX``, the map's images of the rows of ``X``, once each is a finite point of X's dimension.
 
-    The error names the map and the first point it fails at. An infinite
-    coordinate is left to the distance map, as for any other point; the
-    built-in distances refuse it.
+    The error names the map and the first point it fails at.
     """
     TX = np.asarray(TX, dtype=float)
     if TX.shape == X.shape:
-        bad = np.isnan(TX).any(axis=1)
+        bad = ~np.isfinite(TX).all(axis=1)
         if not bad.any():
             return TX
         p = int(np.argmax(bad))
@@ -127,7 +125,7 @@ def _checked_images(mapping: Mapping, X: np.ndarray, TX) -> np.ndarray:
         p, image = 0, f"has shape {TX.shape[1:]}"
     name = mapping.name or getattr(mapping.fn, "__name__", "map")
     raise InvalidParameterError(
-        f"map {name!r} must send each point to a point of dimension {X.shape[1]} with no NaN coordinate; "
+        f"map {name!r} must send each point to a point of dimension {X.shape[1]} with finite coordinates; "
         f"its image of x = {X[p].tolist()} {image}"
     )
 

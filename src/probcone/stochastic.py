@@ -18,7 +18,6 @@ count or worker count changes.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -198,14 +197,13 @@ class SIEProblem:
 
     ``kernel(t_mesh, s_mesh, path)`` and ``forcing(t_grid, path, rng)`` are
     vectorized over their grid arguments; ``rng`` is the path's own
-    deterministic generator. The kernel gets read-only broadcast
-    coordinate meshes (zero-stride views of the grid) and returns an
-    (n_time+1, n_time+1) array. A fresh float64 result that nothing else
-    references becomes the operator's storage and is overwritten; any
-    other result (cached, read-only, another dtype or layout, a view) is
-    copied and left as it was. ``nonlinearity(s, x)`` must be elementwise with
-    declared Lipschitz constant ``lipschitz`` in x. A zero nonlinearity may
-    declare lipschitz = 0.
+    deterministic generator. The kernel is called on consecutive blocks
+    of mesh rows: ``t_mesh`` and ``s_mesh`` are read-only zero-stride
+    (r, n_time+1) views holding t_i and s_l for rows i = r0 .. r0+r-1,
+    and it returns an (r, n_time+1) array-like. The result is copied into
+    the operator and never written. ``nonlinearity(s, x)`` must be
+    elementwise with declared Lipschitz constant ``lipschitz`` in x. A
+    zero nonlinearity may declare lipschitz = 0.
     """
 
     time_grid: np.ndarray
@@ -271,43 +269,15 @@ def _row_blocks(mesh: np.ndarray):
     return ((r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step))
 
 
-def _refcount(a) -> int:
-    """sys.getrefcount of an array that only this call's parameter holds, for ``np.empty(0)``."""
-    return sys.getrefcount(a)
-
-
-def _kernel_array(result, n: int) -> np.ndarray:
-    """One kernel result as an (n, n) float64 array the build may overwrite.
-
-    Pass the kernel call itself as ``result``. An array that is
-    exactly ``np.ndarray``, float64, C-contiguous, writable, owns its data
-    and is referenced by nothing but this call (the test numpy's temporary
-    elision makes) is taken over; anything else is copied, so a kernel
-    that returns a cached array never sees it written.
-    """
-    if np.shape(result) != (n, n):
-        raise InvalidParameterError(
-            f"kernel must return one value per mesh node; got shape {np.shape(result)}"
-        )
-    if (
-        type(result) is np.ndarray
-        and result.dtype == np.float64
-        and result.flags.c_contiguous
-        and result.flags.writeable
-        and result.flags.owndata
-        and sys.getrefcount(result) == _refcount(np.empty(0))
-    ):
-        return result
-    return np.array(result, dtype=float, order="C")
-
-
 class _DiscreteOperator:
     """Compiled form of one problem: forcing matrix plus weighted kernel.
 
-    The build holds one (paths, n, n) float64 array: the kernel's own
-    result when it may be taken over (see :class:`SIEProblem`), else a
-    copy. One pass over 2 MiB row blocks takes the causal sup of |k| and
-    multiplies each block in place by its trapezoid weight rows, which
+    The build holds one (paths, n, n) float64 array, with one layer per
+    kernel: ``n_paths`` for a random kernel, else 1. One pass over row
+    blocks of 2 MiB per layer calls the kernel once per block and layer on
+    that block's (r, n) mesh rows (see :class:`SIEProblem`), writes the
+    result into the layer's block, takes its causal sup of |k| and
+    multiplies it in place by the block's trapezoid weight rows, which
     turns the kernel into ``weighted``.
     """
 
@@ -331,19 +301,28 @@ class _DiscreteOperator:
         self.node_weights = causal_trapezoid_weights(t, n - 1)[0]
         # read-only zero-stride views of the grid: no memory
         t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij", copy=False)
-        if problem.kernel_is_random:
-            weighted = np.empty((problem.n_paths, n, n))
-            for j in range(problem.n_paths):
-                weighted[j] = _kernel_array(problem.kernel(t_mesh, s_mesh, j), n)
-        else:
-            weighted = _kernel_array(problem.kernel(t_mesh, s_mesh, 0), n)[None]
+        weighted = np.empty((problem.n_paths if problem.kernel_is_random else 1, n, n))
         # only the causal half s <= t enters the equation; np.tril zeroes the
         # rest, which leaves the max of |k| >= 0 unchanged
         sups = []
-        for r0, r1 in _row_blocks(weighted):
-            block = weighted[:, r0:r1]
-            sups.append(np.tril(np.abs(block), r0).max())
-            block *= causal_trapezoid_weights(t, r0, r1)
+        # blocks are sized for one layer, so every kernel call gets about 2 MiB of rows
+        for r0, r1 in _row_blocks(weighted[:1]):
+            weights = None  # made once the first layer's temporaries are freed
+            for j, block in enumerate(weighted[:, r0:r1]):
+                k = problem.kernel(t_mesh[r0:r1], s_mesh[r0:r1], j)
+                if np.shape(k) != block.shape:
+                    raise InvalidParameterError(
+                        f"kernel must return one value per mesh node; got shape {np.shape(k)} "
+                        f"for mesh rows {r0}..{r1 - 1}, expected {block.shape}"
+                    )
+                block[...] = k
+                del k  # free the result before np.tril(block) allocates
+                causal = np.tril(block, r0)
+                sups.append(np.abs(causal, out=causal).max())
+                del causal
+                if weights is None:
+                    weights = causal_trapezoid_weights(t, r0, r1)
+                block *= weights
         self.sup_kernel = float(np.max(sups))
         self.weighted = weighted
 

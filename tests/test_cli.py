@@ -251,11 +251,11 @@ class TestSchemaValidConfigErrors:
                 {"space": {**DIRAC_SPACE, "cone": {"type": "halfspaces", "normals": [[1, 0], [1]]}}},
                 "rectangular",
             ),
-            # the overflowing distance is found by the batched distance table
+            # the image of the displacement pair's image overflows; the map and the point are named
             (
                 "classify",
                 {"space": DIRAC_SPACE, "mapping": "scale:1e308", "classify": {"kinds": ["kannan"]}},
-                "DiracStep distance must be finite",
+                "map 'scale:1e+308' must send each point to a point of dimension 2 with finite coordinates",
             ),
             # non-finite numbers pass the schema (JSON NaN/Infinity) and the registry rejects them
             ("sie", {"sie": {"n_time": 10, "kernel": {"name": "constant", "value": float("nan")}}}, "kernel value"),

@@ -253,7 +253,7 @@ class TestPairArray:
 
 
 class TestMapImages:
-    """Every image the classifiers use is a point of the space's dimension without NaN."""
+    """Every image the classifiers use is a finite point of the space's dimension."""
 
     @pytest.mark.parametrize("with_rows", [False, True], ids=["fn", "rows"])
     @pytest.mark.parametrize(
@@ -270,7 +270,7 @@ class TestMapImages:
         x = sample_points(SPACE, 8, np.random.default_rng(1))[1]
         with pytest.raises(InvalidParameterError) as err:
             check_banach(SPACE, mapping, 0.5, pairs=8, seed=1)
-        rule = "map 'bad' must send each point to a point of dimension 2 with no NaN coordinate"
+        rule = "map 'bad' must send each point to a point of dimension 2 with finite coordinates"
         assert f"{rule}; its image of x = {x.tolist()} {image}" in str(err.value)
 
     @pytest.mark.parametrize("with_rows", [False, True], ids=["fn", "rows"])
@@ -281,6 +281,25 @@ class TestMapImages:
             check_kannan(SPACE, mapping, 0.25, pairs=pairs)
         with pytest.raises(InvalidParameterError, match=r"image of x = \[-1\.0, 0\.0\] is \[nan, 0\.0\]"):
             check_chatterjea(SPACE, mapping, 0.25, pairs=pairs[:2])
+
+    def test_infinite_image_names_the_map_not_the_pairs(self):
+        # exp(1000 u) overflows at the sampled displacement point x
+        mapping = Mapping(lambda u: np.exp(1000 * u), name="exp1000")
+        x = sample_points(SPACE, 8, np.random.default_rng(1))[1]
+        with np.errstate(over="ignore"):
+            image = np.exp(1000 * x).tolist()
+            with pytest.raises(InvalidParameterError) as err:
+                check_banach(SPACE, mapping, 0.5, pairs=8, seed=1)
+        assert np.isinf(image).any()
+        rule = "map 'exp1000' must send each point to a point of dimension 2 with finite coordinates"
+        assert f"{rule}; its image of x = {x.tolist()} is {image}" in str(err.value)
+
+    def test_negative_infinite_image_of_an_explicit_pair(self):
+        mapping = Mapping(lambda u: u / np.array([0.0, 1.0]), name="divide")
+        pairs = [([-1.0, 1.0], [0.0, 0.5])]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match=r"map 'divide' .* image of x = \[-1\.0, 1\.0\] is \[-inf, 1\.0\]"):
+                check_kannan(SPACE, mapping, 0.25, pairs=pairs)
 
 
 class TestZamfirescuDelta:

@@ -4,8 +4,9 @@ than one worker.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
-uses, computes a Euclidean norm in one place only, and spells the
-tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only.
+uses, computes a Euclidean norm in one place only, spells the
+tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, and never
+calls ``sys.getrefcount``.
 """
 
 import ast
@@ -202,6 +203,28 @@ def norm_uses(path: Path) -> list:
 def test_euclidean_norm_is_computed_only_in_row_norms():
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in norm_uses(path)]
     assert uses == ["dist._row_norms"]
+
+
+def refcount_uses(path: Path) -> list:
+    """``module.function`` for each mention of ``getrefcount`` in ``path``: attribute, name or import."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Attribute, ast.Name, ast.alias)):
+                name = getattr(child, "attr", getattr(child, "id", getattr(child, "name", None)))
+                if name == "getrefcount":
+                    uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_no_module_reads_reference_counts():
+    # memory use and results must not depend on how CPython counts references
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in refcount_uses(path)]
+    assert uses == []
 
 
 def closeness_tests(path: Path) -> list:

@@ -1,5 +1,4 @@
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -374,13 +373,16 @@ class TestBlockedConditions:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_kernel_entry(self, monkeypatch, where, value):
         monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", 4 * 13)
+        grid = np.linspace(0, 1, 13)
+        t_at, s_at = grid[where[0]], grid[where[1]]
 
         def kernel(t, s, path):
+            # the entry at mesh node (t_i, s_l), whichever rows the kernel is given
             k = np.exp(-(t - s))
-            k[where] = value
+            k[(t == t_at) & (s == s_at)] = value
             return k
 
-        p = SIEProblem(np.linspace(0, 1, 13), kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=2)
+        p = SIEProblem(grid, kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=2)
         with np.errstate(invalid="ignore"):
             actual, expected = sie_conditions(p), full_array_conditions(p)
         assert_same_conditions(actual, expected)
@@ -480,133 +482,126 @@ def exp_decay_mesh(n=13):
     return np.exp(-(t_mesh - s_mesh))
 
 
-class TestKernelOwnership:
-    """A kernel's result is taken over only when nothing else can see it."""
+def read_only(k):
+    k.setflags(write=False)
+    return k
 
-    def problem(self, kernel, n_time=12, **kwargs):
-        return SIEProblem(np.linspace(0, 1, n_time + 1), kernel, UNIT_FORCING, LINEAR_04, L_04, **kwargs)
 
-    def expected(self, n=13):
-        return old_build(self.problem(make_kernel("exp-decay"), n_time=n - 1))[0]
+class TestKernelContract:
+    """The kernel is called on (r, n) row blocks of the mesh, and its results are only read."""
 
-    def test_meshes_are_read_only_broadcast_views(self):
+    # 13 nodes in blocks of 4 rows: rows 0..3, 4..7, 8..11 and 12
+    BLOCKS = [(0, 4), (4, 8), (8, 12), (12, 13)]
+
+    def problem(self, monkeypatch, kernel, n_paths=1, random=False):
+        # blocks are sized per kernel layer, so a random kernel gets 4-row blocks too
+        monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", 4 * 13)
+        return SIEProblem(
+            np.linspace(0, 1, 13), kernel, UNIT_FORCING, LINEAR_04, L_04, n_paths=n_paths, kernel_is_random=random,
+        )
+
+    @pytest.mark.parametrize("n_paths,random", [(1, False), (3, False), (3, True)])
+    def test_read_only_zero_stride_row_blocks_in_order(self, monkeypatch, n_paths, random):
         seen = []
 
         def kernel(t, s, path):
-            seen.append((t, s))
+            seen.append((t, s, path))
             return np.exp(-(t - s))
 
-        stochastic._DiscreteOperator(self.problem(kernel))
-        t_mesh, s_mesh = seen[0]
+        stochastic._DiscreteOperator(self.problem(monkeypatch, kernel, n_paths, random))
+        paths = range(n_paths) if random else [0]
+        assert [path for _, _, path in seen] == [j for _ in self.BLOCKS for j in paths]
         ref_t, ref_s = meshes(13)
-        assert np.array_equal(t_mesh, ref_t) and np.array_equal(s_mesh, ref_s)
-        for mesh in (t_mesh, s_mesh):
-            assert not mesh.flags.writeable
-            assert 0 in mesh.strides
-
-    @pytest.mark.parametrize("kernel", ["constant", "exp-decay"])
-    def test_fresh_result_is_taken_over(self, kernel):
-        made = make_kernel(kernel)
-        refs = []
-
-        def tracked(t, s, path):
-            k = made(t, s, path)
-            refs.append(weakref.ref(k))
-            return k
-
-        op = stochastic._DiscreteOperator(self.problem(tracked))
-        assert op.weighted.base is refs[0]()
-
-    def test_cached_result_is_never_written(self):
-        cache = exp_decay_mesh()
-        before = cache.copy()
-        p = self.problem(lambda t, s, path: cache)
-        first = stochastic._DiscreteOperator(p)
-        second = stochastic._DiscreteOperator(p)
-        assert np.array_equal(cache, before)
-        assert first.weighted is not second.weighted
-        assert not np.shares_memory(first.weighted, cache)
-        assert np.array_equal(first.weighted, second.weighted)
-        assert np.array_equal(first.weighted, self.expected())
-
-    def test_cached_result_of_random_kernel_is_never_written(self):
-        cache = exp_decay_mesh()
-        before = cache.copy()
-        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: cache, n_paths=3, kernel_is_random=True))
-        assert np.array_equal(cache, before)
-        assert np.array_equal(op.weighted, np.repeat(self.expected(), 3, axis=0))
-
-    @staticmethod
-    def read_only(k):
-        k.setflags(write=False)
-        return k
-
-    @staticmethod
-    def view(k):
-        # a fresh C-contiguous, writable view: only ``owndata`` tells it apart
-        v = np.concatenate([k.ravel(), k.ravel()])[: k.size].reshape(k.shape)
-        assert v.flags.c_contiguous and v.flags.writeable and not v.flags.owndata
-        return v
+        calls = iter(seen)
+        for r0, r1 in self.BLOCKS:
+            for _ in paths:
+                t_rows, s_rows, _ = next(calls)
+                assert t_rows.shape == s_rows.shape == (r1 - r0, 13)
+                assert np.array_equal(t_rows, ref_t[r0:r1]) and np.array_equal(s_rows, ref_s[r0:r1])
+                for rows in (t_rows, s_rows):
+                    assert not rows.flags.writeable
+                    assert 0 in rows.strides
 
     @pytest.mark.parametrize(
         "convert",
         [
-            lambda k: TestKernelOwnership.read_only(k),
+            lambda k: k,
+            read_only,
             lambda k: np.asfortranarray(k),
-            lambda k: TestKernelOwnership.view(k),
             lambda k: k.astype(np.float32),
             lambda k: np.rint(k * 4.0).astype(np.int64),
+            lambda k: k.tolist(),
         ],
-        ids=["read-only", "fortran", "view", "float32", "int64"],
+        ids=["held", "read-only", "fortran", "float32", "int64", "nested-list"],
     )
-    def test_fresh_unsafe_results_are_copied(self, convert):
-        refs = []
-        values = []
+    @pytest.mark.parametrize("n_paths,random", [(1, False), (3, True)])
+    def test_results_are_converted_and_never_written(self, monkeypatch, convert, n_paths, random):
+        held = []  # every result stays referenced here, so none is the build's to reuse
 
         def kernel(t, s, path):
             k = convert(np.exp(-(t - s)))
-            values.append(np.array(k, dtype=float))
-            refs.append(weakref.ref(k if k.base is None else k.base))
+            held.append((k, np.array(k, dtype=float)))
             return k
 
-        op = stochastic._DiscreteOperator(self.problem(kernel))
-        # the result's memory was dropped after the copy, not kept as storage
-        assert refs[0]() is None
-        assert op.weighted.flags.c_contiguous
-        assert np.array_equal(op.weighted, (causal_trapezoid_weights(op.problem.time_grid) * values[0])[None])
+        op = stochastic._DiscreteOperator(self.problem(monkeypatch, kernel, n_paths, random))
+        for k, before in held:
+            assert np.array_equal(np.asarray(k, dtype=float), before)
+            if isinstance(k, np.ndarray):
+                assert not np.shares_memory(op.weighted, k)
+        # the values as floats, layer by layer, rows in block order
+        layers = len(held) // len(self.BLOCKS)
+        values = np.stack([np.concatenate([v for _, v in held[j::layers]]) for j in range(layers)])
+        assert op.weighted.flags.c_contiguous and op.weighted.dtype == np.float64
+        assert np.array_equal(op.weighted, causal_trapezoid_weights(op.problem.time_grid) * values)
 
-    def test_integer_result_is_converted(self):
-        held = np.full((13, 13), 2, dtype=np.int64)
-        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: held))
-        assert held.dtype == np.int64 and np.all(held == 2)
-        expected = old_build(self.problem(make_kernel({"name": "constant", "value": 2.0})))[0]
-        assert np.array_equal(op.weighted, expected)
+    def test_shared_cached_rows_are_never_written(self, monkeypatch):
+        # one cached (r, n) array per block, returned for every path and every build
+        cache = {}
 
-    def test_nested_list_result_is_converted(self):
-        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: np.exp(-(t - s)).tolist()))
-        assert np.array_equal(op.weighted, self.expected())
+        def kernel(t, s, path):
+            return cache.setdefault(t[0, 0], np.exp(-(t - s)))
+
+        p = self.problem(monkeypatch, kernel, n_paths=3, random=True)
+        first = stochastic._DiscreteOperator(p)
+        before = {key: rows.copy() for key, rows in cache.items()}
+        second = stochastic._DiscreteOperator(p)
+        assert all(np.array_equal(cache[key], rows) for key, rows in before.items())
+        assert np.array_equal(first.weighted, second.weighted)
+        expected = old_build(self.problem(monkeypatch, make_kernel("exp-decay")))[0]
+        assert np.array_equal(first.weighted, np.repeat(expected, 3, axis=0))
 
     @pytest.mark.parametrize(
-        "make_shared",
+        "shape",
         [
-            lambda k: TestKernelOwnership.read_only(k.copy()),
-            lambda k: np.asfortranarray(k),
-            lambda k: np.concatenate([k, k])[: k.shape[0]],
+            lambda r, n: (),
+            lambda r, n: (n,),
+            lambda r, n: (r, 1),
+            lambda r, n: (r + 1, n),
+            lambda r, n: (r, n, 1),
+            lambda r, n: (n, n),
         ],
-        ids=["read-only", "fortran", "view"],
+        ids=["scalar", "one-row", "one-column", "extra-row", "extra-axis", "full-mesh"],
     )
-    def test_held_unsafe_results_are_unchanged(self, make_shared):
-        held = make_shared(exp_decay_mesh())
-        before = held.copy()
-        op = stochastic._DiscreteOperator(self.problem(lambda t, s, path: held))
-        assert np.array_equal(held, before)
-        assert not np.shares_memory(op.weighted, held)
-        assert np.array_equal(op.weighted, self.expected())
+    @pytest.mark.parametrize("bad_block", range(4))
+    @pytest.mark.parametrize("n_paths,random", [(1, False), (2, True)])
+    def test_wrong_shape_refused_in_every_block(self, monkeypatch, shape, bad_block, n_paths, random):
+        r0, r1 = self.BLOCKS[bad_block]
+        t_bad = np.linspace(0, 1, 13)[r0]
 
-    @pytest.mark.parametrize("shape", [(), (13,), (1, 13), (13, 1), (12, 13)])
-    def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(InvalidParameterError, match="one value per mesh node"):
-            stochastic._DiscreteOperator(self.problem(lambda t, s, path: np.ones(shape)))
+        def kernel(t, s, path):
+            if t[0, 0] == t_bad and path == n_paths - 1:
+                return np.ones(shape(r1 - r0, 13))
+            return np.exp(-(t - s))
+
+        p = self.problem(monkeypatch, kernel, n_paths, random)
+        with pytest.raises(InvalidParameterError, match=rf"one value per mesh node.* rows {r0}\.\.{r1 - 1}"):
+            stochastic._DiscreteOperator(p)
+
+    def test_full_mesh_kernel_is_refused(self, monkeypatch):
+        # a kernel that ignores its row block and returns the whole (n, n) mesh
+        p = self.problem(monkeypatch, lambda t, s, path: exp_decay_mesh())
+        with pytest.raises(InvalidParameterError, match=r"got shape \(13, 13\) for mesh rows 0\.\.3, expected \(4, 13\)"):
+            stochastic._DiscreteOperator(p)
 
 
 class TestKernelsAndNorm:
