@@ -23,6 +23,7 @@ exactly when a check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -178,22 +179,28 @@ def check_axioms(
     reads every ordered pair's distance values from
     :meth:`PCMSpace.distance_values`: one call for the (n, n, G) grid table
     and one call per row i for F_ik(t + s) on the flattened (t, s) grid.
-    Margins are reduced in fixed index order, so the result is identical
-    for any worker count. Identity and symmetry take each row's (or pair's)
-    worst t first, then the first row (pair i < j) with the worst margin.
-    ``sub_distribution_pairs`` asks each off-diagonal ``DistFn`` for
-    ``is_proper``, since no finite grid shows the limit at +inf.
+    A distance map without a ``table`` is instead called once per ordered
+    pair, and that ``DistFn`` is evaluated for both grids and asked for
+    ``is_proper``. Margins are reduced in fixed index order, so the result
+    is identical for any worker count. Identity and symmetry take each
+    row's (or pair's) worst t first, then the first row (pair i < j) with
+    the worst margin. ``sub_distribution_pairs`` asks each off-diagonal
+    ``DistFn`` for ``is_proper``, since no finite grid shows the limit at
+    +inf.
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, then works one ordered pair (i, j) at a time: the margins
     F_ik(t + s) - T(F_ij(t), F_jk(s)) for all k and all (t, s) form one
     (n, G, G) array, with k == i and k == j masked by +inf, reduced by one
-    argmin. Row i (one ``workers`` task) keeps its worst pair under a strict
-    ``<`` over j, and rows combine under a strict ``<`` over i. The witness
-    is therefore the first (i, j, k) in lexicographic order that attains the
-    worst margin, and within it the first (t, s) in row-major order. Peak
-    memory is the (n, n, G, G) table of F_ik(t + s) plus one (n, G, G)
-    buffer per running row; filling the table adds one (n - 1, G * G) block.
+    argmin. The rows are split into ``workers`` contiguous runs, one task
+    each. Row i keeps its worst pair under a strict ``<`` over j, and rows
+    combine under a strict ``<`` over i. The witness is therefore the first
+    (i, j, k) in lexicographic order that attains the worst margin, and
+    within it the first (t, s) in row-major order. Each task fills row i's
+    F_ik(t + s) into one (n, G, G) buffer and its margins into another, and
+    reuses both for all of its rows, so peak memory is the (n, n, G) grid
+    table plus two (n, G, G) buffers and one (n - 1, G * G) fill block per
+    task: it grows with ``workers`` * n * G^2, not with n^2 * G^2.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
@@ -205,7 +212,35 @@ def check_axioms(
     ts = (t[:, None] + t[None, :]).ravel()
 
     rows, cols = np.divmod(np.arange(n_points * n_points), n_points)
-    on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
+    off_diagonal = ~np.eye(n_points, dtype=bool)
+    if getattr(space.distance, "table", None) is None:
+        # A map without a ``table`` is called once per ordered pair, in
+        # row-major order; the DistFn also serves properness and F_ik(t + s).
+        fns = [[None] * n_points for _ in range(n_points)]
+        on_grid = np.empty((n_points, n_points, t.size))
+        for i, j in zip(rows, cols):
+            fns[i][j] = space.distance(pts[i], pts[j])
+            on_grid[i, j] = fns[i][j].eval(t)
+
+        def pair_fn(i, j):
+            return fns[i][j]
+
+        def row_values(i):
+            out = np.empty((n_points - 1, ts.size))
+            for p, k in enumerate(np.flatnonzero(off_diagonal[i])):
+                out[p] = fns[i][k].eval(ts)
+            return out
+
+    else:
+        on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
+
+        def pair_fn(i, j):
+            return space.distance(pts[i], pts[j])
+
+        def row_values(i):
+            others = pts[off_diagonal[i]]
+            return space.distance_values(np.broadcast_to(pts[i], others.shape), others, ts)
+
     index = np.arange(n_points)
 
     # Axiom 1: F(x, x) == 1 on the grid. Each row's worst t first, then the
@@ -240,42 +275,43 @@ def check_axioms(
     ambiguous = [(int(i), int(j)) for i, j in zip(upper_i, upper_j) if at_one[i, j] and at_one[j, i]]
     sub_pairs = [
         (i, j) for i in range(n_points) for j in range(n_points)
-        if i != j and not space.distance(pts[i], pts[j]).is_proper
+        if i != j and not pair_fn(i, j).is_proper
     ]
 
     # Axiom 3 over ordered distinct triples and every (t, s) cell, reduced
     # one (i, j) block at a time: the margins for all k form one array.
     g = len(grid)
-    off_diagonal = ~np.eye(n_points, dtype=bool)
     _check_unit(on_grid[off_diagonal], "distance values")
-    # F_ik(t + s) for every ordered pair, one row i at a time; +inf on the
-    # diagonal masks k == i.
-    lhs = np.full((n_points, n_points, g, g), np.inf)
-    for i in range(n_points):
-        others = pts[off_diagonal[i]]
-        values = space.distance_values(np.broadcast_to(pts[i], others.shape), others, ts)
-        lhs[i, off_diagonal[i]] = values.reshape(n_points - 1, g, g)
     tnorm = space.tnorm
+    n_runs = max(1, min(workers or 1, n_points))
+    runs = [range(r * n_points // n_runs, (r + 1) * n_points // n_runs) for r in range(n_runs)]
 
-    def row_worst(i):
-        """Worst (margin, j, flat index over (k, t, s)) among triples starting at i."""
+    def run_worsts(run):
+        """Each row's worst (margin, j, flat index over (k, t, s)), for the rows i in ``run``."""
+        lhs = np.empty((n_points, g, g))  # F_ik(t + s) of the current row
         margins = np.empty((n_points, g, g))
-        worst = None
-        for j in range(n_points):
-            if j == i:
-                continue
-            tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :], out=margins)
-            np.subtract(lhs[i], margins, out=margins)
-            margins[j] = np.inf
-            flat = int(np.argmin(margins))
-            margin = float(margins.flat[flat])
-            if worst is None or margin < worst[0]:
-                worst = (margin, j, flat)
-        return worst
+        worsts = []
+        for i in run:
+            lhs.reshape(n_points, g * g)[off_diagonal[i]] = row_values(i)
+            lhs[i] = np.inf  # masks k == i
+            worst = None
+            for j in range(n_points):
+                if j == i:
+                    continue
+                tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :], out=margins)
+                np.subtract(lhs, margins, out=margins)
+                margins[j] = np.inf
+                flat = int(np.argmin(margins))
+                margin = float(margins.flat[flat])
+                if worst is None or margin < worst[0]:
+                    worst = (margin, j, flat)
+            worsts.append(worst)
+        return worsts
 
     tri_worst = None
     tri_witness = None
-    for i, (margin, j, flat) in enumerate(ordered_map(row_worst, range(n_points), workers=workers)):
+    row_worsts = chain.from_iterable(ordered_map(run_worsts, runs, workers=workers))
+    for i, (margin, j, flat) in enumerate(row_worsts):
         if tri_worst is None or margin < tri_worst:
             k, cell = divmod(flat, g * g)
             ti, si = divmod(cell, g)

@@ -1,6 +1,5 @@
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,16 +441,11 @@ class TestCheckBounds:
                     n, m = _chain_ends(n_steps, k, seed)
                     assert list(zip(n.tolist(), m.tolist())) == enumerated(n_steps, k, seed)
 
-    def test_long_trace_samples_chain_pairs_without_listing_them(self):
+    def test_long_trace_samples_chain_pairs_without_listing_them(self, traced_peak):
         # 10,000 steps have about 5e7 chain pairs; listing them took gigabytes
         points = np.column_stack([0.01 * np.arange(10_001.0), np.zeros(10_001)])
         trace = IterationTrace(points, TimeGrid.default(), "max_iter", 1e-6, SPACE)
-        tracemalloc.start()
-        try:
-            check = check_bounds(trace, 0.25, grid=[0.5, 1.0, 2.0], max_chain_pairs=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        check, peak = traced_peak(check_bounds, trace, 0.25, grid=[0.5, 1.0, 2.0], max_chain_pairs=4)
         assert len(check.chain_pairs) == 4 and all(m - n >= 2 for n, m in check.chain_pairs)
         assert peak < 8 * 2**20
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,11 +68,13 @@ def reference_triangle(space, n_points, grid, seed):
 
 
 def assert_triangle_matches_reference(space, n_points, grid=None, seed=0):
-    # A tolerance below -1 fails every check, so the witness is always reported.
-    report = check_axioms(space, n_points=n_points, grid=grid, tol=-2.0, seed=seed)
+    # A tolerance below -1 fails every check, so the witness is always reported;
+    # 2 and 3 workers split the rows into runs of unequal length unless they divide n.
     worst, witness = reference_triangle(space, n_points, grid, seed)
-    assert report.triangle.worst_margin == worst
-    assert report.triangle.witness == witness
+    for workers in (1, 2, 3):
+        report = check_axioms(space, n_points=n_points, grid=grid, tol=-2.0, seed=seed, workers=workers)
+        assert report.triangle.worst_margin == worst
+        assert report.triangle.witness == witness
 
 
 def reference_sample_points(space, n, rng):
@@ -176,11 +176,19 @@ class TestCheckAxioms:
             check_axioms(dirac_space(), n_points=2)
 
     def test_worker_count_does_not_change_report(self):
-        # the cone-gaussian report fails three checks, so witnesses are compared too
-        for space in (dirac_space(), cone_gaussian_space(delta=0.5)):
-            one = check_axioms(space, n_points=7, seed=5, workers=1)
-            many = check_axioms(space, n_points=7, seed=5, workers=8)
-            assert axiom_report_to_dict(one) == axiom_report_to_dict(many)
+        # the cone-gaussian report fails three checks, so witnesses are compared
+        # too; every Lukasiewicz triangle margin ties at 0
+        spaces = (
+            dirac_space(),
+            cone_gaussian_space(delta=0.5),
+            dirac_space(dim=3, tnorm=TNorm.LUKASIEWICZ, point_cone=Orthant(3)),
+        )
+        for space in spaces:
+            for n_points in (5, 7):
+                one = axiom_report_to_dict(check_axioms(space, n_points=n_points, seed=5, workers=1))
+                for workers in (2, 3, 8):
+                    many = check_axioms(space, n_points=n_points, seed=5, workers=workers)
+                    assert axiom_report_to_dict(many) == one
 
     def test_triangle_failure_carries_witness(self):
         grid = TimeGrid(np.linspace(0.05, 8.0, 160))
@@ -202,9 +210,10 @@ class TestTriangleKernel:
     def test_dirac_lukasiewicz_ties_everywhere(self):
         # every margin is 0 here, so the witness is decided by tie-breaking alone
         space = dirac_space(dim=3, tnorm=TNorm.LUKASIEWICZ, point_cone=Orthant(3))
-        report = check_axioms(space, n_points=6, seed=1)
-        assert report.triangle.passed and report.triangle.worst_margin == 0.0
-        assert_triangle_matches_reference(space, 6, seed=1)
+        for n_points in (5, 6, 7):
+            report = check_axioms(space, n_points=n_points, seed=1)
+            assert report.triangle.passed and report.triangle.worst_margin == 0.0
+            assert_triangle_matches_reference(space, n_points, seed=1)
 
     def test_repeated_point(self):
         space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]), tnorm=TNorm.PRODUCT)
@@ -240,17 +249,33 @@ class TestTriangleKernel:
         with pytest.raises(InvalidParameterError, match="must lie in"):
             check_axioms(space, n_points=3)
 
-    def test_peak_memory_at_benchmark_size(self):
-        # The F_ik(t + s) table alone is about 10.5 MB at n=24 on the default
-        # grid; a temporary of the table's size per row would cross 16 MB.
+    def test_peak_memory_at_benchmark_size(self, traced_peak):
+        # Each task streams F_ik(t + s) through two (n, G, G) buffers (0.46 MiB
+        # each at n=24 on the default grid); an (n, n, G, G) table of F_ik(t + s)
+        # alone would be 11 MiB.
         space = cone_gaussian_space(delta=0.5)
-        tracemalloc.start()
-        try:
-            check_axioms(space, n_points=24, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for workers in (1, 2):
+            _, peak = traced_peak(check_axioms, space, n_points=24, seed=1, workers=workers)
+            assert peak < 6 * 2**20
+
+    def test_peak_memory_grows_with_n_not_n_squared(self, traced_peak):
+        # an (n, n, G, G) table of F_ik(t + s) alone would be 44 MiB at n=48,
+        # 4.4 times the bound
+        _, peak = traced_peak(check_axioms, cone_gaussian_space(delta=0.5), n_points=48, seed=1)
+        assert peak < 10 * 2**20
+
+    def test_map_without_table_is_called_once_per_pair(self):
+        calls = []
+
+        def distance(x, y):
+            calls.append(None)
+            return DiracStep(float(np.linalg.norm(x - y)))
+
+        space = PCMSpace(dim=2, distance=distance, tnorm=TNorm.MINIMUM)
+        for workers in (1, 3):
+            calls.clear()
+            check_axioms(space, n_points=8, workers=workers)
+            assert len(calls) == 64
 
 
 def reference_pair_checks(space, n_points, grid, tol, seed):
@@ -388,13 +413,15 @@ class TestPairChecks:
             return space.distance.table(X, Y, t)
 
         def distance(x, y):
+            calls.append("distance")
             return space.distance(x, y)
 
         distance.table = table
         n, g = 6, 7
         check_axioms(PCMSpace(dim=2, distance=distance, tnorm=space.tnorm), n_points=n, grid=np.arange(1.0, g + 1))
-        # the (n, n, G) grid table, then one (n - 1, G * G) block per row of F_ik(t + s)
-        assert calls == [(n * n, g)] + [(n - 1, g * g)] * n
+        # the (n, n, G) grid table, one ``distance`` per off-diagonal pair for
+        # properness, then one (n - 1, G * G) block per row of F_ik(t + s)
+        assert calls == [(n * n, g)] + ["distance"] * (n * (n - 1)) + [(n - 1, g * g)] * n
 
 
 class TestTauConverged:

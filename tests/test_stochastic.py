@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -392,16 +390,11 @@ class TestBlockedConditions:
         p = linear_problem(n_time=60, n_paths=6, seed=3, forcing=gaussian)
         assert_same_conditions(sie_solve(p, eps=1e-10).conditions, full_array_conditions(p))
 
-    def test_solve_peak_memory(self):
+    def test_solve_peak_memory(self, traced_peak):
         # about three (n_time + 1)^2 float64 arrays (30.5 MiB each) at peak;
         # a build with a full-size |k|, causal mask and w * |k| peaks at 172 MiB
         p = linear_problem(n_time=2000)
-        tracemalloc.start()
-        try:
-            sol = sie_solve(p, eps=1e-12, max_iter=50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sol, peak = traced_peak(sie_solve, p, eps=1e-12, max_iter=50)
         assert sol.converged
         assert peak < 110 * 2**20
 
@@ -458,16 +451,11 @@ class TestBlockedBuild:
         assert calls == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("kernel", ["constant", "exp-decay"])
-    def test_solve_peak_memory_one_mesh(self, kernel):
+    def test_solve_peak_memory_one_mesh(self, traced_peak, kernel):
         # one 2001^2 float64 array is 30.5 MiB; the build adds 2 MiB blocks
         f, lip = make_nonlinearity({"name": "linear", "coefficient": 0.4})
         p = SIEProblem(np.linspace(0, 1, 2001), make_kernel(kernel), UNIT_FORCING, f, lip)
-        tracemalloc.start()
-        try:
-            sol = sie_solve(p, eps=1e-12, max_iter=50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sol, peak = traced_peak(sie_solve, p, eps=1e-12, max_iter=50)
         assert sol.converged
         assert peak < 46 * 2**20
 
