@@ -179,14 +179,11 @@ def check_axioms(
     reads every ordered pair's distance values from
     :meth:`PCMSpace.distance_values`: one call for the (n, n, G) grid table
     and one call per row i for F_ik(t + s) on the flattened (t, s) grid.
-    A distance map without a ``table`` is instead called once per ordered
-    pair, and that ``DistFn`` is evaluated for both grids and asked for
-    ``is_proper``. Margins are reduced in fixed index order, so the result
-    is identical for any worker count. Identity and symmetry take each
-    row's (or pair's) worst t first, then the first row (pair i < j) with
-    the worst margin. ``sub_distribution_pairs`` asks each off-diagonal
-    ``DistFn`` for ``is_proper``, since no finite grid shows the limit at
-    +inf.
+    Margins are reduced in fixed index order, so the result is identical
+    for any worker count. Identity and symmetry take each row's (or pair's)
+    worst t first, then the first row (pair i < j) with the worst margin.
+    ``sub_distribution_pairs`` asks each off-diagonal ``DistFn`` for
+    ``is_proper``, since no finite grid shows the limit at +inf.
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, then works one ordered pair (i, j) at a time: the margins
@@ -200,7 +197,10 @@ def check_axioms(
     F_ik(t + s) into one (n, G, G) buffer and its margins into another, and
     reuses both for all of its rows, so peak memory is the (n, n, G) grid
     table plus two (n, G, G) buffers and one (n - 1, G * G) fill block per
-    task: it grows with ``workers`` * n * G^2, not with n^2 * G^2.
+    task: it grows with ``workers`` * n * G^2, not with n^2 * G^2. With
+    ``workers`` > 1 the F_ik(t + s) rows are read on worker threads, so the
+    distance map, its ``table`` and the ``DistFn`` it returns must be
+    thread-safe.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
@@ -212,35 +212,7 @@ def check_axioms(
     ts = (t[:, None] + t[None, :]).ravel()
 
     rows, cols = np.divmod(np.arange(n_points * n_points), n_points)
-    off_diagonal = ~np.eye(n_points, dtype=bool)
-    if getattr(space.distance, "table", None) is None:
-        # A map without a ``table`` is called once per ordered pair, in
-        # row-major order; the DistFn also serves properness and F_ik(t + s).
-        fns = [[None] * n_points for _ in range(n_points)]
-        on_grid = np.empty((n_points, n_points, t.size))
-        for i, j in zip(rows, cols):
-            fns[i][j] = space.distance(pts[i], pts[j])
-            on_grid[i, j] = fns[i][j].eval(t)
-
-        def pair_fn(i, j):
-            return fns[i][j]
-
-        def row_values(i):
-            out = np.empty((n_points - 1, ts.size))
-            for p, k in enumerate(np.flatnonzero(off_diagonal[i])):
-                out[p] = fns[i][k].eval(ts)
-            return out
-
-    else:
-        on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
-
-        def pair_fn(i, j):
-            return space.distance(pts[i], pts[j])
-
-        def row_values(i):
-            others = pts[off_diagonal[i]]
-            return space.distance_values(np.broadcast_to(pts[i], others.shape), others, ts)
-
+    on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
     index = np.arange(n_points)
 
     # Axiom 1: F(x, x) == 1 on the grid. Each row's worst t first, then the
@@ -275,12 +247,13 @@ def check_axioms(
     ambiguous = [(int(i), int(j)) for i, j in zip(upper_i, upper_j) if at_one[i, j] and at_one[j, i]]
     sub_pairs = [
         (i, j) for i in range(n_points) for j in range(n_points)
-        if i != j and not pair_fn(i, j).is_proper
+        if i != j and not space.distance(pts[i], pts[j]).is_proper
     ]
 
     # Axiom 3 over ordered distinct triples and every (t, s) cell, reduced
     # one (i, j) block at a time: the margins for all k form one array.
     g = len(grid)
+    off_diagonal = ~np.eye(n_points, dtype=bool)
     _check_unit(on_grid[off_diagonal], "distance values")
     tnorm = space.tnorm
     n_runs = max(1, min(workers or 1, n_points))
@@ -292,7 +265,9 @@ def check_axioms(
         margins = np.empty((n_points, g, g))
         worsts = []
         for i in run:
-            lhs.reshape(n_points, g * g)[off_diagonal[i]] = row_values(i)
+            others = pts[off_diagonal[i]]
+            values = space.distance_values(np.broadcast_to(pts[i], others.shape), others, ts)
+            lhs.reshape(n_points, g * g)[off_diagonal[i]] = values
             lhs[i] = np.inf  # masks k == i
             worst = None
             for j in range(n_points):

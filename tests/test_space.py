@@ -264,19 +264,6 @@ class TestTriangleKernel:
         _, peak = traced_peak(check_axioms, cone_gaussian_space(delta=0.5), n_points=48, seed=1)
         assert peak < 10 * 2**20
 
-    def test_map_without_table_is_called_once_per_pair(self):
-        calls = []
-
-        def distance(x, y):
-            calls.append(None)
-            return DiracStep(float(np.linalg.norm(x - y)))
-
-        space = PCMSpace(dim=2, distance=distance, tnorm=TNorm.MINIMUM)
-        for workers in (1, 3):
-            calls.clear()
-            check_axioms(space, n_points=8, workers=workers)
-            assert len(calls) == 64
-
 
 def reference_pair_checks(space, n_points, grid, tol, seed):
     """Identity, symmetry and the pair lists, one ``DistFn`` per ordered pair.
