@@ -30,7 +30,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .dist import TimeGrid, default_comparison_tol
+from .dist import TimeGrid, _first_worst, default_comparison_tol
 from .errors import InvalidParameterError, RateNotCertifiedError, _check_rate, _check_tol
 from .space import PCMSpace, sample_points
 
@@ -195,9 +195,7 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
 
     The map is applied to all points at once with ``Mapping.apply_rows``.
     Margins are evaluated as (pairs, t) arrays over blocks of ``_BLOCK``
-    pairs; each block is reduced by one argmin and blocks combine under a
-    strict ``<``. The witness is therefore the first pair, in pair order,
-    that attains the worst margin, and within it the first grid time.
+    pairs in pair order and reduced by :func:`~probcone.dist._first_worst`.
     """
     _check_rates(kind, params)
     bound = _CONDITIONS[kind][0]
@@ -209,18 +207,14 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
     X, Y = stacked[:, 0], stacked[:, 1]
     TX = _checked_images(mapping, X, mapping.apply_rows(X))
     TY = _checked_images(mapping, Y, mapping.apply_rows(Y))
-    worst = np.inf
-    witness = None
-    for start in range(0, len(X), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        x, y, tx, ty = X[block], Y[block], TX[block], TY[block]
-        margins = space.distance_values(tx, ty, t) - bound(space, x, y, tx, ty, t, **params)
-        flat = int(np.argmin(margins))
-        if margins.flat[flat] < worst:
-            worst = float(margins.flat[flat])
-            p, k = divmod(flat, len(t))
-            witness = {"x": X[start + p].tolist(), "y": Y[start + p].tolist(), "t": float(t[k])}
+    blocks = (slice(start, start + _BLOCK) for start in range(0, len(X), _BLOCK))
+    worst, number, flat = _first_worst(
+        space.distance_values(TX[b], TY[b], t) - bound(space, X[b], Y[b], TX[b], TY[b], t, **params)
+        for b in blocks
+    )
     passed = worst >= -tol
+    p, k = divmod(flat, len(t))
+    p += number * _BLOCK
     return ContractionCertificate(
         kind=kind,
         params=dict(params),
@@ -229,7 +223,7 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
         worst_margin=worst,
         passed=passed,
         tol=tol,
-        witness=None if passed else witness,
+        witness=None if passed else {"x": X[p].tolist(), "y": Y[p].tolist(), "t": float(t[k])},
     )
 
 

@@ -16,8 +16,8 @@ randomized checks.
                     points; see the package README for the rationale.)
 
 Failures are report content, never exceptions: margins use the uniform
-convention "pass iff worst_margin >= -tol", and a witness is attached
-exactly when a check fails.
+convention "pass iff worst_margin >= -tol", a NaN margin is the worst and
+fails, and a witness is attached exactly when a check fails.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .cone import Cone
-from .dist import DistFn, TimeGrid
+from .dist import DistFn, TimeGrid, _first_worst
 from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _check_tol
 from .parallel import ordered_map
 from .tnorm import TNorm, _check_unit
@@ -179,28 +179,27 @@ def check_axioms(
     reads every ordered pair's distance values from
     :meth:`PCMSpace.distance_values`: one call for the (n, n, G) grid table
     and one call per row i for F_ik(t + s) on the flattened (t, s) grid.
-    Margins are reduced in fixed index order, so the result is identical
-    for any worker count. Identity and symmetry take each row's (or pair's)
-    worst t first, then the first row (pair i < j) with the worst margin.
-    ``sub_distribution_pairs`` asks each off-diagonal ``DistFn`` for
-    ``is_proper``, since no finite grid shows the limit at +inf.
+    Every check reduces its margins with :func:`~probcone.dist._first_worst`
+    in a fixed block order, so the result is identical for any worker
+    count: identity over the rows i, then the chosen row's first smallest
+    value over t; symmetry over the pairs i < j, then t; the triangle over
+    (i, j) in lexicographic order, then (k, t, s) in row-major order; and
+    feasibility over the points. ``sub_distribution_pairs`` asks each
+    off-diagonal ``DistFn`` for ``is_proper``, since no finite grid shows
+    the limit at +inf.
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, then works one ordered pair (i, j) at a time: the margins
     F_ik(t + s) - T(F_ij(t), F_jk(s)) for all k and all (t, s) form one
-    (n, G, G) array, with k == i and k == j masked by +inf, reduced by one
-    argmin. The rows are split into ``workers`` contiguous runs, one task
-    each. Row i keeps its worst pair under a strict ``<`` over j, and rows
-    combine under a strict ``<`` over i. The witness is therefore the first
-    (i, j, k) in lexicographic order that attains the worst margin, and
-    within it the first (t, s) in row-major order. Each task fills row i's
-    F_ik(t + s) into one (n, G, G) buffer and its margins into another, and
-    reuses both for all of its rows, so peak memory is the (n, n, G) grid
-    table plus two (n, G, G) buffers and one (n - 1, G * G) fill block per
-    task: it grows with ``workers`` * n * G^2, not with n^2 * G^2. With
-    ``workers`` > 1 the F_ik(t + s) rows are read on worker threads, so the
-    distance map, its ``table`` and the ``DistFn`` it returns must be
-    thread-safe.
+    (n, G, G) array, with k == i and k == j masked by +inf. The rows are
+    split into ``workers`` contiguous runs, one task each. Each task fills
+    row i's F_ik(t + s) into one (n, G, G) buffer and its margins into
+    another, and reuses both for all of its rows, so peak memory is the
+    (n, n, G) grid table plus two (n, G, G) buffers and one (n - 1, G * G)
+    fill block per task: it grows with ``workers`` * n * G^2, not with
+    n^2 * G^2. With ``workers`` > 1 the F_ik(t + s) rows are read on worker
+    threads, so the distance map, its ``table`` and the ``DistFn`` it
+    returns must be thread-safe.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
@@ -215,22 +214,20 @@ def check_axioms(
     on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
     index = np.arange(n_points)
 
-    # Axiom 1: F(x, x) == 1 on the grid. Each row's worst t first, then the
-    # first row with the smallest margin (a NaN in row 0 is never replaced).
+    # Axiom 1: F(x, x) == 1 on the grid. The row is chosen by its margin and
+    # its t by its smallest value, which may differ once v - 1.0 rounds.
     diag = on_grid[index, index]
-    id_t = np.argmin(diag, axis=1)
-    id_margins = diag[index, id_t] - 1.0
-    i = 0 if np.isnan(id_margins[0]) else int(np.nanargmin(id_margins))
-    id_witness = {"index": i, "point": pts[i].tolist(), "t": float(t[id_t[i]]), "value": float(diag[i, id_t[i]])}
-    identity = _passfail("identity", float(id_margins[i]), tol, id_witness)
+    id_worst, _, i = _first_worst([diag.min(axis=1) - 1.0])
+    _, _, k = _first_worst([diag[i]])
+    id_witness = {"index": i, "point": pts[i].tolist(), "t": float(t[k]), "value": float(diag[i, k])}
+    identity = _passfail("identity", id_worst, tol, id_witness)
 
-    # Axiom 2 over the pairs i < j in lexicographic order. The margin is the
-    # exact negation of the gap, so one flat argmax finds the first pair with
-    # the widest gap and, within it, the first t.
+    # Axiom 2 over the pairs i < j in lexicographic order; the margin is the
+    # exact negation of the gap.
     upper_i, upper_j = np.triu_indices(n_points, 1)
     fij, fji = on_grid[upper_i, upper_j], on_grid[upper_j, upper_i]
-    gaps = np.abs(fij - fji)
-    p, k = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    sym_worst, _, flat = _first_worst([-np.abs(fij - fji)])
+    p, k = divmod(flat, len(t))
     sym_witness = {
         "i": int(upper_i[p]),
         "j": int(upper_j[p]),
@@ -238,7 +235,7 @@ def check_axioms(
         "forward": float(fij[p, k]),
         "reverse": float(fji[p, k]),
     }
-    symmetry = _passfail("symmetry", -float(gaps[p, k]), tol, sym_witness)
+    symmetry = _passfail("symmetry", sym_worst, tol, sym_witness)
 
     # Reverse direction of axiom 1: distinct points whose distance sits at 1
     # across the whole grid can only be reported as consistent with identity,
@@ -254,7 +251,8 @@ def check_axioms(
     # one (i, j) block at a time: the margins for all k form one array.
     g = len(grid)
     off_diagonal = ~np.eye(n_points, dtype=bool)
-    _check_unit(on_grid[off_diagonal], "distance values")
+    # the diagonal is axiom 1's; a 0.0 there keeps each entry at its (i, j, k) index
+    _check_unit(np.where(off_diagonal[:, :, None], on_grid, 0.0), "distance values F(x_i, x_j)(t_k)")
     tnorm = space.tnorm
     n_runs = max(1, min(workers or 1, n_points))
     runs = [range(r * n_points // n_runs, (r + 1) * n_points // n_runs) for r in range(n_runs)]
@@ -263,41 +261,32 @@ def check_axioms(
         """Each row's worst (margin, j, flat index over (k, t, s)), for the rows i in ``run``."""
         lhs = np.empty((n_points, g, g))  # F_ik(t + s) of the current row
         margins = np.empty((n_points, g, g))
+
+        def pair_margins(i):
+            """Row i's (k, t, s) margins for each j != i in turn, in the one ``margins`` buffer."""
+            for j in range(n_points):
+                if j != i:
+                    tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :], out=margins)
+                    np.subtract(lhs, margins, out=margins)
+                    margins[j] = np.inf  # masks k == j
+                    yield margins
+
         worsts = []
         for i in run:
             others = pts[off_diagonal[i]]
             values = space.distance_values(np.broadcast_to(pts[i], others.shape), others, ts)
             lhs.reshape(n_points, g * g)[off_diagonal[i]] = values
             lhs[i] = np.inf  # masks k == i
-            worst = None
-            for j in range(n_points):
-                if j == i:
-                    continue
-                tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :], out=margins)
-                np.subtract(lhs, margins, out=margins)
-                margins[j] = np.inf
-                flat = int(np.argmin(margins))
-                margin = float(margins.flat[flat])
-                if worst is None or margin < worst[0]:
-                    worst = (margin, j, flat)
-            worsts.append(worst)
+            margin, b, flat = _first_worst(pair_margins(i))
+            worsts.append((margin, b + (b >= i), flat))  # block b is the b-th j other than i
         return worsts
 
-    tri_worst = None
-    tri_witness = None
-    row_worsts = chain.from_iterable(ordered_map(run_worsts, runs, workers=workers))
-    for i, (margin, j, flat) in enumerate(row_worsts):
-        if tri_worst is None or margin < tri_worst:
-            k, cell = divmod(flat, g * g)
-            ti, si = divmod(cell, g)
-            tri_worst = margin
-            tri_witness = {
-                "i": i,
-                "j": j,
-                "k": k,
-                "t": float(t[ti]),
-                "s": float(t[si]),
-            }
+    row_worsts = list(chain.from_iterable(ordered_map(run_worsts, runs, workers=workers)))
+    tri_worst, _, i = _first_worst([[margin for margin, _, _ in row_worsts]])
+    _, j, flat = row_worsts[i]
+    k, cell = divmod(flat, g * g)
+    ti, si = divmod(cell, g)
+    tri_witness = {"i": i, "j": j, "k": k, "t": float(t[ti]), "s": float(t[si])}
     triangle = _passfail("triangle", tri_worst, tol, tri_witness)
 
     # Axiom 4, reinterpreted as point feasibility.
@@ -306,10 +295,10 @@ def check_axioms(
         feas_note = "no cone declared; feasibility is vacuous"
     else:
         margins = [space.point_cone.membership_margin(p) for p in pts]
-        k = int(np.argmin(margins))
+        feas_worst, _, k = _first_worst([margins])
         feasibility = _passfail(
             "feasibility",
-            float(margins[k]),
+            feas_worst,
             max(tol, 1e-12),
             {"index": k, "point": pts[k].tolist()},
         )

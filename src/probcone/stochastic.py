@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .cone import Cone
-from .dist import Empirical, TimeGrid, _row_norms, default_comparison_tol, from_samples
+from .dist import Empirical, TimeGrid, _first_worst, _row_norms, default_comparison_tol, from_samples
 from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
 from .contract import ContractionCertificate
 from .rng import path_generator
@@ -136,8 +136,7 @@ def check_random_kannan(
 
     total = 0
     violations = 0
-    worst = np.inf
-    witness = None
+    margins = []
     default_tol = 0.0
     for x, y in ensembles:
         if x.samples.shape != y.samples.shape:
@@ -155,14 +154,11 @@ def check_random_kannan(
         f_txty, f_xtx, f_yty = from_samples(lhs_gap), from_samples(x_disp), from_samples(y_disp)
         default_tol = max(default_tol, default_comparison_tol(f_txty, f_xtx, f_yty))
         scaled = t / (2.0 * alpha)
-        margins = np.asarray(f_txty.eval(t)) - np.minimum(
-            np.asarray(f_xtx.eval(scaled)), np.asarray(f_yty.eval(scaled))
+        margins.append(
+            np.asarray(f_txty.eval(t)) - np.minimum(np.asarray(f_xtx.eval(scaled)), np.asarray(f_yty.eval(scaled)))
         )
-        k = int(np.argmin(margins))
-        if margins[k] < worst:
-            worst = float(margins[k])
-            witness = {"t": float(t[k]), "n_samples": x.n}
 
+    worst, e, k = _first_worst(margins)
     resolved_tol = float(default_tol if tol is None else tol)
     passed = worst >= -resolved_tol
     fraction = violations / total
@@ -174,7 +170,7 @@ def check_random_kannan(
         worst_margin=worst,
         passed=passed,
         tol=resolved_tol,
-        witness=None if passed else witness,
+        witness=None if passed else {"t": float(t[k]), "n_samples": ensembles[e][0].n},
         notes=(
             f"samplewise violations: {violations} of {total} ({fraction:.6f})",
             "distributional check uses the t/(2 alpha) rescaling; the t/alpha "

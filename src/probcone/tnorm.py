@@ -17,14 +17,26 @@ from .errors import InvalidParameterError
 
 
 def _check_unit(value, name: str):
+    """``value`` as a float array once every entry is finite and in [0, 1].
+
+    The error quotes a scalar whole; for an array it names the shape and
+    the index and value of the first bad entry in row-major order.
+    """
     arr = np.asarray(value, dtype=float)
     if arr.size == 0:
         return arr
     if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    return arr
+        rule, bad = "be finite", ~np.isfinite(arr)
+    elif arr.min() < 0.0 or arr.max() > 1.0:
+        rule, bad = "lie in [0, 1]", (arr < 0.0) | (arr > 1.0)
+    else:
+        return arr
+    if arr.ndim == 0:
+        raise InvalidParameterError(f"{name} must {rule}, got {value!r}")
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    raise InvalidParameterError(
+        f"{name} must {rule}; entry {index} of the {arr.shape} array is {float(arr[index])!r}"
+    )
 
 
 class TNorm(enum.Enum):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from probcone import (
     DiracStep,
+    DistFn,
     InvalidParameterError,
     Orthant,
     PCMSpace,
@@ -411,14 +412,15 @@ KINDS = {
 
 def reference_certify(space, mapping, margins_fn, pair_list, grid, params):
     """Worst margin and witness, one pair at a time: the first argmin over t
-    within a pair, and a strict ``<`` across pairs in pair order."""
+    within a pair, and a strict ``<`` across pairs in pair order, under
+    which a NaN margin counts as smaller than any number."""
     t = TimeGrid.coerce(grid).points
     worst = np.inf
     witness = None
     for x, y in pair_list:
         margins = margins_fn(space, mapping, x, y, t, **params)
         k = int(np.argmin(margins))
-        if margins[k] < worst:
+        if margins[k] < worst or (np.isnan(margins[k]) and not np.isnan(worst)):
             worst = float(margins[k])
             witness = {"x": x.tolist(), "y": y.tolist(), "t": float(t[k])}
     return worst, witness
@@ -508,6 +510,45 @@ class TestBatchedMargins:
         space = PCMSpace(dim=2, distance=lambda x, y: DiracStep(0.0), tnorm=TNorm.MINIMUM)
         for kind in KINDS:
             assert_matches_reference(kind, space, shift_map([0.3, -0.1]), 130, seed=4)
+
+
+class NanTail(DistFn):
+    """The Dirac step at d, but NaN for t > 50: a user map that breaks the contract."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def eval(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 50.0, np.nan, np.where(t > self.d, 1.0, 0.0))
+
+
+NAN_TAIL_SPACE = PCMSpace(dim=1, distance=lambda x, y: NanTail(float(np.linalg.norm(x - y))), tnorm=TNorm.MINIMUM)
+
+
+class TestNaNMargins:
+    """A NaN margin is the worst: it fails the certificate, and the first NaN is the witness."""
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("banach", {"alpha": 0.1}),
+            ("kannan", {"alpha": 0.05}),
+            ("kannan", {"alpha": 0.3}),
+            ("chatterjea", {"alpha": 0.2}),
+            ("zamfirescu", {"alpha": 0.5, "beta": 0.25, "gamma": 0.2}),
+        ],
+    )
+    def test_nan_margin_fails_every_classifier(self, kind, params):
+        check, ref_margins, _ = KINDS[kind]
+        mapping = scale_map(0.9)
+        for n_pairs in (64, 300):  # one block of pairs, and three
+            cert = check(NAN_TAIL_SPACE, mapping, pairs=n_pairs, seed=0, **params)
+            pair_list = sample_pairs(NAN_TAIL_SPACE, mapping, n_pairs, np.random.default_rng(0))
+            worst, witness = reference_certify(NAN_TAIL_SPACE, mapping, ref_margins, pair_list, None, params)
+            assert not cert.passed
+            assert repr(cert.worst_margin) == repr(worst) == "nan"
+            assert cert.witness == witness
 
 
 # every mapping ``make_mapping`` builds, by the registry constructor behind it

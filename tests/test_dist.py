@@ -5,6 +5,7 @@ from scipy.special import ndtr
 
 from probcone import (
     DiracStep,
+    DistFn,
     Empirical,
     GaussianShift,
     InvalidParameterError,
@@ -240,6 +241,16 @@ class TestDominates:
         assert not res.holds
         assert res.worst_margin == -1.0
         assert res.witness_t == 1.5
+
+    def test_nan_margin_fails_at_the_first_nan(self):
+        class NanAfterTwo(DistFn):
+            def eval(self, t):
+                return np.where(np.asarray(t, dtype=float) > 2.0, np.nan, 1.0)
+
+        res = dominates(NanAfterTwo(), DiracStep(0.5), grid=np.array([1.0, 2.5, 3.0]))
+        assert not res.holds
+        assert np.isnan(res.worst_margin)
+        assert res.witness_t == 2.5
 
     def test_antisymmetry_up_to_tol(self):
         grid = TimeGrid.default()

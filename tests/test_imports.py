@@ -4,9 +4,10 @@ than one worker.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
-uses, computes a Euclidean norm in one place only, spells the
-tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, and never
-calls ``sys.getrefcount``.
+uses, computes a Euclidean norm in one place only, reduces margins to
+their worst in one place only, spells the tau-closeness test
+F(x, y)(eps) > 1 - eps in ``space`` only, and never calls
+``sys.getrefcount``.
 """
 
 import ast
@@ -203,6 +204,33 @@ def norm_uses(path: Path) -> list:
 def test_euclidean_norm_is_computed_only_in_row_norms():
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in norm_uses(path)]
     assert uses == ["dist._row_norms"]
+
+
+ARG_REDUCTIONS = {"argmin", "argmax", "nanargmin", "nanargmax"}
+
+
+def arg_reduction_calls(path: Path) -> list:
+    """``module.function`` for each call of ``argmin``, ``argmax`` or their ``nan`` forms in ``path``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in ARG_REDUCTIONS:
+                    uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_margins_are_reduced_only_in_first_worst():
+    # one worst-margin rule (first smallest, NaN first) for every verdict;
+    # _checked_images finds the first bad row of a mask, which is no margin
+    allowed = {"contract._checked_images"}
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in arg_reduction_calls(path)]
+    assert [use for use in uses if use not in allowed] == ["dist._first_worst"]
 
 
 def refcount_uses(path: Path) -> list:

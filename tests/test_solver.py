@@ -35,7 +35,7 @@ from probcone import (
 )
 from probcone.contract import Mapping
 from probcone.solver import _chain_ends
-from probcone.dist import TimeGrid, empirical_sample_count, to_summary
+from probcone.dist import DistFn, TimeGrid, empirical_sample_count, to_summary
 from probcone.registry import (
     affine_map,
     cone_gaussian_space,
@@ -384,6 +384,25 @@ class TestCheckBounds:
         assert not check.holds
         assert check.n_violations > 0
         assert check.worst_margin <= -1.0
+
+    def test_nan_margins_are_violations(self):
+        # the Dirac step, but NaN at every t once the gap drops below 0.05
+        class NanBelow(DistFn):
+            def __init__(self, d):
+                self.d = d
+
+            def eval(self, t):
+                t = np.asarray(t, dtype=float)
+                return np.full(t.shape, np.nan) if self.d < 0.05 else np.where(t > self.d, 1.0, 0.0)
+
+        space = PCMSpace(dim=1, distance=lambda x, y: NanBelow(float(np.linalg.norm(x - y))), tnorm=TNorm.MINIMUM)
+        trace = picard(space, scale_map(0.5), [1.0], max_iter=10)
+        check = check_bounds(trace, 0.3)
+        margins = np.concatenate([check.step_margins.ravel(), check.chain_margins.ravel()])
+        assert np.isnan(margins).sum() > 0
+        assert not check.holds
+        assert check.n_violations == int(np.sum(np.isnan(margins) | (margins < 0.0)))
+        assert repr(check.worst_margin) == "nan"
 
     def test_deterministic_chain_sampling(self):
         trace = picard(SPACE, scale_map(0.2), [1.0, 0.5], eps=1e-12, max_iter=200)

@@ -270,7 +270,8 @@ def reference_pair_checks(space, n_points, grid, tol, seed):
 
     The per-pair loops that the table reductions in ``check_axioms`` must
     reproduce: each row's (pair's) worst t, then a strict ``<`` across rows
-    (pairs i < j in lexicographic order).
+    (pairs i < j in lexicographic order). Across identity rows a NaN margin
+    counts as smaller than any number, so the first NaN row is the witness.
     """
     grid = TimeGrid.coerce(grid)
     pts = sample_points(space, n_points, np.random.default_rng(seed))
@@ -282,7 +283,7 @@ def reference_pair_checks(space, n_points, grid, tol, seed):
         vals = on_grid[i][i]
         k = int(np.argmin(vals))
         margin = float(vals[k] - 1.0)
-        if id_worst is None or margin < id_worst:
+        if id_worst is None or margin < id_worst or (np.isnan(margin) and not np.isnan(id_worst)):
             id_worst = margin
             id_witness = {"index": i, "point": pts[i].tolist(), "t": float(t[k]), "value": float(vals[k])}
     ambiguous, sub_pairs = [], []
@@ -409,6 +410,57 @@ class TestPairChecks:
         # the (n, n, G) grid table, one ``distance`` per off-diagonal pair for
         # properness, then one (n - 1, G * G) block per row of F_ik(t + s)
         assert calls == [(n * n, g)] + ["distance"] * (n * (n - 1)) + [(n - 1, g * g)] * n
+
+
+class NanAbove(DistFn):
+    """The Dirac step at d, but NaN for t > t_nan: a user map that breaks the contract."""
+
+    def __init__(self, d, t_nan):
+        self.d, self.t_nan = d, t_nan
+
+    def eval(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > self.t_nan, np.nan, np.where(t > self.d, 1.0, 0.0))
+
+
+class TestNaNMargins:
+    """A NaN margin is the worst: it fails the check, and the first NaN is the witness."""
+
+    def test_nan_identity_outside_row_zero_fails(self):
+        report = check_axioms(BROKEN_SPACES["nan-identity"], 5, grid=[0.5, 1.0, 2.0], seed=2)
+        first = int(np.flatnonzero(report.points[:, 0] > 0.0)[0])
+        assert first > 0
+        check = report.identity
+        assert not check.passed and np.isnan(check.worst_margin)
+        assert (check.witness["index"], check.witness["t"]) == (first, 0.5)
+        assert np.isnan(check.witness["value"])
+
+    def test_nan_only_in_f_ik_at_t_plus_s_fails_the_triangle(self):
+        # NaN past the grid's last time (100), so only F_ik(t + s) holds it, and
+        # only in the rows of points with x[0] > 0: the rows before hold numbers
+        def distance(x, y):
+            return NanAbove(float(np.linalg.norm(x - y)), 150.0 if x[0] > 0.0 else np.inf)
+
+        space = PCMSpace(dim=2, distance=distance, tnorm=TNorm.MINIMUM)
+        t = TimeGrid.default().points
+        ti, si = divmod(int(np.flatnonzero(t[:, None] + t[None, :] > 150.0)[0]), len(t))
+        for workers in (1, 2, 3):
+            report = check_axioms(space, n_points=5, seed=2, workers=workers)
+            first = int(np.flatnonzero(report.points[:, 0] > 0.0)[0])
+            assert first > 0
+            assert report.identity.passed and report.symmetry.passed
+            assert not report.triangle.passed and np.isnan(report.triangle.worst_margin)
+            k = min({0, 1, 2} - {0, first})
+            assert report.triangle.witness == {"i": first, "j": 0, "k": k, "t": float(t[ti]), "s": float(t[si])}
+
+    def test_nan_distance_value_names_the_pair_and_time(self):
+        space = PCMSpace(dim=2, distance=lambda x, y: NanAbove(float(np.linalg.norm(x - y)), 50.0), tnorm=TNorm.MINIMUM)
+        k = int(np.flatnonzero(TimeGrid.default().points > 50.0)[0])
+        with pytest.raises(InvalidParameterError) as info:
+            check_axioms(space, n_points=5)
+        assert str(info.value) == (
+            f"distance values F(x_i, x_j)(t_k) must be finite; entry (0, 1, {k}) of the (5, 5, 50) array is nan"
+        )
 
 
 class TestTauConverged:

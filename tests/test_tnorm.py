@@ -32,6 +32,26 @@ def test_rejects_out_of_range():
         TNorm.PRODUCT.apply(float("nan"), 0.5)
 
 
+def test_scalar_errors_quote_the_value():
+    with pytest.raises(InvalidParameterError, match=r"^a must lie in \[0, 1\], got 1\.5$"):
+        TNorm.PRODUCT.apply(1.5, 0.5)
+    with pytest.raises(InvalidParameterError, match=r"^b must be finite, got nan$"):
+        TNorm.PRODUCT.apply(0.5, float("nan"))
+
+
+def test_array_errors_name_the_first_bad_entry():
+    values = np.full((24, 50), 0.5)
+    values[5, 1] = values[3, 7] = np.nan
+    with pytest.raises(InvalidParameterError) as info:
+        TNorm.MINIMUM.apply(values, 0.5)
+    assert str(info.value) == "a must be finite; entry (3, 7) of the (24, 50) array is nan"
+    values = np.full(4, 0.5)
+    values[2], values[3] = 1.5, -0.25
+    with pytest.raises(InvalidParameterError) as info:
+        TNorm.MINIMUM.apply(0.5, values)
+    assert str(info.value) == "b must lie in [0, 1]; entry (2,) of the (4,) array is 1.5"
+
+
 def test_from_name():
     assert TNorm.from_name("min") is TNorm.MINIMUM
     assert TNorm.from_name("product") is TNorm.PRODUCT
