@@ -2,13 +2,15 @@
 
 Reports are canonical: keys sorted, fixed separators, numpy scalars
 converted to Python floats, so identical computations produce identical
-bytes regardless of worker count.
+bytes regardless of worker count. They are strict JSON: a non-finite float
+is written as the string "NaN", "Infinity" or "-Infinity".
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -20,8 +22,13 @@ from .stochastic import SIEConditions, SIESolution
 
 
 def _plain(value):
+    """``value`` as JSON data: numpy scalars and arrays become Python numbers and
+    lists, and a non-finite float becomes the string "NaN", "Infinity" or
+    "-Infinity", since JSON has no token for it."""
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -136,7 +143,7 @@ def sie_solution_to_dict(sol: SIESolution) -> dict:
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_trace_csv(trace: IterationTrace, path) -> None:

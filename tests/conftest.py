@@ -18,9 +18,10 @@ settings.load_profile("probcone")
 def traced_peak():
     """``traced_peak(fn, *args, **kwargs)`` runs ``fn`` under tracemalloc and returns ``(result, peak bytes)``.
 
-    The package's lazy imports (``scipy.special`` behind the Gaussian CDF,
-    the thread pool behind ``workers`` above 1) are loaded before tracing,
-    so a bound holds whether or not an earlier test loaded them.
+    The package's lazy imports (scipy's ``ndtr`` extension behind the
+    Gaussian CDF, the thread pool behind ``workers`` above 1) are loaded
+    before tracing, so a bound holds whether or not an earlier test loaded
+    them.
     """
     import concurrent.futures  # noqa: F401
 

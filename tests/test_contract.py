@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from probcone import (
     zamfirescu_delta,
 )
 from probcone.contract import Mapping
+from probcone.report import canonical_json, certificate_to_dict
 from probcone.space import sample_points
 from probcone.registry import (
     affine_map,
@@ -549,6 +552,17 @@ class TestNaNMargins:
             assert not cert.passed
             assert repr(cert.worst_margin) == repr(worst) == "nan"
             assert cert.witness == witness
+
+    def test_nan_margin_serializes_as_strict_json(self):
+        cert = check_kannan(NAN_TAIL_SPACE, scale_map(0.9), 0.05, pairs=8, seed=0)
+        assert np.isnan(cert.worst_margin)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads(canonical_json(certificate_to_dict(cert)), parse_constant=refuse)
+        assert report["worst_margin"] == "NaN"
+        assert report["passed"] is False
 
 
 # every mapping ``make_mapping`` builds, by the registry constructor behind it

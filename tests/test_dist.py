@@ -1,3 +1,10 @@
+import importlib.machinery
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +25,8 @@ from probcone import (
     timescale,
 )
 from probcone.dist import _normal_cdf, _row_norms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # frozen from the analytic oracle: 0.5 * Phi(3)
 HALF_PHI_3 = 0.49932505098418495
@@ -68,24 +77,56 @@ class TestEval:
         assert np.max(np.abs(ndtr(xs) - reference)) < 1e-14
 
 
+# the special cases for Phi, as source, so a fresh interpreter runs the same ones
+PHI_CASES = """[
+    0.3,
+    np.float64(-1.25),
+    np.array(2.5),
+    np.array([[-8.0, -0.0, 0.0], [1e-3, 6.0, 40.0]]),
+    np.array([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+    np.inf,
+    -np.inf,
+    np.nan,
+    0.0,
+    -0.0,
+]"""
+
+# Evaluates Phi on PHI_CASES and a fine grid before anything imports
+# scipy.special, then compares with scipy.special.ndtr; {setup} runs first.
+FRESH_PHI = """
+import json, sys
+import numpy as np
+from probcone import dist
+{setup}
+cases = {cases} + [np.linspace(-40.0, 40.0, 100001)]
+got = [dist._normal_cdf(x) for x in cases]
+special_loaded = "scipy.special" in sys.modules
+from scipy.special import ndtr
+want = [ndtr(x) for x in cases]
+mismatched = [
+    i for i, (g, w) in enumerate(zip(got, want))
+    if type(g) is not type(w)
+    or np.asarray(g).dtype != np.asarray(w).dtype
+    or np.shape(g) != np.shape(w)
+    or np.asarray(g).tobytes() != np.asarray(w).tobytes()
+]
+print(json.dumps({{"special_loaded": special_loaded, "same_ufunc": dist._ndtr is ndtr, "mismatched": mismatched}}))
+"""
+
+
+def fresh_phi(setup: str = "", *args: str) -> dict:
+    """Runs FRESH_PHI in a new interpreter, which has never imported scipy.special."""
+    code = FRESH_PHI.format(setup=setup, cases=PHI_CASES)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestNormalCdfAccessor:
-    """The lazily imported Phi is scipy's ``ndtr``, bit for bit."""
+    """Phi is scipy's ``ndtr``, bit for bit, on both ways of loading it."""
 
     @pytest.mark.parametrize(
-        "x",
-        [
-            0.3,
-            np.float64(-1.25),
-            np.array(2.5),
-            np.array([[-8.0, -0.0, 0.0], [1e-3, 6.0, 40.0]]),
-            np.array([np.inf, -np.inf, np.nan, 0.0, -0.0]),
-            np.inf,
-            -np.inf,
-            np.nan,
-            0.0,
-            -0.0,
-        ],
-        ids=["float", "float64", "0-d", "2-d", "specials", "inf", "-inf", "nan", "+0", "-0"],
+        "x", eval(PHI_CASES), ids=["float", "float64", "0-d", "2-d", "specials", "inf", "-inf", "nan", "+0", "-0"]
     )
     def test_matches_ndtr_bitwise(self, x):
         got, want = _normal_cdf(x), ndtr(x)
@@ -93,6 +134,18 @@ class TestNormalCdfAccessor:
         assert np.asarray(got).dtype == np.asarray(want).dtype
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_extension_load_skips_scipy_special_and_matches_ndtr(self):
+        # this test process imported scipy.special above, so only a fresh one
+        # can tell the direct load from the package import
+        assert fresh_phi() == {"special_loaded": False, "same_ufunc": True, "mismatched": []}
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["no-extension", "unloadable-extension"])
+    def test_fallback_imports_scipy_special_and_matches_ndtr(self, tmp_path, broken):
+        if broken:
+            (tmp_path / f"_special_ufuncs{importlib.machinery.EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
+        setup = "dist._scipy_special_dir = lambda: sys.argv[1]"
+        assert fresh_phi(setup, str(tmp_path)) == {"special_loaded": True, "same_ufunc": True, "mismatched": []}
 
 
 _NORM_SPECIALS = [

@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from probcone.cli import main
@@ -164,6 +165,15 @@ def test_sie_outputs_match_golden(name, tmp_path):
     assert_matches_golden("sie", name, tmp_path)
 
 
+def test_non_finite_floats_are_written_as_strings():
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = {"nan": float("nan"), "inf": [np.float64(np.inf), -np.inf], "numbers": np.array([1.5, -0.0])}
+    parsed = json.loads(canonical_json(payload), parse_constant=refuse)
+    assert parsed == {"inf": ["Infinity", "-Infinity"], "nan": "NaN", "numbers": [1.5, -0.0]}
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -175,3 +185,4 @@ if __name__ == "__main__":
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(text)
                 print(f"wrote {target}", file=sys.stderr)
+

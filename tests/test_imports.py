@@ -1,6 +1,7 @@
-"""Import footprint: scipy loads only when a Gaussian distance is evaluated,
-jsonschema only when a config is invalid, and the thread pool only for more
-than one worker.
+"""Import footprint: no CLI run imports scipy or ``scipy.special`` (a Gaussian
+distance loads only the extension module that defines ``ndtr``), jsonschema
+loads only when a config is invalid, and the thread pool only for more than
+one worker.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
@@ -39,7 +40,14 @@ DIRAC_SOLVE = {
     "mapping": "scale:0.5",
     "solve": {"x0": [1.0, 2.0], "uniqueness_starts": 2},
 }
+GAUSS_CLASSIFY = {
+    "space": {"dim": 2, "distance": {"kind": "cone-gaussian", "delta": 0.5}, "tnorm": "min"},
+    "mapping": "scale:0.5",
+    "classify": {"kinds": ["banach", "kannan"], "n_pairs": 4},
+}
 WITH_POOL = ("scipy", "jsonschema", "concurrent.futures")
+NDTR_EXTENSION = "scipy.special._special_ufuncs"
+SCIPY_AND_NDTR = ("scipy", "scipy.special", NDTR_EXTENSION)
 
 
 def run_fresh(code: str, *args: str, watched=("scipy", "jsonschema")):
@@ -76,14 +84,21 @@ RUN_MAIN = "import sys; from probcone import cli; assert cli.main(sys.argv[1:]) 
 
 
 @pytest.mark.parametrize(
-    "command,payload,scipy_loaded",
-    [("sie", SMALL_SIE, False), ("axioms", DIRAC_AXIOMS, False), ("axioms", GAUSS_AXIOMS, True)],
-    ids=["sie", "axioms-dirac", "axioms-gaussian"],
+    "command,payload,evaluates_phi",
+    [
+        ("sie", SMALL_SIE, False),
+        ("axioms", DIRAC_AXIOMS, False),
+        ("axioms", GAUSS_AXIOMS, True),
+        ("classify", GAUSS_CLASSIFY, True),
+        ("demo", None, True),
+    ],
+    ids=["sie", "axioms-dirac", "axioms-gaussian", "classify-gaussian", "demo"],
 )
-def test_cli_run_loads_scipy_only_for_gaussian_distances(tmp_path, command, payload, scipy_loaded):
-    cfg = write_config(tmp_path, payload)
-    loaded = loaded_after(RUN_MAIN, command, "--config", cfg, "--out", str(tmp_path / "out"))
-    assert ("scipy" in loaded) == scipy_loaded
+def test_cli_run_never_imports_scipy_special(tmp_path, command, payload, evaluates_phi):
+    # a run that evaluates Phi loads the one extension module that defines ndtr
+    config = ("--config", write_config(tmp_path, payload)) if payload else ()
+    loaded = loaded_after(RUN_MAIN, command, *config, "--out", str(tmp_path / "out"), watched=SCIPY_AND_NDTR)
+    assert loaded == ({NDTR_EXTENSION} if evaluates_phi else set())
 
 
 @pytest.mark.parametrize(
