@@ -36,11 +36,8 @@ from .report import (
     bound_check_to_dict,
     canonical_json,
     certificate_to_dict,
-    fixed_point_to_dict,
-    sie_conditions_to_dict,
     sie_solution_to_dict,
     trace_to_dict,
-    uniqueness_to_dict,
     write_sie_csv,
     write_trace_csv,
 )
@@ -366,9 +363,7 @@ def run_solve(config: dict, seed: int, workers: int, out_dir: Path | None = None
     result = {
         "mapping": mapping.name,
         "trace": trace_to_dict(trace),
-        "fixed_point": fixed_point_to_dict(
-            verify_fixed_point(space, mapping, trace.limit, grid=grid, tol=eps)
-        ),
+        "fixed_point": verify_fixed_point(space, mapping, trace.limit, grid=grid, tol=eps),
     }
     if mapping.note:
         result["mapping_note"] = mapping.note
@@ -383,16 +378,14 @@ def run_solve(config: dict, seed: int, workers: int, out_dir: Path | None = None
     if n_starts >= 2:
         rng = np.random.default_rng(seed)
         starts = sample_points(space, n_starts, rng)
-        result["uniqueness"] = uniqueness_to_dict(
-            uniqueness_probe(
-                space,
-                mapping,
-                starts,
-                eps=eps,
-                max_iter=max_iter,
-                agree_tol=section.get("agree_tol", 1e-6),
-                workers=workers,
-            )
+        result["uniqueness"] = uniqueness_probe(
+            space,
+            mapping,
+            starts,
+            eps=eps,
+            max_iter=max_iter,
+            agree_tol=section.get("agree_tol", 1e-6),
+            workers=workers,
         )
 
     if out_dir is not None:
@@ -425,12 +418,8 @@ def run_sie(config: dict, seed: int, workers: int, out_dir: Path | None = None) 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         solution = sie_solve(problem, eps=section.get("eps", 1e-8), max_iter=section.get("max_iter", 500))
-    conditions = solution.conditions
-    result = {
-        "conditions": sie_conditions_to_dict(conditions),
-        "solution": sie_solution_to_dict(solution),
-    }
-    if not conditions.satisfied:
+    result = {"conditions": solution.conditions, "solution": sie_solution_to_dict(solution)}
+    if not solution.conditions.satisfied:
         result["warning"] = "contraction conditions not satisfied; solver ran anyway"
     if out_dir is not None:
         write_sie_csv(problem.time_grid, solution, out_dir / "sie_mean_path.csv", out_dir / "sie_residuals.csv")
@@ -488,6 +477,13 @@ def run_demo(seed: int, workers: int, out_dir: Path | None = None) -> dict:
     }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; np.random.default_rng refuses a negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="probcone", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"probcone {__version__}")
@@ -502,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         if needs_config:
             cmd.add_argument("--config", required=True, help="path to a JSON experiment config")
-        cmd.add_argument("--seed", type=int, default=0, help="root seed for every sampled quantity")
+        cmd.add_argument("--seed", type=_seed, default=0, help="non-negative root seed for every sampled quantity")
         cmd.add_argument(
             "--workers", type=int, default=1, help="threads for the axioms triangle rows; no effect elsewhere"
         )
@@ -528,24 +524,28 @@ def main(argv=None) -> int:
                 "sie": lambda: run_sie(config, args.seed, args.workers, out_dir),
             }[args.command]
             results = runner()
+        report = {
+            "tool": "probcone",
+            "version": __version__,
+            "command": args.command,
+            "seed": args.seed,
+            "config": config,
+            "results": results,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        report_path = out_dir / "report.json"
+        report_path.write_text(canonical_json(report))
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ProbconeError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-
-    report = {
-        "tool": "probcone",
-        "version": __version__,
-        "command": args.command,
-        "seed": args.seed,
-        "config": config,
-        "results": results,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    report_path = out_dir / "report.json"
-    report_path.write_text(canonical_json(report))
+    # load_config turns its own OSError into a ConfigError, so this one
+    # comes from creating --out or writing report.json or a CSV into it
+    except OSError as exc:
+        print(f"config error: cannot write to '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {report_path}")
     return 0
 

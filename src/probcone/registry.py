@@ -121,7 +121,11 @@ def make_mapping(spec, dim: int) -> Mapping:
             for key in ("matrix", "offset"):
                 if key not in spec:
                     raise InvalidParameterError(f"affine mapping needs {key!r}")
-            return affine_map(spec["matrix"], spec["offset"])
+            mapping = affine_map(spec["matrix"], spec["offset"])
+            size = len(spec["matrix"])  # square, as affine_map checked
+            if size != dim:
+                raise InvalidParameterError(f"affine matrix is {size}x{size}, but the space is {dim}-dimensional")
+            return mapping
         raise InvalidParameterError(f"unknown mapping object {spec!r}")
     if not isinstance(spec, str):
         raise InvalidParameterError(f"mapping spec must be a string or object, got {type(spec).__name__}")

@@ -1,7 +1,10 @@
 """JSON and CSV serialization of results.
 
-Reports are canonical: keys sorted, fixed separators, numpy scalars
-converted to Python floats, so identical computations produce identical
+The ``*_to_dict`` converters only pick and derive the fields a report
+shows; ``canonical_json`` alone encodes them. It converts numpy scalars and
+arrays to Python numbers and lists and a dataclass instance to the dict of
+its fields, in one pass over the payload. Reports are canonical: keys
+sorted and fixed separators, so identical computations produce identical
 bytes regardless of worker count. They are strict JSON: a non-finite float
 is written as the string "NaN", "Infinity" or "-Infinity".
 """
@@ -9,22 +12,24 @@ is written as the string "NaN", "Infinity" or "-Infinity".
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 
 from .dist import _row_norms, to_summary
-from .solver import BoundCheck, FixedPointCheck, IterationTrace, UniquenessResult
+from .solver import BoundCheck, IterationTrace
 from .space import AxiomCheck, AxiomReport
 from .contract import ContractionCertificate
-from .stochastic import SIEConditions, SIESolution
+from .stochastic import SIESolution
 
 
 def _plain(value):
     """``value`` as JSON data: numpy scalars and arrays become Python numbers and
-    lists, and a non-finite float becomes the string "NaN", "Infinity" or
-    "-Infinity", since JSON has no token for it."""
+    lists, a dataclass instance becomes the dict of its fields, and a
+    non-finite float becomes the string "NaN", "Infinity" or "-Infinity",
+    since JSON has no token for it."""
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
@@ -35,13 +40,15 @@ def _plain(value):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 
 def axiom_check_to_dict(check: AxiomCheck) -> dict:
-    out = {"name": check.name, "passed": check.passed, "worst_margin": _plain(check.worst_margin)}
+    out = {"name": check.name, "passed": check.passed, "worst_margin": check.worst_margin}
     if check.witness is not None:
-        out["witness"] = _plain(check.witness)
+        out["witness"] = check.witness
     return out
 
 
@@ -50,7 +57,7 @@ def axiom_report_to_dict(report: AxiomReport) -> dict:
         "n_points": report.n_points,
         "seed": report.seed,
         "tol": report.tol,
-        "grid": _plain(report.grid.points),
+        "grid": report.grid.points,
         "checks": {
             "identity": axiom_check_to_dict(report.identity),
             "symmetry": axiom_check_to_dict(report.symmetry),
@@ -58,25 +65,25 @@ def axiom_report_to_dict(report: AxiomReport) -> dict:
             "feasibility": axiom_check_to_dict(report.feasibility),
         },
         "all_passed": report.all_passed,
-        "sub_distribution_pairs": _plain(report.sub_distribution_pairs),
-        "identity_ambiguous_pairs": _plain(report.identity_ambiguous_pairs),
-        "points": _plain(report.points),
-        "notes": list(report.notes),
+        "sub_distribution_pairs": report.sub_distribution_pairs,
+        "identity_ambiguous_pairs": report.identity_ambiguous_pairs,
+        "points": report.points,
+        "notes": report.notes,
     }
 
 
 def certificate_to_dict(cert: ContractionCertificate) -> dict:
     out = {
         "kind": cert.kind,
-        "params": _plain(cert.params),
+        "params": cert.params,
         "n_pairs": cert.n_pairs,
-        "worst_margin": _plain(cert.worst_margin),
+        "worst_margin": cert.worst_margin,
         "passed": cert.passed,
-        "tol": _plain(cert.tol),
-        "notes": list(cert.notes),
+        "tol": cert.tol,
+        "notes": cert.notes,
     }
     if cert.witness is not None:
-        out["witness"] = _plain(cert.witness)
+        out["witness"] = cert.witness
     return out
 
 
@@ -88,7 +95,7 @@ def trace_to_dict(trace: IterationTrace) -> dict:
         "n_iters": trace.n_iters,
         "stopped_reason": trace.stopped_reason,
         "eps": trace.eps,
-        "limit": _plain(trace.limit),
+        "limit": trace.limit,
         "mean_step_ratio": ratio,
         "first_step": to_summary(trace.space.distance(*trace.points[:2])) if trace.n_iters else None,
         "last_step": to_summary(trace.space.distance(*trace.points[-2:])) if trace.n_iters else None,
@@ -101,44 +108,20 @@ def bound_check_to_dict(check: BoundCheck) -> dict:
         "tol": check.tol,
         "holds": check.holds,
         "n_violations": check.n_violations,
-        "worst_margin": _plain(check.worst_margin),
-        "n_steps_checked": int(check.step_margins.shape[0]),
+        "worst_margin": check.worst_margin,
+        "n_steps_checked": check.step_margins.shape[0],
         "n_chain_pairs": len(check.chain_pairs),
-    }
-
-
-def fixed_point_to_dict(check: FixedPointCheck) -> dict:
-    return {"is_fixed": check.is_fixed, "worst": _plain(check.worst)}
-
-
-def uniqueness_to_dict(result: UniquenessResult) -> dict:
-    return {
-        "unique": result.unique,
-        "limits": _plain(result.limits),
-        "stopped_reasons": list(result.stopped_reasons),
-    }
-
-
-def sie_conditions_to_dict(cond: SIEConditions) -> dict:
-    return {
-        "lipschitz": _plain(cond.lipschitz),
-        "sup_kernel": _plain(cond.sup_kernel),
-        "m_hat": _plain(cond.m_hat),
-        "m_hat_stderr": _plain(cond.m_hat_stderr),
-        "max_path_lm": _plain(cond.max_path_lm),
-        "contraction_rate": _plain(cond.contraction_rate),
-        "satisfied": cond.satisfied,
     }
 
 
 def sie_solution_to_dict(sol: SIESolution) -> dict:
     return {
-        "contraction_rate": _plain(sol.contraction_rate),
+        "contraction_rate": sol.contraction_rate,
         "converged": sol.converged,
         "iterations": sol.iterations,
-        "final_residual": _plain(sol.step_norms[-1]) if sol.step_norms else None,
-        "step_norms": _plain(list(sol.step_norms)),
-        "conditions": sie_conditions_to_dict(sol.conditions),
+        "final_residual": sol.step_norms[-1] if sol.step_norms else None,
+        "step_norms": sol.step_norms,
+        "conditions": sol.conditions,
     }
 
 

@@ -304,10 +304,10 @@ def uniqueness_probe(
 
     Limits, stop reasons and errors are those of ``picard`` run on each
     start in turn, so the first failing start's error is raised (a
-    ``DivergenceError`` with its partial trace). A map with ``rows`` first
-    iterates all orbits as one stacked array; without ``rows``, or when
-    the stacked run fails, the starts are replayed through ``picard``, so
-    a failing probe calls the map again from the starts.
+    ``DivergenceError`` with its partial trace). All orbits are first
+    iterated as one stacked array; when the stacked run fails, the starts
+    are replayed through ``picard``, so a failing probe calls the map
+    again from the starts.
 
     ``unique`` requires every orbit to converge and every pair of limits to
     pass the tau-closeness test at ``agree_tol``. Everything runs on the
@@ -317,7 +317,7 @@ def uniqueness_probe(
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
 
-    stacked = _stacked_orbits(space, mapping, starts, eps, max_iter) if mapping.rows is not None else None
+    stacked = _stacked_orbits(space, mapping, starts, eps, max_iter)
     if stacked is None:
         grid = TimeGrid.default()
         traces = [picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid) for s in starts]

@@ -16,6 +16,7 @@ DIRAC_SPACE = {"dim": 2, "distance": "dirac", "tnorm": "min"}
 GAUSS_SPACE = {"dim": 2, "distance": {"kind": "cone-gaussian", "delta": 0.5}, "tnorm": "min"}
 # no point of the sampling box lies in the cone
 INFEASIBLE_SPACE = {**DIRAC_SPACE, "cone": {"type": "orthant", "dim": 2}, "sampling_box": [[-2, -1], [-2, -1]]}
+AFFINE_3D = {"name": "affine", "matrix": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], "offset": [0, 0, 0]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -247,6 +248,16 @@ class TestSchemaValidConfigErrors:
                 "affine matrix",
             ),
             (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": AFFINE_3D},
+                "affine matrix is 3x3, but the space is 2-dimensional",
+            ),
+            (
+                "solve",
+                {"space": DIRAC_SPACE, "mapping": AFFINE_3D, "solve": {"x0": [1, 0]}},
+                "affine matrix is 3x3, but the space is 2-dimensional",
+            ),
+            (
                 "axioms",
                 {"space": {**DIRAC_SPACE, "cone": {"type": "halfspaces", "normals": [[1, 0], [1]]}}},
                 "rectangular",
@@ -376,7 +387,8 @@ class TestSchemaValidConfigErrors:
             ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
-             "affine-non-numeric", "halfspaces-ragged", "scale-1e308", "kernel-value-nan", "forcing-base-inf",
+             "affine-non-numeric", "affine-3d-classify", "affine-3d-solve", "halfspaces-ragged", "scale-1e308",
+             "kernel-value-nan", "forcing-base-inf",
              "nonlinearity-coefficient-nan", "scale-inf", "solve-x0-nan", "axioms-tol-nan", "classify-gamma-inf",
              "classify-tol-inf", "alpha-sweep-nan", "bound-alpha-nan", "grid-points-inf", "sampling-box-nan",
              "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
@@ -659,6 +671,43 @@ class TestSieCommand:
         )
         assert main(["sie", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"kernel": 1, "forcing": 3}
+
+
+class TestCommandLineErrors:
+    """Bad --seed and --out values: exit 2 with one error line, no traceback."""
+
+    @pytest.mark.parametrize("command", ["axioms", "classify", "solve", "sie", "demo"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        args = [command, "--seed", "-1", "--out", str(tmp_path / "o")]
+        if command != "demo":
+            args += ["--config", write_config(tmp_path, {})]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("argument --seed: must be a non-negative integer, got '-1'")
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,out,target,strerror",
+        [
+            ("demo", "file", "file", "File exists"),
+            ("demo", "file/sub", "file/sub", "Not a directory"),
+            ("axioms", "dir", "dir/report.json", "Is a directory"),
+            ("solve", "dir", "dir/trace.csv", "Is a directory"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "report-is-a-directory", "csv-is-a-directory"],
+    )
+    def test_unusable_out_exits_2(self, tmp_path, capsys, command, out, target, strerror):
+        (tmp_path / "file").write_text("not a directory\n")
+        (tmp_path / "dir" / "report.json").mkdir(parents=True)
+        (tmp_path / "dir" / "trace.csv").mkdir()
+        args = [command, "--out", str(tmp_path / out)]
+        if command != "demo":
+            payload = {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [1, 0]}}
+            args += ["--config", write_config(tmp_path, payload)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: cannot write to '{tmp_path / target}': {strerror}\n"
 
 
 class TestDeterminism:

@@ -589,12 +589,12 @@ class TestUniquenessProbe:
         assert calls == []
         assert_same_probe(result, None, *_outcome(lambda: reference_probe(SPACE, ROTATE, starts, eps=1e-8)))
 
-    def test_a_map_without_rows_runs_picard_once_per_start(self, monkeypatch):
+    def test_a_map_without_rows_is_stacked_too(self, monkeypatch):
         seen = _record_picard_starts(monkeypatch)
         starts = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
         mapping = Mapping(ROTATE.fn, name="rotate")
         result = uniqueness_probe(SPACE, mapping, starts, eps=1e-8)
-        assert_bitwise(np.array(seen), np.array(starts))
+        assert seen == []
         assert_same_probe(result, None, *_outcome(lambda: reference_probe(SPACE, mapping, starts, eps=1e-8)))
 
     def test_a_failing_stack_is_replayed_through_picard(self, monkeypatch):
@@ -866,8 +866,9 @@ class TestStackedProbeOracle:
             )
 
     def test_no_orbit_after_a_failure_keeps_running(self):
-        # orbit 0 diverges at its first step; the per-start loop never runs
-        # the others, and the stack drops them after that step
+        # orbit 0 diverges at its first step: the stack stops after that one
+        # step over all four orbits, and the replay through picard then
+        # runs orbit 0 alone, which raises; the others never run again
         calls = []
 
         def blow_up_first(u):
@@ -876,7 +877,7 @@ class TestStackedProbeOracle:
 
         with pytest.raises(DivergenceError):
             uniqueness_probe(SPACE, Mapping(blow_up_first), _tag_starts(4), eps=1e-6, max_iter=10_000)
-        assert len(calls) <= 4
+        assert calls == [0.0, 1.0, 2.0, 3.0, 0.0]
 
     @pytest.mark.parametrize("wrap", [lambda fn: Mapping(fn, name="user"), _per_row], ids=["no-rows", "rows"])
     @pytest.mark.parametrize("space_name", ["dirac", "tableless"])
