@@ -484,6 +484,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _workers(text: str) -> int:
+    """A ``--workers`` value: a thread count, so at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="probcone", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"probcone {__version__}")
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--config", required=True, help="path to a JSON experiment config")
         cmd.add_argument("--seed", type=_seed, default=0, help="non-negative root seed for every sampled quantity")
         cmd.add_argument(
-            "--workers", type=int, default=1, help="threads for the axioms triangle rows; no effect elsewhere"
+            "--workers", type=_workers, default=1, help="threads for the axioms triangle rows; no effect elsewhere"
         )
         cmd.add_argument("--out", default=".", help="directory for report.json and CSV outputs")
     return parser

@@ -94,10 +94,16 @@ def sample_points(space: PCMSpace, n: int, rng: np.random.Generator) -> np.ndarr
 
     Candidates are drawn in blocks of at most the number still missing, so
     the generator yields the same points, and ends in the same state, as
-    drawing one candidate at a time.
+    drawing one candidate at a time. More points than the
+    ``_SAMPLING_ATTEMPT_CAP`` candidates a call may draw are refused
+    before any draw.
     """
     if n < 1:
         raise InvalidParameterError(f"need at least one point, got {n}")
+    if n > _SAMPLING_ATTEMPT_CAP:
+        raise InvalidParameterError(
+            f"cannot sample {n} points: at most {_SAMPLING_ATTEMPT_CAP} candidates are drawn"
+        )
     lo = space.sampling_box[:, 0]
     hi = space.sampling_box[:, 1]
     out = np.empty((n, space.dim))

@@ -2,13 +2,17 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probcone import cli, contract
+from probcone import cli, contract, stochastic
 from probcone.cli import CONFIG_SCHEMA, main, validate_config
 from probcone.errors import ConfigError
 
@@ -16,6 +20,8 @@ DIRAC_SPACE = {"dim": 2, "distance": "dirac", "tnorm": "min"}
 GAUSS_SPACE = {"dim": 2, "distance": {"kind": "cone-gaussian", "delta": 0.5}, "tnorm": "min"}
 # no point of the sampling box lies in the cone
 INFEASIBLE_SPACE = {**DIRAC_SPACE, "cone": {"type": "orthant", "dim": 2}, "sampling_box": [[-2, -1], [-2, -1]]}
+SRC = Path(__file__).resolve().parent.parent / "src"
+_LINEAR = {"name": "linear", "coefficient": 0.4}
 AFFINE_3D = {"name": "affine", "matrix": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]], "offset": [0, 0, 0]}
 
 
@@ -385,6 +391,12 @@ class TestSchemaValidConfigErrors:
                 },
                 "kannan rate must lie in (0, 1/2)",
             ),
+            # refused before a draw: no region fills more points than the sampler's candidate cap
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"kinds": ["kannan"], "n_pairs": 10**8}},
+                "cannot sample 100000000 points: at most 100000 candidates are drawn",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "affine-3d-classify", "affine-3d-solve", "halfspaces-ragged", "scale-1e308",
@@ -394,7 +406,7 @@ class TestSchemaValidConfigErrors:
              "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
              "sie-eps-nan", "sie-lipschitz-inf", "delta-nan", "kannan-rate-infeasible-region",
              "zamfirescu-rate-infeasible-region", "second-kind-rate-infeasible-region",
-             "sweep-rate-infeasible-region"],
+             "sweep-rate-infeasible-region", "n-pairs-above-sampling-cap"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -688,6 +700,15 @@ class TestCommandLineErrors:
         assert err.splitlines()[-1].endswith("argument --seed: must be a non-negative integer, got '-1'")
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--workers", workers, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument --workers: must be a positive integer, got '{workers}'")
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command,out,target,strerror",
         [
@@ -733,6 +754,33 @@ class TestDeterminism:
             code = main([command, "--config", cfg, "--seed", "11", "--workers", workers, "--out", str(out)])
             assert code == 0
             outputs.append(canonical_without_wall_time(read_report(out)))
+        assert outputs[0] == outputs[1]
+
+    # A per-path gemv of 801 nodes or more, or a 64-path gemm, splits over
+    # the BLAS threads in a way that moves its bits unless it runs on one.
+    @pytest.mark.skipif(stochastic._load_blas_threads() is None, reason="no bundled OpenBLAS to pin")
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"n_time": 2000, "kernel": "constant", "forcing": {"name": "constant", "value": 1.0},
+             "nonlinearity": _LINEAR, "eps": 1e-12, "max_iter": 200},
+            {"n_time": 1000, "n_paths": 100, "kernel": "exp-decay",
+             "forcing": {"name": "gaussian", "base": 1.0, "scale": 0.1}, "nonlinearity": _LINEAR, "eps": 1e-10},
+        ],
+        ids=["1path-2000", "100paths-1000"],
+    )
+    def test_blas_threads_do_not_change_sie_bytes(self, tmp_path, section):
+        cfg = write_config(tmp_path, {"sie": section})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "probcone.cli", "sie", "--config", cfg, "--seed", "1", "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            csvs = [(out / name).read_bytes() for name in ("sie_mean_path.csv", "sie_residuals.csv")]
+            outputs.append((canonical_without_wall_time(read_report(out)), *csvs))
         assert outputs[0] == outputs[1]
 
     def test_repeat_run_identical(self, tmp_path):

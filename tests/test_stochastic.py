@@ -290,6 +290,120 @@ class TestSieApply:
             sie_apply(p, np.zeros((1, 10)))
 
 
+GAUSSIAN_FORCING = make_forcing({"name": "gaussian", "base": 1.0, "scale": 0.1})
+
+
+def blas_threads():
+    threads = stochastic._load_blas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    return threads
+
+
+def matvec_apply(op, field):
+    """Reference: one matrix-vector product per path."""
+    f_vals = op.problem.nonlinearity(op.problem.time_grid[None, :], field)
+    shared = op.weighted.shape[0] == 1
+    return np.stack([op.h[j] + op.weighted[0 if shared else j] @ f_vals[j] for j in range(len(field))])
+
+
+def paths_operator(n_paths, n_time=100, random=False):
+    kernel = random_kernel if random else make_kernel("exp-decay")
+    return stochastic._DiscreteOperator(
+        SIEProblem(
+            np.linspace(0.0, 1.0, n_time + 1), kernel, GAUSSIAN_FORCING, LINEAR_04, L_04,
+            n_paths=n_paths, seed=3, kernel_is_random=random,
+        )
+    )
+
+
+def positive_field(n_paths, n_time=100, seed=0):
+    return 1.0 + np.random.default_rng(seed).uniform(0.0, 1.0, (n_paths, n_time + 1))
+
+
+class TestBlockedApply:
+    """A shared kernel on at most 511 steps is applied in fixed 64-path blocks."""
+
+    def test_prefix_stable_across_block_boundaries(self):
+        field = positive_field(130)
+        full = paths_operator(130).apply(field)
+        for n_paths in (1, 63, 64, 65, 130):
+            assert np.array_equal(paths_operator(n_paths).apply(field[:n_paths]), full[:n_paths]), n_paths
+
+    def test_path_ignores_the_other_paths_in_its_block(self):
+        op = paths_operator(100)
+        field = positive_field(100)
+        other = field.copy()
+        other[1:64] = -7.0 * positive_field(63, seed=1)
+        other[65:] = 0.0
+        keep = [0, 64]
+        assert np.array_equal(op.apply(other)[keep], op.apply(field)[keep])
+
+    @pytest.mark.parametrize("n_time", [100, 511])
+    def test_within_a_few_ulps_of_the_matvec_loop(self, n_time):
+        op = paths_operator(70, n_time)
+        field = positive_field(70, n_time)
+        np.testing.assert_array_max_ulp(op.apply(field), matvec_apply(op, field), maxulp=8)
+
+    @pytest.mark.parametrize("n_time,random", [(512, False), (100, True)], ids=["large-mesh", "random-kernel"])
+    def test_matvec_loop_beyond_the_blocks(self, n_time, random):
+        op = paths_operator(5, n_time, random)
+        field = positive_field(5, n_time)
+        assert np.array_equal(op.apply(field), matvec_apply(op, field))
+
+    def test_nonlinearity_of_the_wrong_shape_is_refused(self):
+        p = SIEProblem(np.linspace(0, 1, 11), CONST_KERNEL, UNIT_FORCING, lambda s, x: np.sin(s), 1.0, n_paths=3)
+        with pytest.raises(InvalidParameterError, match=r"got shape \(1, 11\)"):
+            sie_apply(p, np.zeros((3, 11)))
+
+
+class TestOneBlasThread:
+    """apply pins the BLAS to one thread and restores the count it found."""
+
+    @pytest.mark.parametrize("n_time", [100, 600], ids=["blocks", "matvec"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_count_restored(self, monkeypatch, n_time, raises):
+        get, set_ = blas_threads()
+        op = paths_operator(3, n_time)
+        field = positive_field(3, n_time)
+        seen = []
+        matmul = np.matmul
+
+        def recording_matmul(*args, **kwargs):
+            seen.append(get())
+            if raises:
+                raise FloatingPointError("matmul failed")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        before = get()
+        try:
+            set_(2)
+            if raises:
+                with pytest.raises(FloatingPointError):
+                    op.apply(field)
+            else:
+                op.apply(field)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen and set(seen) == {1}
+
+    def test_overlapping_regions_share_one_pin(self):
+        get, set_ = blas_threads()
+        pin = stochastic._OneBlasThread()
+        before = get()
+        try:
+            set_(2)
+            with pin:
+                with pin:
+                    assert get() == 1
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+
+
 class TestSieConditions:
     def test_unit_kernel_rate_is_lipschitz(self):
         cond = sie_conditions(linear_problem())
