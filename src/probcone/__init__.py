@@ -7,6 +7,34 @@ Monte Carlo solvers for pathwise integral equations.
 
 __version__ = "0.1.0"
 
+
+def _import_numpy_on_one_blas_thread():
+    """Import numpy with its OpenBLAS started on one thread, if probcone is first.
+
+    Every BLAS product here is tiny or already pinned to one thread (see
+    ``stochastic._OneBlasThread``), so the worker pool OpenBLAS starts at
+    load would only spin. OpenBLAS reads its thread count once, at load,
+    from the first of these variables that is set. So when numpy is not
+    yet imported and none of them is set, ``OPENBLAS_NUM_THREADS=1`` is
+    set for the import and removed after it: child processes and libraries
+    loaded later see the environment as it was. A caller who wants a pool
+    sets one of the variables or imports numpy first.
+    """
+    import os
+    import sys
+
+    variables = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(name in os.environ for name in variables):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_blas_thread()
+
 from .cone import Cone, Halfspaces, NormalityResult, Orthant, normality_check
 from .contract import (
     ContractionCertificate,

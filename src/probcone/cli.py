@@ -42,7 +42,7 @@ from .report import (
     write_trace_csv,
 )
 from .solver import check_bounds, picard, uniqueness_probe, verify_fixed_point
-from .space import check_axioms, sample_points
+from .space import _SAMPLING_ATTEMPT_CAP, check_axioms, sample_points
 from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  bench/tracer.py patches cli.sie_conditions
 
 # ``json.load`` reads NaN, Infinity and overflowing literals such as 1e400 as
@@ -118,7 +118,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_points": {"type": "integer", "minimum": 3},
+                # rejection sampling draws at most _SAMPLING_ATTEMPT_CAP candidates, so it is the
+                # "maximum" of each count of sampled points: n_points, n_pairs, uniqueness_starts
+                "n_points": {"type": "integer", "minimum": 3, "maximum": _SAMPLING_ATTEMPT_CAP},
                 "tol": _NUMBER,
             },
         },
@@ -134,7 +136,7 @@ CONFIG_SCHEMA = {
                 "alpha": _NUMBER,
                 "beta": _NUMBER,
                 "gamma": _NUMBER,
-                "n_pairs": _POSITIVE_INT,
+                "n_pairs": {**_POSITIVE_INT, "maximum": _SAMPLING_ATTEMPT_CAP},
                 "tol": {"anyOf": [{"type": "null"}, _NUMBER]},
                 "alpha_sweep": {"type": "array", "items": _NUMBER},
             },
@@ -147,7 +149,7 @@ CONFIG_SCHEMA = {
                 "eps": _POSITIVE,
                 "max_iter": _POSITIVE_INT,
                 "bound_alpha": {"anyOf": [{"type": "null"}, _NUMBER]},
-                "uniqueness_starts": {"type": "integer", "minimum": 0},
+                "uniqueness_starts": {"type": "integer", "minimum": 0, "maximum": _SAMPLING_ATTEMPT_CAP},
                 "agree_tol": _POSITIVE,
             },
             "required": ["x0"],

@@ -219,14 +219,16 @@ class TestFastConformanceCheck:
         "config,valid",
         [
             ({"axioms": {"n_points": 3.0}}, True),
-            ({"axioms": {"n_points": 10**400}}, True),
+            ({"grid": {"num": 10**400}}, True),
+            ({"axioms": {"n_points": 10**400}}, False),
             ({"axioms": {"n_points": True}}, False),
             ({"axioms": {"tol": False}}, False),
             ({"axioms": {"tol": 10**400}}, False),
             ({"space": {"distance": ("dirac",)}}, False),
             ({"solve": {"x0": (1.0,)}}, False),
         ],
-        ids=["int-as-float", "huge-int", "bool-int", "bool-number", "int-past-float", "tuple-const", "tuple-array"],
+        ids=["int-as-float", "huge-int", "huge-int-past-maximum", "bool-int", "bool-number", "int-past-float",
+             "tuple-const", "tuple-array"],
     )
     def test_json_types_as_jsonschema_sees_them(self, config, valid):
         assert cli._config_validator().is_valid(config) == valid
@@ -391,11 +393,21 @@ class TestSchemaValidConfigErrors:
                 },
                 "kannan rate must lie in (0, 1/2)",
             ),
-            # refused before a draw: no region fills more points than the sampler's candidate cap
+            # refused by the schema: no region fills more points than the sampler's candidate cap
             (
                 "classify",
                 {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"kinds": ["kannan"], "n_pairs": 10**8}},
-                "cannot sample 100000000 points: at most 100000 candidates are drawn",
+                "config field 'classify/n_pairs': 100000000 is greater than the maximum of 100000",
+            ),
+            (
+                "axioms",
+                {"space": DIRAC_SPACE, "axioms": {"n_points": 100_001}},
+                "config field 'axioms/n_points': 100001 is greater than the maximum of 100000",
+            ),
+            (
+                "solve",
+                {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [1.0, 2.0], "uniqueness_starts": 10**8}},
+                "config field 'solve/uniqueness_starts': 100000000 is greater than the maximum of 100000",
             ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
@@ -406,7 +418,8 @@ class TestSchemaValidConfigErrors:
              "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
              "sie-eps-nan", "sie-lipschitz-inf", "delta-nan", "kannan-rate-infeasible-region",
              "zamfirescu-rate-infeasible-region", "second-kind-rate-infeasible-region",
-             "sweep-rate-infeasible-region", "n-pairs-above-sampling-cap"],
+             "sweep-rate-infeasible-region", "n-pairs-above-sampling-cap", "n-points-above-sampling-cap",
+             "uniqueness-starts-above-sampling-cap"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -731,6 +744,25 @@ class TestCommandLineErrors:
         assert capsys.readouterr().err == f"config error: cannot write to '{tmp_path / target}': {strerror}\n"
 
 
+# OPENBLAS_NUM_THREADS of a fresh CLI process; None leaves every thread-count variable unset
+BLAS_START_THREADS = (None, "1", "2")
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+AFFINE_2D = {"name": "affine", "matrix": [[0.3, 0.1], [0.0, 0.4]], "offset": [0.1, 0.0]}
+
+
+def run_cli_fresh(command, cfg, out, threads):
+    """Run ``probcone command`` with seed 1 in a fresh interpreter; returns ``out``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    subprocess.run(
+        [sys.executable, "-m", "probcone.cli", command, "--config", cfg, "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, check=True,
+    )
+    return out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "command,payload",
@@ -772,16 +804,40 @@ class TestDeterminism:
     def test_blas_threads_do_not_change_sie_bytes(self, tmp_path, section):
         cfg = write_config(tmp_path, {"sie": section})
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
-            subprocess.run(
-                [sys.executable, "-m", "probcone.cli", "sie", "--config", cfg, "--seed", "1", "--out", str(out)],
-                env=env, capture_output=True, check=True,
-            )
+        for threads in BLAS_START_THREADS:
+            out = run_cli_fresh("sie", cfg, tmp_path / f"t{threads}", threads)
             csvs = [(out / name).read_bytes() for name in ("sie_mean_path.csv", "sie_residuals.csv")]
             outputs.append((canonical_without_wall_time(read_report(out)), *csvs))
-        assert outputs[0] == outputs[1]
+        assert outputs[1:] == outputs[:1] * 2
+
+    # An unset environment starts OpenBLAS on one thread; the count it
+    # starts on must not reach the bytes of any subcommand.
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("axioms", {"space": GAUSS_SPACE, "axioms": {"n_points": 6}}),
+            (
+                "classify",
+                {
+                    "space": GAUSS_SPACE,
+                    "mapping": AFFINE_2D,
+                    "classify": {"kinds": ["banach", "kannan", "chatterjea", "zamfirescu"], "n_pairs": 64},
+                },
+            ),
+            (
+                "solve",
+                {"space": GAUSS_SPACE, "mapping": AFFINE_2D, "solve": {"x0": [1.0, -2.0], "uniqueness_starts": 4}},
+            ),
+        ],
+        ids=["axioms", "classify", "solve"],
+    )
+    def test_blas_start_threads_do_not_change_bytes(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, payload)
+        outputs = [
+            canonical_without_wall_time(read_report(run_cli_fresh(command, cfg, tmp_path / f"t{threads}", threads)))
+            for threads in BLAS_START_THREADS
+        ]
+        assert outputs[1:] == outputs[:1] * 2
 
     def test_repeat_run_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"space": DIRAC_SPACE, "axioms": {"n_points": 5}})

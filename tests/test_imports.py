@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from probcone import cli
+from probcone import cli, stochastic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -124,6 +124,50 @@ def test_invalid_config_loads_jsonschema_for_the_message(tmp_path):
     loaded, stderr = run_fresh(code, "axioms", "--config", cfg, "--out", str(tmp_path / "out"), watched=WITH_POOL)
     assert loaded == {"jsonschema"}
     assert stderr == "config error: config field 'space/tnorm': 'median' is not one of ['min', 'product', 'lukasiewicz']\n"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Reads the thread count without running probcone's __init__: a bare
+# package object lets ``probcone.stochastic`` import on its own.
+BARE_PROBCONE = (
+    "import sys, types; package = types.ModuleType('probcone'); "
+    f"package.__path__ = [{str(SRC / 'probcone')!r}]; sys.modules['probcone'] = package"
+)
+PRINT_THREADS = (
+    "\nimport json, os; from probcone import stochastic; get, _ = stochastic._load_blas_threads(); "
+    "threads = get(); import numpy as np; np.ones((512, 512)) @ np.ones((512, 512)); "
+    "print(json.dumps([threads, get(), dict(os.environ) == environ]))"
+)
+
+
+def blas_threads_after(code: str, **variables: str) -> list:
+    """[count after ``code``, count after a 512x512 matmul, os.environ unchanged]
+    in a fresh interpreter whose only BLAS thread-count variables are ``variables``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=str(SRC))
+    probe = "import os; environ = dict(os.environ)\n" + code + PRINT_THREADS
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(
+    stochastic._load_blas_threads() is None or (os.cpu_count() or 1) < 2,
+    reason="needs numpy's bundled OpenBLAS and at least two CPUs",
+)
+class TestBlasStartRule:
+    """Importing probcone before numpy starts OpenBLAS on one thread, unless asked otherwise."""
+
+    def test_probcone_first_starts_one_thread_and_restores_environ(self):
+        assert blas_threads_after("import probcone") == [1, 1, True]
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_set_variable_keeps_its_count(self, variable):
+        assert blas_threads_after("import probcone", **{variable: "2"}) == [2, 2, True]
+
+    def test_numpy_first_keeps_numpys_own_count(self):
+        bare = blas_threads_after("import numpy\n" + BARE_PROBCONE)
+        assert blas_threads_after("import numpy; import probcone") == bare
 
 
 def imports_outside_functions(path: Path) -> set:

@@ -121,6 +121,14 @@ class TestSampling:
         assert "0/3 points after 100000 attempts" in str(raised.value)
         assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_more_points_than_the_cap_refused_before_a_draw(self):
+        # the CLI schema refuses these counts first; library callers get this
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="cannot sample 100001 points: at most 100000 candidates"):
+            sample_points(dirac_space(), 100_001, rng)
+        assert rng.bit_generator.state == state
+
     def test_degenerate_box_repeats_one_point(self):
         space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]))
         pts = sample_points(space, 5, np.random.default_rng(3))
