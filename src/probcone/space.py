@@ -32,7 +32,7 @@ from .cone import Cone
 from .dist import DistFn, TimeGrid, _first_worst
 from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _check_tol
 from .parallel import ordered_map
-from .tnorm import TNorm, _check_unit
+from .tnorm import TNorm, _MaxCombine, _check_unit
 
 _SAMPLING_ATTEMPT_CAP = 100_000
 
@@ -184,7 +184,8 @@ def check_axioms(
     Samples ``n_points`` points (inside the cone when one is declared) and
     reads every ordered pair's distance values from
     :meth:`PCMSpace.distance_values`: one call for the (n, n, G) grid table
-    and one call per row i for F_ik(t + s) on the flattened (t, s) grid.
+    and one call per row i, plus one for the replayed row below, for F_ik
+    at the distinct sums t + s.
     Every check reduces its margins with :func:`~probcone.dist._first_worst`
     in a fixed block order, so the result is identical for any worker
     count: identity over the rows i, then the chosen row's first smallest
@@ -195,17 +196,32 @@ def check_axioms(
     the limit at +inf.
 
     The triangle check validates every off-diagonal grid value as a t-norm
-    operand once, then works one ordered pair (i, j) at a time: the margins
-    F_ik(t + s) - T(F_ij(t), F_jk(s)) for all k and all (t, s) form one
-    (n, G, G) array, with k == i and k == j masked by +inf. The rows are
-    split into ``workers`` contiguous runs, one task each. Each task fills
-    row i's F_ik(t + s) into one (n, G, G) buffer and its margins into
-    another, and reuses both for all of its rows, so peak memory is the
-    (n, n, G) grid table plus two (n, G, G) buffers and one (n - 1, G * G)
-    fill block per task: it grows with ``workers`` * n * G^2, not with
-    n^2 * G^2. With ``workers`` > 1 the F_ik(t + s) rows are read on worker
-    threads, so the distance map, its ``table`` and the ``DistFn`` it
-    returns must be thread-safe.
+    operand once, into a copy of the grid table with F_ii = 0, and reduces
+    each row i over j before subtracting. For each grid time t, one t-norm
+    pass over the whole (j, k, s) table and one ``np.maximum.reduce`` over j
+    give B_ik(t, s) = max_j T(F_ij(t), F_jk(s)); one subtraction from
+    F_ik(t + s) and one ``_first_worst`` then give the row's worst. The zero
+    diagonal masks j == i and k == j, as T(0, b) = T(a, 0) = 0 never exceeds
+    a valid term; +inf masks k == i. The reduction is exact: rounding is
+    monotone, so fl(L - max_j T_j) = min_j fl(L - T_j), and each row's worst
+    compares equal to the least of its per-triple margins (NaN when one is
+    NaN). Only the sign of a zero may differ, so the first worst row is
+    replayed one (i, j) block at a time, with k == i and k == j masked by
+    +inf, and the replay gives ``worst_margin`` and the witness bit for bit,
+    whether the check passes or fails. F_ik(t + s) is read once per
+    distinct sum t_a + t_b, a <= b, and scattered to the G^2 cells: t_a +
+    t_b == t_b + t_a exactly, and a ``DistFn`` is a function of t.
+
+    The rows are split into ``workers`` contiguous runs, one task each. A
+    task holds one (n, G, G) buffer of F_ik(t + s) and margins, one
+    (G, n, G) buffer of B and one (n, n * G) t-norm scratch table, reused
+    row by row, plus each row's (n - 1, G(G + 1)/2) block of sums and its
+    (n - 1, G^2) scatter; the replay adds two (n, G, G) buffers. Peak memory
+    is the (n, n, G) grid table, its checked copy (and, for LUKASIEWICZ,
+    1 - F) plus the per-task buffers, so it grows with ``workers`` * n * G^2,
+    not with n^2 * G^2. With ``workers`` > 1 the F_ik(t + s) rows are read
+    on worker threads, so the distance map, its ``table`` and the
+    ``DistFn`` it returns must be thread-safe.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
@@ -214,7 +230,6 @@ def check_axioms(
     rng = np.random.default_rng(seed)
     pts = sample_points(space, n_points, rng)
     t = grid.points
-    ts = (t[:, None] + t[None, :]).ravel()
 
     rows, cols = np.divmod(np.arange(n_points * n_points), n_points)
     on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
@@ -253,43 +268,58 @@ def check_axioms(
         if i != j and not space.distance(pts[i], pts[j]).is_proper
     ]
 
-    # Axiom 3 over ordered distinct triples and every (t, s) cell, reduced
-    # one (i, j) block at a time: the margins for all k form one array.
+    # Axiom 3 over ordered distinct triples and every (t, s) cell. Each row i
+    # is reduced over j first, then the first worst row is replayed one (i, j)
+    # block at a time for its witness.
     g = len(grid)
     off_diagonal = ~np.eye(n_points, dtype=bool)
-    # the diagonal is axiom 1's; a 0.0 there keeps each entry at its (i, j, k) index
-    _check_unit(np.where(off_diagonal[:, :, None], on_grid, 0.0), "distance values F(x_i, x_j)(t_k)")
-    tnorm = space.tnorm
+    # the diagonal is axiom 1's; a 0.0 there keeps each entry at its (i, j, k)
+    # index, and T(0, b) = T(a, 0) = 0 masks j == i and k == j in the max
+    operands = _check_unit(np.where(off_diagonal[:, :, None], on_grid, 0.0), "distance values F(x_i, x_j)(t_k)")
+    max_combine = _MaxCombine(space.tnorm, operands.reshape(n_points, n_points * g))
+    # F_ik is read at each distinct sum t_a + t_b, a <= b, once
+    first, second = np.triu_indices(g)
+    sums = t[first] + t[second]
+    sum_index = np.empty((g, g), dtype=np.intp)
+    sum_index[first, second] = sum_index[second, first] = np.arange(len(sums))
+    sum_index = sum_index.ravel()
     n_runs = max(1, min(workers or 1, n_points))
     runs = [range(r * n_points // n_runs, (r + 1) * n_points // n_runs) for r in range(n_runs)]
 
+    def read_lhs(i, lhs):
+        """Fill the (n, G, G) buffer ``lhs`` with F_ik(t + s), +inf at k == i."""
+        others = pts[off_diagonal[i]]
+        values = space.distance_values(np.broadcast_to(pts[i], others.shape), others, sums)
+        lhs.reshape(n_points, g * g)[off_diagonal[i]] = values[:, sum_index]
+        lhs[i] = np.inf  # masks k == i
+        return lhs
+
     def run_worsts(run):
-        """Each row's worst (margin, j, flat index over (k, t, s)), for the rows i in ``run``."""
-        lhs = np.empty((n_points, g, g))  # F_ik(t + s) of the current row
-        margins = np.empty((n_points, g, g))
-
-        def pair_margins(i):
-            """Row i's (k, t, s) margins for each j != i in turn, in the one ``margins`` buffer."""
-            for j in range(n_points):
-                if j != i:
-                    tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :], out=margins)
-                    np.subtract(lhs, margins, out=margins)
-                    margins[j] = np.inf  # masks k == j
-                    yield margins
-
+        """The worst margin of each row i in ``run``, over (j, k, t, s)."""
+        lhs = np.empty((n_points, g, g))
+        bound = np.empty((g, n_points, g))  # (t, k, s): max over j of T(F_ij(t), F_jk(s))
         worsts = []
         for i in run:
-            others = pts[off_diagonal[i]]
-            values = space.distance_values(np.broadcast_to(pts[i], others.shape), others, ts)
-            lhs.reshape(n_points, g * g)[off_diagonal[i]] = values
-            lhs[i] = np.inf  # masks k == i
-            margin, b, flat = _first_worst(pair_margins(i))
-            worsts.append((margin, b + (b >= i), flat))  # block b is the b-th j other than i
+            max_combine(operands[i], bound.reshape(g, n_points * g))
+            margins = np.subtract(read_lhs(i, lhs), bound.transpose(1, 0, 2), out=lhs)
+            worsts.append(_first_worst([margins])[0])
         return worsts
 
     row_worsts = list(chain.from_iterable(ordered_map(run_worsts, runs, workers=workers)))
-    tri_worst, _, i = _first_worst([[margin for margin, _, _ in row_worsts]])
-    _, j, flat = row_worsts[i]
+    _, _, i = _first_worst([row_worsts])
+
+    def pair_margins(i, lhs):
+        """Row i's (k, t, s) margins for each j != i in turn, in one reused buffer."""
+        margins = np.empty_like(lhs)
+        for j in range(n_points):
+            if j != i:
+                space.tnorm._combine(operands[i, j][None, :, None], operands[j][:, None, :], out=margins)
+                np.subtract(lhs, margins, out=margins)
+                margins[j] = np.inf  # masks k == j
+                yield margins
+
+    tri_worst, b, flat = _first_worst(pair_margins(i, read_lhs(i, np.empty((n_points, g, g)))))
+    j = b + (b >= i)  # block b is the b-th j other than i
     k, cell = divmod(flat, g * g)
     ti, si = divmod(cell, g)
     tri_witness = {"i": i, "j": j, "k": k, "t": float(t[ti]), "s": float(t[si])}

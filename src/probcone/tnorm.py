@@ -90,3 +90,47 @@ class TNorm(enum.Enum):
             f"unknown t-norm {name!r}; expected one of "
             f"{[m.value for m in cls]}"
         )
+
+
+class _MaxCombine:
+    """``out[p] = max_j T(a[j, p], b[j])`` for an (n, m) operand table ``b`` checked by the caller.
+
+    Each column p of the (n, P) operands ``a`` costs one t-norm pass over
+    the whole table and one ``np.maximum.reduce`` over j. The result equals
+    the max over j of ``_combine``'s values: MINIMUM and PRODUCT apply the
+    same ufunc, and for LUKASIEWICZ max_j max(x_j, 0) = max(max_j x_j, 0),
+    so ``1 - b`` is computed once here and the clamp at 0 runs once per
+    call, over all of ``out``. Only the sign of a zero may differ from the
+    per-j maxima. An instance is read-only, so threads may share one.
+
+    The t-norm pass broadcasts a column of ``a`` along each table row. With
+    numpy's default 8192-element ufunc buffer the iterator groups several
+    rows per buffer and copies the broadcast column into it, so the buffer
+    is capped at one table row while the loop runs (0.77 against 1.29 ms
+    for a (24, 1200) table and 50 columns, PRODUCT, numpy 2.4 on x86_64).
+    The buffer size is a per-thread setting, restored on return.
+    """
+
+    def __init__(self, tnorm: TNorm, b: np.ndarray):
+        if tnorm is TNorm.LUKASIEWICZ:
+            # a - (1 - b), the unclamped _combine
+            self._ufunc, self._table, self._clamp = np.subtract, 1.0 - b, True
+        else:
+            self._ufunc = np.minimum if tnorm is TNorm.MINIMUM else np.multiply
+            self._table, self._clamp = b, False
+
+    def __call__(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill the (P, m) array ``out`` from the (n, P) operands ``a`` and return it."""
+        scratch = np.empty(self._table.shape)
+        row = self._table.shape[1]
+        # numpy takes a buffer size that is a positive multiple of 16
+        bufsize = np.setbufsize(min(max(row - row % 16, 16), np.getbufsize()))
+        try:
+            for p in range(a.shape[1]):
+                self._ufunc(a[:, p, None], self._table, out=scratch)
+                np.maximum.reduce(scratch, axis=0, out=out[p])
+        finally:
+            np.setbufsize(bufsize)
+        if self._clamp:
+            np.maximum(out, 0.0, out=out)
+        return out

@@ -21,6 +21,9 @@ from probcone.registry import cone_gaussian_space, dirac_space, rotation_half_ma
 from probcone.report import axiom_report_to_dict, canonical_json
 from probcone.space import _passfail
 
+# an inf - inf or 0 * inf in a kernel's masking fails here instead of leaving a quiet NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def squared_distance_space(tnorm=TNorm.MINIMUM):
     # squared Euclidean gaps are not a metric: d(x,z) can exceed
@@ -34,6 +37,52 @@ def squared_distance_space(tnorm=TNorm.MINIMUM):
         tnorm=tnorm,
         sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
     )
+
+
+class Decay(DistFn):
+    """F(t) = c * e / (e + t): at most c, and falling in t, as no distribution function does."""
+
+    def __init__(self, c, e):
+        self.c, self.e = c, e
+
+    def eval(self, t):
+        return self.c * self.e / (self.e + np.asarray(t, dtype=float))
+
+
+def diagonal_one_space(tnorm):
+    """A table-less map with F(x, x) = 1 and F(x, y) at most 0.25 elsewhere.
+
+    An unmasked j == i or k == j term, T(1, F_ik(s)) or T(F_ik(t), 1),
+    would be the largest T of its cell; its margin F_ik(t + s) - F_ik(t)
+    is negative, so it would choose another row to replay than the valid
+    triples do.
+    """
+
+    def distance(x, y):
+        if np.array_equal(x, y):
+            return Constant(1.0)
+        return Decay(0.05 + 0.1 * (min(x[0], y[0]) + 1.0), 1.5 + x[1])
+
+    return PCMSpace(dim=2, distance=distance, tnorm=tnorm)
+
+
+class SignedZeroStep(DistFn):
+    """The Dirac step at d, with ``zero`` (0.0 or -0.0) below it."""
+
+    def __init__(self, d, zero):
+        self.d, self.zero = d, zero
+
+    def eval(self, t):
+        return np.where(np.asarray(t, dtype=float) > self.d, 1.0, self.zero)
+
+
+def signed_zero_space(tnorm):
+    """A table-less Dirac space whose zeros are -0.0 when x[0] > y[0]."""
+
+    def distance(x, y):
+        return SignedZeroStep(float(np.linalg.norm(x - y)), -0.0 if x[0] > y[0] else 0.0)
+
+    return PCMSpace(dim=2, distance=distance, tnorm=tnorm)
 
 
 def reference_triangle(space, n_points, grid, seed):
@@ -73,7 +122,8 @@ def assert_triangle_matches_reference(space, n_points, grid=None, seed=0):
     worst, witness = reference_triangle(space, n_points, grid, seed)
     for workers in (1, 2, 3):
         report = check_axioms(space, n_points=n_points, grid=grid, tol=-2.0, seed=seed, workers=workers)
-        assert report.triangle.worst_margin == worst
+        # repr tells -0.0 from 0.0, and the sign of a zero reaches the report bytes
+        assert repr(report.triangle.worst_margin) == repr(worst)
         assert report.triangle.witness == witness
 
 
@@ -227,6 +277,32 @@ class TestTriangleKernel:
     def test_repeated_point(self):
         space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]), tnorm=TNorm.PRODUCT)
         assert_triangle_matches_reference(space, 4, seed=0)
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    def test_three_points(self, tnorm):
+        # one j per (i, k): every row's max over j is a single term
+        grid = [0.25, 0.5, 1.0, 2.0]
+        for space in (dirac_space(tnorm=tnorm), cone_gaussian_space(delta=0.5, tnorm=tnorm)):
+            for seed in range(4):
+                assert_triangle_matches_reference(space, 3, seed=seed)
+                assert_triangle_matches_reference(space, 3, grid, seed)
+        assert_triangle_matches_reference(squared_distance_space(tnorm), 3, TimeGrid(np.linspace(0.05, 8.0, 160)), 2)
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    def test_diagonal_one_is_masked(self, tnorm):
+        for n_points, seed in ((3, 0), (4, 0), (5, 0), (6, 1)):
+            assert_triangle_matches_reference(diagonal_one_space(tnorm), n_points, seed=seed)
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    def test_signed_zeros(self, tnorm):
+        # every margin is 1 or a zero of either sign: the replayed row decides the sign
+        space = signed_zero_space(tnorm)
+        signs = set()
+        for seed in range(6):
+            report = check_axioms(space, n_points=5, seed=seed)
+            signs.add(repr(report.triangle.worst_margin))
+            assert_triangle_matches_reference(space, 5, seed=seed)
+        assert "-0.0" in signs
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -417,8 +493,10 @@ class TestPairChecks:
         n, g = 6, 7
         check_axioms(PCMSpace(dim=2, distance=distance, tnorm=space.tnorm), n_points=n, grid=np.arange(1.0, g + 1))
         # the (n, n, G) grid table, one ``distance`` per off-diagonal pair for
-        # properness, then one (n - 1, G * G) block per row of F_ik(t + s)
-        assert calls == [(n * n, g)] + ["distance"] * (n * (n - 1)) + [(n - 1, g * g)] * n
+        # properness, then one (n - 1, G(G + 1)/2) block of F_ik at the distinct
+        # sums t + s per row, and one more for the worst row's replay
+        sums = g * (g + 1) // 2
+        assert calls == [(n * n, g)] + ["distance"] * (n * (n - 1)) + [(n - 1, sums)] * (n + 1)
 
 
 class NanAbove(DistFn):

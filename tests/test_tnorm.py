@@ -1,8 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from probcone import InvalidParameterError, TNorm
+from probcone.tnorm import _MaxCombine
+
+# an inf - inf or 0 * inf in a t-norm pass fails here instead of leaving a quiet NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -121,3 +127,55 @@ def test_apply_stays_in_unit_interval(a, b):
 def test_one_is_identity(a):
     for kind in TNorm:
         assert kind.apply(a, 1.0) == a
+
+
+class TestMaxCombine:
+    """``_MaxCombine`` against the max over j of one ``_combine`` per operand row."""
+
+    @staticmethod
+    def per_row_max(kind, a, b):
+        return np.array([np.max([kind._combine(a[j, p], b[j]) for j in range(len(b))], axis=0) for p in range(a.shape[1])])
+
+    @pytest.mark.parametrize("kind", list(TNorm))
+    def test_equals_per_row_max(self, kind):
+        rng = np.random.default_rng(8)
+        # zeros of both signs and ones; rows of 19, no multiple of the 16 that numpy buffer sizes step by
+        a = rng.choice([0.0, -0.0, 1.0, 0.25, 0.7, 0.999], size=(5, 4))
+        b = rng.choice([0.0, -0.0, 1.0, 0.5, 0.3, 1e-300], size=(5, 19))
+        a[:, 0] = rng.uniform(0.0, 1.0, 5)
+        b[0] = rng.uniform(0.0, 1.0, 19)
+        out = _MaxCombine(kind, b)(a, np.empty((4, 19)))
+        expected = self.per_row_max(kind, a, b)
+        # equal as numbers: only the sign of a zero may differ
+        assert np.array_equal(out, expected)
+        assert np.all(out >= 0.0)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.sampled_from(list(TNorm)),
+        st.integers(0, 2**16),
+    )
+    def test_random_tables(self, n, p, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.0, 1.0, (n, p)), rng.uniform(0.0, 1.0, (n, m))
+        assert np.array_equal(_MaxCombine(kind, b)(a, np.empty((p, m))), self.per_row_max(kind, a, b))
+
+    def test_buffer_size_restored_in_each_thread(self):
+        before = np.getbufsize()
+        b = np.full((3, 40), 0.5)
+        _MaxCombine(TNorm.PRODUCT, b)(np.full((3, 2), 0.5), np.empty((2, 40)))
+        assert np.getbufsize() == before
+        seen = []
+
+        def worker():
+            seen.append(np.getbufsize())
+            _MaxCombine(TNorm.MINIMUM, b)(np.full((3, 2), 0.5), np.empty((2, 40)))
+            seen.append(np.getbufsize())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert seen == [seen[0], seen[0]]
+        assert np.getbufsize() == before
