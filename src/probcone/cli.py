@@ -16,7 +16,6 @@ only part allowed to differ between repeated runs.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -30,7 +29,7 @@ from . import __version__
 from .contract import _check_rates, check_banach, check_chatterjea, check_kannan, check_zamfirescu, sample_pairs
 from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
 from .errors import ConfigError, InvalidParameterError, ProbconeError
-from .registry import make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
+from .registry import _is_number, make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
 from .report import (
     axiom_report_to_dict,
     bound_check_to_dict,
@@ -179,13 +178,8 @@ def _is_finite(number) -> bool:
         return False
 
 
-def _is_number(instance) -> bool:
-    return isinstance(instance, (int, float)) and not isinstance(instance, bool)
-
-
-# Draft 2020-12 types as jsonschema checks them for what json.load returns:
-# bool is not a number, 2.0 is an integer, and only list and dict are arrays
-# and objects.
+# Draft 2020-12 types as jsonschema checks them for what json.load returns: bool is
+# not a number, 2.0 is an integer, and only list and dict are arrays and objects.
 _JSON_TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -195,59 +189,67 @@ _JSON_TYPES = {
     "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
 }
 
-# keyword -> check(instance, value, schema); each passes instances of the
-# types the keyword does not apply to, as jsonschema does.
+
+def _first_error(instance, schema: dict, path: tuple = ()):
+    """(path, message) of the shallowest error, the first in schema order among equally shallow ones; None if valid."""
+    first = None
+    for key, value in schema.items():
+        for error in _KEYWORDS[key](instance, value, schema, path):
+            if first is None or len(error[0]) < len(first[0]):
+                first = error
+    return first
+
+
+def _any_of(x, branches, schema, path):
+    errors = [_first_error(x, branch, path) for branch in branches]
+    if None in errors:
+        return ()
+    typed = [error for branch, error in zip(branches, errors) if "type" in branch and _JSON_TYPES[branch["type"]](x)]
+    return typed if len(typed) == 1 else [(path, f"{x!r} is not valid under any of the given schemas")]
+
+
+def _unexpected(x, schema):
+    extras = sorted(x.keys() - schema.get("properties", {}).keys(), key=str) if isinstance(x, dict) else []
+    verb = "was" if len(extras) == 1 else "were"
+    return extras and f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+
+
+def _own(message):
+    """A keyword whose one error is at the instance's own path: ``message(x, v, s)`` if it is not empty."""
+    return lambda x, v, s, p: [(p, text)] if (text := message(x, v, s)) else ()
+
+
+# keyword -> errors(instance, value, schema, path), worded as jsonschema words them. Each passes
+# the types it does not apply to, as jsonschema does; "finite" is this schema's own keyword.
 _KEYWORDS = {
-    "$schema": lambda x, v, s: True,
-    "type": lambda x, v, s: v in _JSON_TYPES and _JSON_TYPES[v](x),
-    "properties": lambda x, v, s: not isinstance(x, dict) or all(_conforms(x[k], v[k]) for k in v if k in x),
-    "additionalProperties": lambda x, v, s: (
-        v is False and (not isinstance(x, dict) or x.keys() <= s.get("properties", {}).keys())
+    "$schema": lambda x, v, s, p: (),
+    "type": _own(lambda x, v, s: not _JSON_TYPES[v](x) and f"{x!r} is not of type {v!r}"),
+    "properties": lambda x, v, s, p: (
+        filter(None, (_first_error(x[k], v[k], (*p, k)) for k in v if k in x)) if isinstance(x, dict) else ()
     ),
-    "required": lambda x, v, s: not isinstance(x, dict) or all(k in x for k in v),
-    "anyOf": lambda x, v, s: any(_conforms(x, sub) for sub in v),
-    "const": lambda x, v, s: isinstance(x, str) and x == v,
-    "enum": lambda x, v, s: isinstance(x, str) and x in v,
-    "items": lambda x, v, s: not isinstance(x, list) or all(_conforms(item, v) for item in x),
-    "minItems": lambda x, v, s: not isinstance(x, list) or len(x) >= v,
-    "maxItems": lambda x, v, s: not isinstance(x, list) or len(x) <= v,
-    "minimum": lambda x, v, s: not (_is_number(x) and x < v),
-    "maximum": lambda x, v, s: not (_is_number(x) and x > v),
-    "exclusiveMinimum": lambda x, v, s: not (_is_number(x) and x <= v),
-    "finite": lambda x, v, s: not (v and _is_number(x)) or _is_finite(x),
+    "additionalProperties": _own(lambda x, v, s: _unexpected(x, s)),  # v is False here
+    "required": _own(
+        lambda x, v, s: isinstance(x, dict) and next((f"{k!r} is a required property" for k in v if k not in x), "")
+    ),
+    "anyOf": _any_of,
+    "const": _own(lambda x, v, s: not (isinstance(x, str) and x == v) and f"{v!r} was expected"),
+    "enum": _own(lambda x, v, s: not (isinstance(x, str) and x in v) and f"{x!r} is not one of {v!r}"),
+    "items": lambda x, v, s, p: (
+        filter(None, (_first_error(item, v, (*p, i)) for i, item in enumerate(x))) if isinstance(x, list) else ()
+    ),
+    "minItems": _own(
+        lambda x, v, s: isinstance(x, list)
+        and len(x) < v
+        and f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"
+    ),
+    "maxItems": _own(lambda x, v, s: isinstance(x, list) and len(x) > v and f"{x!r} is too long"),  # v > 0 here
+    "minimum": _own(lambda x, v, s: _is_number(x) and x < v and f"{x!r} is less than the minimum of {v!r}"),
+    "maximum": _own(lambda x, v, s: _is_number(x) and x > v and f"{x!r} is greater than the maximum of {v!r}"),
+    "exclusiveMinimum": _own(
+        lambda x, v, s: _is_number(x) and x <= v and f"{x!r} is less than or equal to the minimum of {v!r}"
+    ),
+    "finite": _own(lambda x, v, s: v and _is_number(x) and not _is_finite(x) and f"{x!r} is not a finite number"),
 }
-
-
-def _conforms(instance, schema: dict) -> bool:
-    """True only if jsonschema would accept ``instance`` under ``schema``.
-
-    Interprets the keywords of ``CONFIG_SCHEMA`` directly, so a valid config
-    is accepted without importing jsonschema; a keyword it does not know
-    makes it return False, which leaves the verdict to jsonschema.
-    """
-    return all(
-        keyword in _KEYWORDS and _KEYWORDS[keyword](instance, value, schema) for keyword, value in schema.items()
-    )
-
-
-@functools.cache
-def _config_validator():
-    """The draft 2020-12 validator of ``CONFIG_SCHEMA`` with the ``finite`` keyword.
-
-    Built once and only for a config ``_conforms`` refuses: importing
-    jsonschema is most of what validation would cost a valid config.
-    ``jsonschema.validate`` would also re-check the schema itself on every
-    call; ``tests/test_cli.py`` checks the schema instead.
-    """
-    import jsonschema
-
-    def finite(validator, finite, instance, schema):
-        if finite and validator.is_type(instance, "number") and not _is_finite(instance):
-            yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
-
-    return jsonschema.validators.extend(jsonschema.validators.validator_for(CONFIG_SCHEMA), {"finite": finite})(
-        CONFIG_SCHEMA
-    )
 
 
 def load_config(path: str) -> dict:
@@ -264,14 +266,10 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    if _conforms(config, CONFIG_SCHEMA):
-        return
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
+    error = _first_error(config, CONFIG_SCHEMA)
     if error is not None:
-        location = "/".join(str(p) for p in error.absolute_path) or "<top level>"
-        raise ConfigError(f"config field {location!r}: {error.message}") from error
+        location = "/".join(str(p) for p in error[0]) or "<top level>"
+        raise ConfigError(f"config field {location!r}: {error[1]}")
 
 
 def _grid_from_config(config: dict) -> TimeGrid:
@@ -547,8 +545,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ProbconeError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+    except (ProbconeError, MemoryError) as exc:
+        print(f"computation failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     # load_config turns its own OSError into a ConfigError, so this one
     # comes from creating --out or writing report.json or a CSV into it

@@ -8,6 +8,7 @@ resolves to a registered constructor or the config is rejected.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -88,8 +89,11 @@ def affine_map(matrix, offset) -> Mapping:
 
 
 def _float(value, what: str) -> float:
+    """A number, or the text of one, as a finite float."""
     try:
         number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
@@ -97,8 +101,29 @@ def _float(value, what: str) -> float:
     return number
 
 
+def _is_number(value) -> bool:
+    """True for a real number; booleans, strings and None are not numbers, as in a JSON schema."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A number field of a spec object as a finite float; the text of a number is refused."""
+    if not _is_number(value):
+        raise InvalidParameterError(f"{what} must be a number, got {value!r}")
+    return _float(value, what)
+
+
+def _numbers_only(value) -> bool:
+    """True for a number or a numeric array, or lists of them nested to any depth."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers_only, value))
+    return _is_number(value) or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+
+
 def _float_array(value, what: str) -> np.ndarray:
     try:
+        if not _numbers_only(value):
+            raise TypeError(f"{what} holds something other than a number")
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{what} must be a rectangular array of numbers, got {value!r}") from exc
@@ -116,7 +141,7 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
 def make_mapping(spec, dim: int) -> Mapping:
     """Resolve a mapping config (string shorthand or object) to a Mapping."""
     if isinstance(spec, dict):
-        name = spec.get("name")
+        name, _ = _split_spec(spec, "mapping", {"affine": ("matrix", "offset")})
         if name == "affine":
             for key in ("matrix", "offset"):
                 if key not in spec:
@@ -238,9 +263,9 @@ def make_space(config: dict) -> PCMSpace:
 
 def make_kernel(spec):
     """Kernel factory: 'constant' (value param) or 'exp-decay' e^{-(t-s)}."""
-    name, params = _split_spec(spec)
+    name, params = _split_spec(spec, "kernel", {"constant": ("value",), "exp-decay": ()})
     if name == "constant":
-        value = _float(params.get("value", 1.0), "kernel value")
+        value = _number(params.get("value", 1.0), "kernel value")
         return lambda t, s, path: np.full(np.broadcast(t, s).shape, value)
     if name == "exp-decay":
 
@@ -257,13 +282,13 @@ def make_kernel(spec):
 
 def make_forcing(spec):
     """Forcing factory: 'constant' (value) or 'gaussian' (base + scale * Z per path)."""
-    name, params = _split_spec(spec)
+    name, params = _split_spec(spec, "forcing", {"constant": ("value",), "gaussian": ("base", "scale")})
     if name == "constant":
-        value = _float(params.get("value", 1.0), "forcing value")
+        value = _number(params.get("value", 1.0), "forcing value")
         return lambda t, path, rng: np.full(t.shape, value)
     if name == "gaussian":
-        base = _float(params.get("base", 1.0), "forcing base")
-        scale = _float(params.get("scale", 0.1), "forcing scale")
+        base = _number(params.get("base", 1.0), "forcing base")
+        scale = _number(params.get("scale", 0.1), "forcing scale")
 
         def forcing(t, path, rng):
             z = rng.standard_normal()
@@ -280,22 +305,34 @@ def make_nonlinearity(spec):
     value (constant 0), 'linear' gives coefficient * x with constant
     |coefficient|.
     """
-    name, params = _split_spec(spec)
+    name, params = _split_spec(spec, "nonlinearity", {"zero": (), "constant": ("value",), "linear": ("coefficient",)})
     if name == "zero":
         return (lambda s, x: np.zeros(np.broadcast(s, x).shape), 0.0)
     if name == "constant":
-        value = _float(params.get("value", 1.0), "nonlinearity value")
+        value = _number(params.get("value", 1.0), "nonlinearity value")
         return (lambda s, x: np.full(np.broadcast(s, x).shape, value), 0.0)
     if name == "linear":
-        coef = _float(params.get("coefficient", 0.4), "nonlinearity coefficient")
+        coef = _number(params.get("coefficient", 0.4), "nonlinearity coefficient")
         return (lambda s, x: coef * x, abs(coef))
     raise InvalidParameterError(f"unknown nonlinearity {spec!r}")
 
 
-def _split_spec(spec):
+def _split_spec(spec, what: str, keys: dict):
+    """(name, params) of a name or an object with a name.
+
+    ``keys`` maps each known name to the keys its object takes besides
+    "name"; any other key is refused, and an unknown name is left to the
+    caller.
+    """
     if isinstance(spec, str):
         return spec, {}
-    if isinstance(spec, dict) and "name" in spec:
-        params = {k: v for k, v in spec.items() if k != "name"}
-        return spec["name"], params
-    raise InvalidParameterError(f"spec must be a name or an object with a name, got {spec!r}")
+    if not (isinstance(spec, dict) and "name" in spec):
+        raise InvalidParameterError(f"spec must be a name or an object with a name, got {spec!r}")
+    name = spec["name"]
+    params = {k: v for k, v in spec.items() if k != "name"}
+    unknown = sorted(params.keys() - set(keys[name]), key=str) if isinstance(name, str) and name in keys else []
+    if unknown:
+        taken = ", ".join(repr(key) for key in ("name", *keys[name]))
+        refused = ", ".join(map(repr, unknown))
+        raise InvalidParameterError(f"{what} {name!r} does not take {refused} (its keys: {taken})")
+    return name, params

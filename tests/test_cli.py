@@ -73,11 +73,27 @@ class TestAxiomsCommand:
         assert main(["axioms", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
 
 
+def _finite(validator, finite, instance, schema):
+    if finite and validator.is_type(instance, "number") and not cli._is_finite(instance):
+        yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+
+
+# The oracle: jsonschema's draft 2020-12 validator, extended with the schema's own "finite" keyword.
+Oracle = jsonschema.validators.extend(jsonschema.validators.validator_for(CONFIG_SCHEMA), {"finite": _finite})
+ORACLE = Oracle(CONFIG_SCHEMA)
+
+
+def error_tree(errors) -> set:
+    """(path, message) of every error jsonschema finds, with the errors nested under each anyOf error."""
+    return {(tuple(error.absolute_path), error.message) for error in errors} | {
+        found for error in errors if error.context for found in error_tree(error.context)
+    }
+
+
 class TestConfigValidation:
     def test_schema_is_a_valid_schema(self):
-        # validate_config reuses one prebuilt validator, which never checks
-        # the schema itself.
-        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+        # validate_config interprets the schema and never checks it
+        Oracle.check_schema(CONFIG_SCHEMA)
 
     @pytest.mark.parametrize(
         "config",
@@ -90,12 +106,12 @@ class TestConfigValidation:
         ],
     )
     def test_messages_match_jsonschema_validate(self, config):
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(config, CONFIG_SCHEMA)
-        location = "/".join(str(p) for p in expected.value.absolute_path) or "<top level>"
+        path, message = cli._first_error(config, CONFIG_SCHEMA)
+        assert (path, message) in error_tree(list(ORACLE.iter_errors(config)))
+        location = "/".join(str(p) for p in path) or "<top level>"
         with pytest.raises(ConfigError) as raised:
             validate_config(config)
-        assert str(raised.value) == f"config field {location!r}: {expected.value.message}"
+        assert str(raised.value) == f"config field {location!r}: {message}"
 
 
 JSON_VALUES = st.recursive(
@@ -197,19 +213,20 @@ def config_mutants(schema: dict = CONFIG_SCHEMA) -> st.SearchStrategy:
     return mutants()
 
 
-class TestFastConformanceCheck:
-    """``cli._conforms`` accepts a config exactly when jsonschema does."""
+class TestFirstError:
+    """``cli._first_error`` refuses a config exactly when jsonschema does, with an error jsonschema reports."""
 
     def test_agrees_with_jsonschema(self):
-        validator = cli._config_validator()
         verdicts = []
 
         @settings(derandomize=True, max_examples=400, deadline=None, database=None)
         @given(config_mutants())
         def agree(config):
-            valid = validator.is_valid(config)
-            assert cli._conforms(config, CONFIG_SCHEMA) == valid
-            verdicts.append(valid)
+            tree = error_tree(list(ORACLE.iter_errors(config)))
+            error = cli._first_error(config, CONFIG_SCHEMA)
+            assert (error is None) == (not tree)
+            assert error is None or error in tree
+            verdicts.append(error is None)
 
         agree()
         # both verdicts are drawn often enough to mean something
@@ -231,12 +248,40 @@ class TestFastConformanceCheck:
              "tuple-const", "tuple-array"],
     )
     def test_json_types_as_jsonschema_sees_them(self, config, valid):
-        assert cli._config_validator().is_valid(config) == valid
-        assert cli._conforms(config, CONFIG_SCHEMA) == valid
+        assert ORACLE.is_valid(config) == valid
+        assert (cli._first_error(config, CONFIG_SCHEMA) is None) == valid
 
-    def test_unknown_keyword_defers_to_jsonschema(self):
-        assert cli._conforms(1, {"type": "integer"})
-        assert not cli._conforms(1, {"type": "integer", "multipleOf": 2})
+    @pytest.mark.parametrize(
+        "instance,schema",
+        [
+            ("x", {"type": "number"}),
+            ({"a": {"b": 0}}, {"properties": {"a": {"properties": {"b": {"minimum": 1}}}}}),
+            ({"b": 1, "aa": 2}, {"properties": {}, "additionalProperties": False}),
+            ({"a": 1}, {"properties": {}, "additionalProperties": False}),
+            ({}, {"required": ["x0"]}),
+            (True, {"anyOf": [{"type": "null"}, {"type": "number"}]}),
+            ({"kind": "x"}, {"anyOf": [{"const": "d"}, {"type": "object", "properties": {"kind": {"const": "k"}}}]}),
+            (5, {"anyOf": [{"type": "number", "minimum": 10}, {"type": "integer", "maximum": 1}]}),
+            ("dirac ", {"const": "dirac"}),
+            ("median", {"enum": ["min", "product"]}),
+            ([1, "a"], {"items": {"type": "number"}}),
+            ([], {"minItems": 1}),
+            ([1], {"minItems": 2}),
+            ([1, 2, 3], {"maxItems": 2}),
+            (0, {"minimum": 1}),
+            (100_001, {"maximum": 100_000}),
+            (0.0, {"exclusiveMinimum": 0}),
+            (math.nan, {"finite": True}),
+            # the shallowest error wins over a deeper one found first
+            ({"a": 0}, {"properties": {"a": {"minimum": 1}}, "required": ["x0"]}),
+        ],
+        ids=["type", "properties", "additionalProperties-2", "additionalProperties-1", "required", "anyOf",
+             "anyOf-typed-branch", "anyOf-two-typed-branches", "const", "enum", "items", "minItems-1", "minItems-2",
+             "maxItems", "minimum", "maximum", "exclusiveMinimum", "finite", "shallowest-first"],
+    )
+    def test_each_keyword_words_its_error_as_jsonschema(self, instance, schema):
+        expected = jsonschema.exceptions.best_match(Oracle(schema).iter_errors(instance))
+        assert cli._first_error(instance, schema) == (tuple(expected.absolute_path), expected.message)
 
 
 class TestSchemaValidConfigErrors:
@@ -393,6 +438,50 @@ class TestSchemaValidConfigErrors:
                 },
                 "kannan rate must lie in (0, 1/2)",
             ),
+            # spec objects take only the keys their name reads, and number fields only JSON numbers
+            (
+                "sie",
+                {"sie": {"n_time": 10, "kernel": {"name": "constant", "valeu": 0.9}}},
+                "kernel 'constant' does not take 'valeu' (its keys: 'name', 'value')",
+            ),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "forcing": {"name": "gaussian", "sclae": 0.2, "base": 1.0}}},
+                "forcing 'gaussian' does not take 'sclae'",
+            ),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "nonlinearity": {"name": "zero", "coefficient": 0.4}}},
+                "nonlinearity 'zero' does not take 'coefficient' (its keys: 'name')",
+            ),
+            (
+                "classify",
+                {"space": DIRAC_SPACE, "mapping": {"name": "affine", "matrix": [[1]], "offset": [0], "ofset": [0]}},
+                "mapping 'affine' does not take 'ofset'",
+            ),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "kernel": {"name": "constant", "value": True}}},
+                "kernel value must be a number, got True",
+            ),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "kernel": {"name": "constant", "value": "0.4"}}},
+                "kernel value must be a number, got '0.4'",
+            ),
+            (
+                "classify",
+                {
+                    "space": DIRAC_SPACE,
+                    "mapping": {"name": "affine", "matrix": [[True, False], [False, True]], "offset": [0, 0]},
+                },
+                "affine matrix must be a rectangular array of numbers",
+            ),
+            (
+                "sie",
+                {"sie": {"n_time": 10, "nonlinearity": {"name": "linear", "coefficient": 10**400}}},
+                "nonlinearity coefficient must be finite",
+            ),
             # refused by the schema: no region fills more points than the sampler's candidate cap
             (
                 "classify",
@@ -418,7 +507,9 @@ class TestSchemaValidConfigErrors:
              "halfspace-normals-inf", "grid-start-nan", "grid-stop-inf", "solve-eps-nan", "agree-tol-inf",
              "sie-eps-nan", "sie-lipschitz-inf", "delta-nan", "kannan-rate-infeasible-region",
              "zamfirescu-rate-infeasible-region", "second-kind-rate-infeasible-region",
-             "sweep-rate-infeasible-region", "n-pairs-above-sampling-cap", "n-points-above-sampling-cap",
+             "sweep-rate-infeasible-region", "kernel-unknown-key", "forcing-unknown-key", "nonlinearity-unknown-key",
+             "affine-unknown-key", "kernel-value-true", "kernel-value-string", "affine-matrix-bools",
+             "coefficient-int-past-float", "n-pairs-above-sampling-cap", "n-points-above-sampling-cap",
              "uniqueness-starts-above-sampling-cap"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
@@ -444,6 +535,28 @@ class TestSchemaValidConfigErrors:
         assert main(["axioms", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+
+class TestComputationFailures:
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (MemoryError(), "computation failed: out of memory\n"),
+            (
+                MemoryError("Unable to allocate 728. TiB for an array with shape (100000000000000,)"),
+                "computation failed: Unable to allocate 728. TiB for an array with shape (100000000000000,)\n",
+            ),
+        ],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, error, line):
+        def run_out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "run_axioms", run_out_of_memory)
+        cfg = write_config(tmp_path, {"grid": {"num": 100_000_000_000_000}})
+        assert main(["axioms", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == line
 
 
 class TestClassifyCommand:

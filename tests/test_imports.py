@@ -1,7 +1,7 @@
 """Import footprint: no CLI run imports scipy or ``scipy.special`` (a Gaussian
-distance loads only the extension module that defines ``ndtr``), jsonschema
-loads only when a config is invalid, and the thread pool only for more than
-one worker.
+distance loads only the extension module that defines ``ndtr``), no module
+imports jsonschema, even to word the error of an invalid config, and the
+thread pool loads only for more than one worker.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
@@ -118,11 +118,11 @@ def test_two_worker_run_loads_thread_pool(tmp_path):
     assert loaded_after(RUN_MAIN, "axioms", *args, watched=WITH_POOL) == {"concurrent.futures"}
 
 
-def test_invalid_config_loads_jsonschema_for_the_message(tmp_path):
+def test_invalid_config_message_loads_no_jsonschema(tmp_path):
     cfg = write_config(tmp_path, {"space": {"dim": 2, "tnorm": "median"}})
     code = "import sys; from probcone import cli; assert cli.main(sys.argv[1:]) == 2"
     loaded, stderr = run_fresh(code, "axioms", "--config", cfg, "--out", str(tmp_path / "out"), watched=WITH_POOL)
-    assert loaded == {"jsonschema"}
+    assert loaded == set()
     assert stderr == "config error: config field 'space/tnorm': 'median' is not one of ['min', 'product', 'lukasiewicz']\n"
 
 
@@ -187,13 +187,21 @@ def imports_outside_functions(path: Path) -> set:
     return names
 
 
-def test_scipy_and_jsonschema_are_imported_only_inside_functions():
+def test_scipy_is_imported_only_inside_functions_and_jsonschema_nowhere():
     eager = {
         f"{path.stem}: {name}"
         for path in sorted((SRC / "probcone").glob("*.py"))
         for name in imports_outside_functions(path) & {"scipy", "jsonschema"}
     }
     assert eager == set()
+    anywhere = {
+        path.stem
+        for path in sorted((SRC / "probcone").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "jsonschema" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jsonschema"
+    }
+    assert anywhere == set()
 
 
 def schema_keywords(schema: dict):
@@ -211,10 +219,13 @@ def schema_keywords(schema: dict):
 
 
 def test_every_schema_keyword_is_one_the_fast_check_knows():
-    # an unknown keyword would make every config take the jsonschema path
+    # _first_error has no entry for any other keyword, and words
+    # "additionalProperties" and "maxItems" only for the values below
     pairs = list(schema_keywords(cli.CONFIG_SCHEMA))
     assert {keyword for keyword, _ in pairs} <= set(cli._KEYWORDS)
     assert {value for keyword, value in pairs if keyword == "type"} <= set(cli._JSON_TYPES)
+    assert {value for keyword, value in pairs if keyword == "additionalProperties"} == {False}
+    assert min(value for keyword, value in pairs if keyword == "maxItems") > 0
 
 
 def unused_imports(path: Path) -> set:
