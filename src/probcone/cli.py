@@ -26,7 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contract import _check_rates, check_banach, check_chatterjea, check_kannan, check_zamfirescu, sample_pairs
+from .contract import (
+    _check_rates,
+    _LeftSide,
+    check_banach,
+    check_chatterjea,
+    check_kannan,
+    check_zamfirescu,
+    sample_pairs,
+)
 from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
 from .errors import ConfigError, InvalidParameterError, ProbconeError
 from .registry import _is_number, make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
@@ -50,6 +58,9 @@ from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  ben
 _NUMBER = {"type": "number", "finite": True}
 _POSITIVE = {**_NUMBER, "exclusiveMinimum": 0}
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
+# the most float64 values one numpy array can hold: for more, numpy raises
+# "Maximum allowed size exceeded" before it tries to allocate anything
+_MAX_FLOAT64_LENGTH = np.iinfo(np.intp).max // 8
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -109,7 +120,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "start": _POSITIVE,
                 "stop": _POSITIVE,
-                "num": {"type": "integer", "minimum": 2},
+                "num": {"type": "integer", "minimum": 2, "maximum": _MAX_FLOAT64_LENGTH},
                 "points": {"type": "array", "items": _NUMBER, "minItems": 1},
             },
         },
@@ -322,26 +333,28 @@ def run_classify(config: dict, seed: int, workers: int) -> dict:
         _check_rates(kind, {"alpha": alpha, "beta": beta, "gamma": gamma})
     for a in sweep_rates:
         _check_rates("kannan", {"alpha": a})
-    # the pairs each certificate would sample from the same seed, drawn once
+    # the pairs each certificate would sample from the same seed, drawn, mapped
+    # and evaluated on the left side F(Tx, Ty)(t) once for every certificate
     pairs = sample_pairs(space, mapping, n_pairs, np.random.default_rng(seed))
+    left = _LeftSide.build(space, mapping, pairs, grid, tol)
+    kannan = {}  # rate -> its Kannan certificate, so a repeated rate is checked once
     certificates = {}
     for kind in kinds:
         if kind == "banach":
-            cert = check_banach(space, mapping, alpha, pairs=pairs, grid=grid, tol=tol, seed=seed)
+            cert = check_banach(space, mapping, alpha, pairs=left, grid=grid, tol=tol)
         elif kind == "kannan":
-            cert = check_kannan(space, mapping, alpha, pairs=pairs, grid=grid, tol=tol, seed=seed)
+            cert = kannan[alpha] = check_kannan(space, mapping, alpha, pairs=left, grid=grid, tol=tol)
         elif kind == "chatterjea":
-            cert = check_chatterjea(space, mapping, alpha, pairs=pairs, grid=grid, tol=tol, seed=seed)
+            cert = check_chatterjea(space, mapping, alpha, pairs=left, grid=grid, tol=tol)
         else:
-            cert = check_zamfirescu(
-                space, mapping, alpha, beta, gamma, pairs=pairs, grid=grid, tol=tol, seed=seed
-            )
+            cert = check_zamfirescu(space, mapping, alpha, beta, gamma, pairs=left, grid=grid, tol=tol)
         certificates[kind] = certificate_to_dict(cert)
 
     sweep = {}
     for a in sweep_rates:
-        cert = check_kannan(space, mapping, a, pairs=pairs, grid=grid, tol=tol, seed=seed)
-        sweep[repr(float(a))] = certificate_to_dict(cert)
+        if a not in kannan:
+            kannan[a] = check_kannan(space, mapping, a, pairs=left, grid=grid, tol=tol)
+        sweep[repr(float(a))] = certificate_to_dict(kannan[a])
 
     out = {"mapping": mapping.name, "certificates": certificates}
     if mapping.note:

@@ -20,7 +20,8 @@ stricter and is not implemented.
 Each checker's ``pairs`` is an int n, which samples n pairs from ``seed``
 with :func:`sample_pairs`, or the pairs themselves: an ``(n, 2, d)`` array
 such as ``sample_pairs`` returns, or a sequence of ``(x, y)`` points. Their
-coordinates must be finite.
+coordinates must be finite. Certificates on the same pairs can share one
+private ``_LeftSide``, which maps the pairs and evaluates F(Tx, Ty)(t) once.
 """
 
 from __future__ import annotations
@@ -152,6 +153,59 @@ def _resolve_tol(space: PCMSpace, pairs: np.ndarray, tol) -> float:
     return default_comparison_tol(space.distance(*pairs[0]))
 
 
+def _blocks(n: int):
+    """Slices of ``_BLOCK`` pairs in pair order."""
+    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+
+
+@dataclass(frozen=True, eq=False)
+class _LeftSide:
+    """The pairs, their images and the left side F(Tx, Ty)(t) of every contraction condition.
+
+    One is built per set of pairs, grid and tolerance, and any number of
+    certificates read it: ``lhs`` is the ``(n, G)`` table of F(TX, TY)(t),
+    evaluated one ``_BLOCK`` of pairs at a time, exactly as a certificate's
+    margin blocks read it. ``pairs`` is the coerced ``(n, 2, d)`` array, X
+    and Y its two sides, TX and TY their checked images (one
+    ``apply_rows`` call each) and ``tol`` the resolved tolerance.
+    """
+
+    space: PCMSpace
+    mapping: Mapping
+    pairs: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    TX: np.ndarray
+    TY: np.ndarray
+    grid: TimeGrid
+    tol: float
+    lhs: np.ndarray
+
+    @classmethod
+    def build(cls, space, mapping, pairs, grid=None, tol=None, seed=0) -> "_LeftSide":
+        """Coerce ``pairs`` as a checker's ``pairs=`` is, map them and evaluate F(TX, TY) on the grid."""
+        stacked = _coerce_pairs(space, mapping, pairs, seed)
+        grid = TimeGrid.coerce(grid)
+        tol = _resolve_tol(space, stacked, tol)
+        X, Y = stacked[:, 0], stacked[:, 1]
+        TX = _checked_images(mapping, X, mapping.apply_rows(X))
+        TY = _checked_images(mapping, Y, mapping.apply_rows(Y))
+        t = grid.points
+        lhs = np.empty((len(X), len(t)))
+        for b in _blocks(len(X)):
+            lhs[b] = space.distance_values(TX[b], TY[b], t)
+        return cls(space, mapping, stacked, X, Y, TX, TY, grid, tol, lhs)
+
+    def check_for(self, space, mapping, grid, tol) -> None:
+        """Raise unless this left side is the one of (space, mapping, grid, tol); None takes its own."""
+        if space is not self.space or mapping is not self.mapping:
+            raise InvalidParameterError("the pairs' left side was built for another space or map")
+        if grid is not None and not np.array_equal(TimeGrid.coerce(grid).points, self.grid.points):
+            raise InvalidParameterError("the pairs' left side was built on another time grid")
+        if tol is not None and _resolve_tol(space, self.pairs, tol) != self.tol:
+            raise InvalidParameterError(f"the pairs' left side was built for tol {self.tol!r}, not {tol!r}")
+
+
 def _banach_bound(space, X, Y, TX, TY, t, alpha):
     return space.distance_values(X, Y, t / alpha)
 
@@ -193,36 +247,34 @@ def _check_rates(kind: str, rates: dict) -> None:
 def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
     """Worst margin F(Tx, Ty)(t) - bound over all pairs and grid times, with its witness.
 
-    The map is applied to all points at once with ``Mapping.apply_rows``.
+    ``pairs`` is a checker's ``pairs=`` or a :class:`_LeftSide` built for
+    this space, map, grid and tolerance, whose F(Tx, Ty)(t) it reuses.
     Margins are evaluated as (pairs, t) arrays over blocks of ``_BLOCK``
     pairs in pair order and reduced by :func:`~probcone.dist._first_worst`.
     """
     _check_rates(kind, params)
     bound = _CONDITIONS[kind][0]
-    stacked = _coerce_pairs(space, mapping, pairs, seed)
-    grid = TimeGrid.coerce(grid)
-    tol = _resolve_tol(space, stacked, tol)
-    t = grid.points
+    if isinstance(pairs, _LeftSide):
+        left = pairs
+        left.check_for(space, mapping, grid, tol)
+    else:
+        left = _LeftSide.build(space, mapping, pairs, grid, tol, seed)
+    X, Y, TX, TY, t = left.X, left.Y, left.TX, left.TY, left.grid.points
 
-    X, Y = stacked[:, 0], stacked[:, 1]
-    TX = _checked_images(mapping, X, mapping.apply_rows(X))
-    TY = _checked_images(mapping, Y, mapping.apply_rows(Y))
-    blocks = (slice(start, start + _BLOCK) for start in range(0, len(X), _BLOCK))
     worst, number, flat = _first_worst(
-        space.distance_values(TX[b], TY[b], t) - bound(space, X[b], Y[b], TX[b], TY[b], t, **params)
-        for b in blocks
+        left.lhs[b] - bound(space, X[b], Y[b], TX[b], TY[b], t, **params) for b in _blocks(len(X))
     )
-    passed = worst >= -tol
+    passed = worst >= -left.tol
     p, k = divmod(flat, len(t))
     p += number * _BLOCK
     return ContractionCertificate(
         kind=kind,
         params=dict(params),
-        n_pairs=len(stacked),
-        grid=grid,
+        n_pairs=len(X),
+        grid=left.grid,
         worst_margin=worst,
         passed=passed,
-        tol=tol,
+        tol=left.tol,
         witness=None if passed else {"x": X[p].tolist(), "y": Y[p].tolist(), "t": float(t[k])},
     )
 

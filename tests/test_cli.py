@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probcone import cli, contract, stochastic
+from probcone import PCMSpace, cli, contract, stochastic
 from probcone.cli import CONFIG_SCHEMA, main, validate_config
 from probcone.errors import ConfigError
 
@@ -236,7 +237,7 @@ class TestFirstError:
         "config,valid",
         [
             ({"axioms": {"n_points": 3.0}}, True),
-            ({"grid": {"num": 10**400}}, True),
+            ({"sie": {"max_iter": 10**400}}, True),
             ({"axioms": {"n_points": 10**400}}, False),
             ({"axioms": {"n_points": True}}, False),
             ({"axioms": {"tol": False}}, False),
@@ -498,6 +499,12 @@ class TestSchemaValidConfigErrors:
                 {"space": DIRAC_SPACE, "mapping": "scale:0.5", "solve": {"x0": [1.0, 2.0], "uniqueness_starts": 10**8}},
                 "config field 'solve/uniqueness_starts': 100000000 is greater than the maximum of 100000",
             ),
+            # refused by the schema before any allocation: no numpy array holds 2**60 float64 values
+            (
+                "axioms",
+                {"space": DIRAC_SPACE, "grid": {"num": 10**19}},
+                "config field 'grid/num': 10000000000000000000 is greater than the maximum of 1152921504606846975",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "affine-3d-classify", "affine-3d-solve", "halfspaces-ragged", "scale-1e308",
@@ -510,7 +517,7 @@ class TestSchemaValidConfigErrors:
              "sweep-rate-infeasible-region", "kernel-unknown-key", "forcing-unknown-key", "nonlinearity-unknown-key",
              "affine-unknown-key", "kernel-value-true", "kernel-value-string", "affine-matrix-bools",
              "coefficient-int-past-float", "n-pairs-above-sampling-cap", "n-points-above-sampling-cap",
-             "uniqueness-starts-above-sampling-cap"],
+             "uniqueness-starts-above-sampling-cap", "grid-num-past-array-length"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -622,6 +629,32 @@ class TestClassifyCommand:
         assert draws == [16]
         certificates = read_report(tmp_path / "o")["results"]["classify"]["certificates"]
         assert len(certificates) == 4 and all(c["n_pairs"] == 16 for c in certificates.values())
+
+    def test_pairs_mapped_and_left_side_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        # 1,024 pairs are 8 blocks. Per block: F(TX, TY) once, then the bounds of
+        # banach (1), kannan (2), chatterjea (2), zamfirescu (5) and of each sweep
+        # rate but 0.3, the default alpha, whose Kannan certificate is reused (2 each).
+        # Mapping and evaluating per certificate took 16 rows calls and 8 * 26 = 208 tables.
+        rows, tables = [], []
+        make_mapping = cli.make_mapping
+
+        def counted_mapping(spec, dim):
+            built = make_mapping(spec, dim)
+            return dataclasses.replace(built, rows=lambda X: rows.append(len(X)) or built.rows(X))
+
+        monkeypatch.setattr(cli, "make_mapping", counted_mapping)
+        distance_values = PCMSpace.distance_values
+        monkeypatch.setattr(PCMSpace, "distance_values", lambda *args: tables.append(1) or distance_values(*args))
+        sweep = [0.1, 0.2, 0.3, 0.4]
+        cfg = write_config(
+            tmp_path,
+            {"space": DIRAC_SPACE, "mapping": "scale:0.2", "classify": {"n_pairs": 1024, "alpha_sweep": sweep}},
+        )
+        assert main(["classify", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 0
+        assert rows == [1024, 1024]
+        assert len(tables) == 8 * (1 + 1 + 2 + 2 + 5 + 2 * 3) == 136
+        result = read_report(tmp_path / "o")["results"]["classify"]
+        assert result["kannan_sweep"]["0.3"] == result["certificates"]["kannan"]
 
     def test_missing_mapping_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"space": DIRAC_SPACE, "classify": {"kinds": ["banach"]}})

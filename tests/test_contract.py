@@ -20,7 +20,7 @@ from probcone import (
     sample_pairs,
     zamfirescu_delta,
 )
-from probcone.contract import Mapping
+from probcone.contract import Mapping, _LeftSide
 from probcone.report import canonical_json, certificate_to_dict
 from probcone.space import sample_points
 from probcone.registry import (
@@ -513,6 +513,55 @@ class TestBatchedMargins:
         space = PCMSpace(dim=2, distance=lambda x, y: DiracStep(0.0), tnorm=TNorm.MINIMUM)
         for kind in KINDS:
             assert_matches_reference(kind, space, shift_map([0.3, -0.1]), 130, seed=4)
+
+
+def _cert_fields(cert):
+    """Every field of a certificate, floats by repr so -0.0 and NaN count."""
+    return (cert.kind, cert.params, cert.n_pairs, cert.grid.points.tolist(), repr(cert.worst_margin),
+            cert.passed, repr(cert.tol), cert.witness)
+
+
+class TestLeftSide:
+    """Certificates read F(Tx, Ty)(t) from one ``_LeftSide`` with the bits of their own evaluation."""
+
+    @pytest.mark.parametrize("space_name", ["dirac", "gauss"])
+    @pytest.mark.parametrize("tol", [None, -2.0, 0.05])
+    def test_certificates_equal_those_from_the_pairs(self, space_name, tol):
+        space = dirac_space() if space_name == "dirac" else cone_gaussian_space(delta=0.5)
+        mapping = rotation_half_map()
+        pairs = sample_pairs(space, mapping, 300, np.random.default_rng(7))  # three blocks, the last partial
+        grid = TimeGrid(np.geomspace(0.01, 5.0, 23))
+        left = _LeftSide.build(space, mapping, pairs, grid, tol)
+        for kind, (check, _, params) in KINDS.items():
+            alone = check(space, mapping, pairs=pairs, grid=grid, tol=tol, **params)
+            shared = check(space, mapping, pairs=left, grid=grid, tol=tol, **params)
+            assert _cert_fields(shared) == _cert_fields(alone)
+
+    def test_none_takes_the_left_sides_grid_and_tol(self):
+        mapping = scale_map(0.5)
+        grid = TimeGrid([0.1, 0.5, 2.0])
+        left = _LeftSide.build(SPACE, mapping, 40, grid, 0.25, seed=1)
+        cert = check_kannan(SPACE, mapping, 0.3, pairs=left)
+        assert cert.grid is grid and cert.tol == 0.25 and cert.n_pairs == 40
+
+    def test_refuses_another_space_map_grid_or_tol(self):
+        mapping = scale_map(0.5)
+        left = _LeftSide.build(SPACE, mapping, 16, [0.5, 1.0], 0.1)
+        for space, other_map, grid, tol in [
+            (dirac_space(), mapping, None, None),
+            (SPACE, scale_map(0.5), None, None),
+            (SPACE, mapping, [0.5, 2.0], None),
+            (SPACE, mapping, None, 0.2),
+        ]:
+            with pytest.raises(InvalidParameterError, match="left side was built"):
+                check_banach(space, other_map, 0.6, pairs=left, grid=grid, tol=tol)
+        # an equal grid in another object, and the same tol, are this left side's
+        check_banach(SPACE, mapping, 0.6, pairs=left, grid=TimeGrid([0.5, 1.0]), tol=0.1)
+
+    def test_rates_are_checked_before_the_left_side(self):
+        left = _LeftSide.build(SPACE, scale_map(0.5), 4)
+        with pytest.raises(InvalidParameterError, match="kannan rate"):
+            check_kannan(dirac_space(), scale_map(0.5), 0.7, pairs=left)
 
 
 class NanTail(DistFn):

@@ -74,6 +74,11 @@ def test_library_import_loads_neither_scipy_nor_jsonschema():
     assert loaded_after("import probcone") == set()
 
 
+def test_cli_import_does_not_load_numpy_random():
+    # the first draw imports it: a refused config never pays for it, and set-up time does not grow
+    assert loaded_after("import probcone.cli", watched=("numpy.random",)) == set()
+
+
 def test_cli_config_validation_does_not_load_scipy(tmp_path):
     cfg = write_config(tmp_path, DIRAC_AXIOMS)
     loaded = loaded_after("import sys; from probcone.cli import load_config; load_config(sys.argv[1])", cfg)

@@ -16,7 +16,7 @@ from probcone import (
 )
 from probcone import stochastic
 from probcone.registry import make_forcing, make_kernel, make_nonlinearity, rotation_half_map
-from probcone.rng import path_generator
+from probcone.rng import mix_seed, path_generator
 from probcone.stochastic import SIEConditions, causal_trapezoid_weights
 
 FOLDED_AT_1 = 0.6826894921370859
@@ -104,6 +104,35 @@ def linear_problem(n_time=100, n_paths=1, seed=0, forcing=UNIT_FORCING, coeffici
         n_paths=n_paths,
         seed=seed,
     )
+
+
+class TestPathGenerator:
+    @pytest.mark.parametrize("root", [0, 1, 7, 2**40 + 3])
+    @pytest.mark.parametrize("index", [0, 1, 999, 10**6])
+    def test_equals_philox_keyed_by_mix_seed(self, root, index):
+        ours = path_generator(root, index)
+        keyed = np.random.Generator(np.random.Philox(key=mix_seed(root, index)))
+        assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state)
+        for draw in (lambda g: g.standard_normal(33), lambda g: g.random(5), lambda g: g.integers(0, 10**12, 17)):
+            np.testing.assert_array_equal(draw(ours), draw(keyed))
+        assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state)
+
+    def test_spawned_children_depend_on_root_and_index_only(self):
+        first, second = path_generator(3, 8).spawn(2), path_generator(3, 8).spawn(2)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.random(8), b.random(8))
+        other = path_generator(3, 9).spawn(1)[0]
+        assert not np.array_equal(other.random(8), path_generator(3, 8).spawn(1)[0].random(8))
+
+    def test_reads_no_os_entropy(self, monkeypatch):
+        # SeedSequence() draws its entropy through this module-level name
+        def refuse(*args):
+            raise AssertionError("OS entropy read")
+
+        monkeypatch.setattr("numpy.random.bit_generator.randbits", refuse)
+        with pytest.raises(AssertionError):
+            np.random.SeedSequence()
+        path_generator(5, 2).spawn(1)[0].random()
 
 
 class TestEnsemble:
