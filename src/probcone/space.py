@@ -197,12 +197,15 @@ def check_axioms(
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, into a copy of the grid table with F_ii = 0, and reduces
-    each row i over j before subtracting. For each grid time t, one t-norm
-    pass over the whole (j, k, s) table and one ``np.maximum.reduce`` over j
-    give B_ik(t, s) = max_j T(F_ij(t), F_jk(s)); one subtraction from
-    F_ik(t + s) and one ``_first_worst`` then give the row's worst. The zero
-    diagonal masks j == i and k == j, as T(0, b) = T(a, 0) = 0 never exceeds
-    a valid term; +inf masks k == i. The reduction is exact: rounding is
+    each row i over j before subtracting. For a grid time t, one t-norm pass
+    over the (j, k, s) table and one ``np.maximum.reduce`` over j give
+    B_ik(t, s) = max_j T(F_ij(t), F_jk(s)). Rows j with bitwise-equal
+    F_ij(.) share one pass through their folded table rows, and a grid time
+    whose F_i.(t) is bitwise equal to the previous time's copies that B
+    (see ``_MaxCombine``). One subtraction from F_ik(t + s) and one
+    ``_first_worst`` then give the row's worst. The zero diagonal masks
+    j == i and k == j, as T(0, b) = T(a, 0) = 0 never exceeds a valid term;
+    +inf masks k == i. The reduction is exact: rounding is
     monotone, so fl(L - max_j T_j) = min_j fl(L - T_j), and each row's worst
     compares equal to the least of its per-triple margins (NaN when one is
     NaN). Only the sign of a zero may differ, so the first worst row is
@@ -213,15 +216,16 @@ def check_axioms(
     t_b == t_b + t_a exactly, and a ``DistFn`` is a function of t.
 
     The rows are split into ``workers`` contiguous runs, one task each. A
-    task holds one (n, G, G) buffer of F_ik(t + s) and margins, one
-    (G, n, G) buffer of B and one (n, n * G) t-norm scratch table, reused
-    row by row, plus each row's (n - 1, G(G + 1)/2) block of sums and its
-    (n - 1, G^2) scatter; the replay adds two (n, G, G) buffers. Peak memory
-    is the (n, n, G) grid table, its checked copy (and, for LUKASIEWICZ,
-    1 - F) plus the per-task buffers, so it grows with ``workers`` * n * G^2,
-    not with n^2 * G^2. With ``workers`` > 1 the F_ik(t + s) rows are read
-    on worker threads, so the distance map, its ``table`` and the
-    ``DistFn`` it returns must be thread-safe.
+    task holds one (n, G, G) buffer of F_ik(t + s) and margins and one
+    (G, n, G) buffer of B, reused row by row; an (n, n * G) t-norm scratch
+    table, or for a row with r < n distinct F_ij(.) a folded (r, n * G)
+    table and its scratch; and each row's (n - 1, G(G + 1)/2) block of sums
+    and its (n - 1, G^2) scatter; the replay adds two (n, G, G) buffers.
+    Peak memory is the (n, n, G) grid table, its checked copy (and, for
+    LUKASIEWICZ, 1 - F) plus the per-task buffers, so it grows with
+    ``workers`` * n * G^2, not with n^2 * G^2. With ``workers`` > 1 the
+    F_ik(t + s) rows are read on worker threads, so the distance map, its
+    ``table`` and the ``DistFn`` it returns must be thread-safe.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")

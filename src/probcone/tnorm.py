@@ -92,16 +92,31 @@ class TNorm(enum.Enum):
         )
 
 
+def _bit_keys(x: np.ndarray) -> list:
+    """One ``bytes`` per row of the 2-D array ``x``; two are equal exactly when their rows are bitwise equal."""
+    x = np.ascontiguousarray(x)
+    return x.view(f"V{x.itemsize * x.shape[1]}").ravel().tolist()
+
+
 class _MaxCombine:
     """``out[p] = max_j T(a[j, p], b[j])`` for an (n, m) operand table ``b`` checked by the caller.
 
-    Each column p of the (n, P) operands ``a`` costs one t-norm pass over
-    the whole table and one ``np.maximum.reduce`` over j. The result equals
-    the max over j of ``_combine``'s values: MINIMUM and PRODUCT apply the
-    same ufunc, and for LUKASIEWICZ max_j max(x_j, 0) = max(max_j x_j, 0),
-    so ``1 - b`` is computed once here and the clamp at 0 runs once per
-    call, over all of ``out``. Only the sign of a zero may differ from the
-    per-j maxima. An instance is read-only, so threads may share one.
+    Each t-norm is monotone in each argument (Schweizer and Sklar,
+    *Probabilistic Metric Spaces*, 1983), and so is rounding, so rows j
+    with one operand row v give max_j T(v, b_j) = T(v, max_j b_j) bit for
+    bit. A call folds each group of rows j with bitwise-equal ``a[j]`` into
+    one table row, the max of their ``b`` (for LUKASIEWICZ, whose unclamped
+    term is a - (1 - b), the min of their ``1 - b``). It then runs one
+    t-norm pass and one ``np.maximum.reduce`` over the groups per run of
+    bitwise-equal columns of ``a`` and copies the run's first row of
+    ``out`` to the rest. For LUKASIEWICZ max_j max(x_j, 0) =
+    max(max_j x_j, 0), so the clamp at 0 runs once per call, over all of
+    ``out``. Only the sign of a zero may differ from the per-j maxima of
+    ``_combine``. An instance is read-only, so threads may share one.
+
+    With no repeated operand row the pass reads the instance's own table
+    and holds one (n, m) scratch table; with r < n distinct rows it holds
+    the folded (r, m) table and an (r, m) scratch, at most 2(n - 1) rows.
 
     The t-norm pass broadcasts a column of ``a`` along each table row. With
     numpy's default 8192-element ufunc buffer the iterator groups several
@@ -114,20 +129,35 @@ class _MaxCombine:
     def __init__(self, tnorm: TNorm, b: np.ndarray):
         if tnorm is TNorm.LUKASIEWICZ:
             # a - (1 - b), the unclamped _combine
-            self._ufunc, self._table, self._clamp = np.subtract, 1.0 - b, True
+            self._ufunc, self._table, self._fold, self._clamp = np.subtract, 1.0 - b, np.minimum, True
         else:
             self._ufunc = np.minimum if tnorm is TNorm.MINIMUM else np.multiply
-            self._table, self._clamp = b, False
+            self._table, self._fold, self._clamp = b, np.maximum, False
 
     def __call__(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill the (P, m) array ``out`` from the (n, P) operands ``a`` and return it."""
-        scratch = np.empty(self._table.shape)
-        row = self._table.shape[1]
+        keys, table = _bit_keys(a), self._table
+        if len(set(keys)) < len(keys):
+            groups = {}
+            for j, key in enumerate(keys):
+                groups.setdefault(key, []).append(j)
+            table = np.empty((len(groups), table.shape[1]))
+            for folded, (first, *rest) in zip(table, groups.values()):
+                folded[:] = self._table[first]
+                for j in rest:
+                    self._fold(folded, self._table[j], out=folded)
+            a = a[[first for first, *_ in groups.values()]]
+        columns = _bit_keys(a.T)
+        scratch = np.empty(table.shape)
+        row = table.shape[1]
         # numpy takes a buffer size that is a positive multiple of 16
         bufsize = np.setbufsize(min(max(row - row % 16, 16), np.getbufsize()))
         try:
-            for p in range(a.shape[1]):
-                self._ufunc(a[:, p, None], self._table, out=scratch)
+            for p, column in enumerate(columns):
+                if p and column == columns[p - 1]:
+                    out[p] = out[p - 1]
+                    continue
+                self._ufunc(a[:, p, None], table, out=scratch)
                 np.maximum.reduce(scratch, axis=0, out=out[p])
         finally:
             np.setbufsize(bufsize)

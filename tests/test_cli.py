@@ -1009,3 +1009,27 @@ class TestDemo:
         assert demo["sie"]["conditions"]["contraction_rate"] == pytest.approx(0.4, abs=1e-12)
         assert demo["sie"]["solution"]["converged"]
         assert len(demo["classify"]["kannan_sweep"]) == 8
+
+
+FREEZE_PROBE = """
+import atexit, gc, sys
+from probcone.cli import main
+args = ["axioms", "--config", sys.argv[1], "--out", sys.argv[2]]
+assert main(args) == 0
+registered = atexit._ncallbacks()
+assert main(args) == 0
+assert atexit._ncallbacks() == registered
+assert gc.get_freeze_count() == 0
+atexit._run_exitfuncs()
+assert gc.get_freeze_count() > 0
+"""
+
+
+def test_main_freezes_the_heap_once_and_only_at_exit(tmp_path):
+    """``main`` registers ``gc.freeze`` with atexit once per process, and the process exits quietly."""
+    cfg = write_config(tmp_path, {"space": DIRAC_SPACE, "axioms": {"n_points": 4}})
+    done = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, cfg, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")

@@ -17,9 +17,11 @@ from probcone import (
     sample_points,
     tau_converged,
 )
+import probcone.space
 from probcone.registry import cone_gaussian_space, dirac_space, rotation_half_map
 from probcone.report import axiom_report_to_dict, canonical_json
 from probcone.space import _passfail
+from probcone.tnorm import _MaxCombine
 
 # an inf - inf or 0 * inf in a kernel's masking fails here instead of leaving a quiet NaN
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -125,6 +127,19 @@ def assert_triangle_matches_reference(space, n_points, grid=None, seed=0):
         # repr tells -0.0 from 0.0, and the sign of a zero reaches the report bytes
         assert repr(report.triangle.worst_margin) == repr(worst)
         assert report.triangle.witness == witness
+
+
+class ColumnLoopMaxCombine(_MaxCombine):
+    """``_MaxCombine`` without operand grouping: one t-norm pass over the whole table per column."""
+
+    def __call__(self, a, out):
+        scratch = np.empty(self._table.shape)
+        for p in range(a.shape[1]):
+            self._ufunc(a[:, p, None], self._table, out=scratch)
+            np.maximum.reduce(scratch, axis=0, out=out[p])
+        if self._clamp:
+            np.maximum(out, 0.0, out=out)
+        return out
 
 
 def reference_sample_points(space, n, rng):
@@ -324,6 +339,30 @@ class TestTriangleKernel:
         else:
             space = squared_distance_space(tnorm)
         assert_triangle_matches_reference(space, n_points, grid, seed)
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    @pytest.mark.parametrize(
+        "make_space",
+        [
+            lambda tnorm: cone_gaussian_space(delta=0.5, tnorm=tnorm),
+            lambda tnorm: dirac_space(dim=3, tnorm=tnorm, point_cone=Orthant(3)),
+        ],
+        ids=["cone-gaussian", "orthant3-dirac"],
+    )
+    def test_reports_equal_the_column_loop(self, monkeypatch, make_space, tnorm):
+        # the benchmark's spaces and size; tol=-2 fails every check, so every witness is shown
+        space = make_space(tnorm)
+
+        def reports():
+            return [
+                repr(check_axioms(space, n_points=24, tol=-2.0, seed=seed, workers=workers))
+                for seed in range(5)
+                for workers in (1, 2)
+            ]
+
+        grouped = reports()
+        monkeypatch.setattr(probcone.space, "_MaxCombine", ColumnLoopMaxCombine)
+        assert grouped == reports()
 
     def test_operands_outside_unit_interval_rejected(self):
         class Doubled(DistFn):

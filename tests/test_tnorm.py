@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from probcone import InvalidParameterError, TNorm
 from probcone.tnorm import _MaxCombine
@@ -161,6 +161,56 @@ class TestMaxCombine:
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(0.0, 1.0, (n, p)), rng.uniform(0.0, 1.0, (n, m))
         assert np.array_equal(_MaxCombine(kind, b)(a, np.empty((p, m))), self.per_row_max(kind, a, b))
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.sampled_from(list(TNorm)),
+        st.integers(0, 2**16),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    @example(6, 6, 19, TNorm.LUKASIEWICZ, 0, 0.0, 0.0, 0.0)  # every operand row and column equal
+    @example(6, 6, 19, TNorm.PRODUCT, 0, 1.0, 1.0, 1.0)  # every operand row and column distinct
+    def test_repeated_operands(self, n, p, m, kind, seed, row_share, column_share, fresh):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            # 0.0, -0.0, 1.0 and delta = 0.5 repeat; each entry is uniform instead with probability ``fresh``
+            values = rng.choice([0.0, -0.0, 1.0, 0.5], size=shape)
+            uniform = rng.uniform(0.0, 1.0, shape) < fresh
+            values[uniform] = rng.uniform(0.0, 1.0, uniform.sum())
+            return values
+
+        # the shares set how many distinct operand rows and columns there are;
+        # every distinct row appears, in shuffled order, and equal columns run together
+        rows, columns = 1 + round(row_share * (n - 1)), 1 + round(column_share * (p - 1))
+        a = draw((rows, columns))[rng.permutation(np.arange(n) % rows)][:, np.arange(p) * columns // p]
+        b = draw((n, m))
+        assert np.array_equal(_MaxCombine(kind, b)(a, np.empty((p, m))), self.per_row_max(kind, a, b))
+
+    @pytest.mark.parametrize("kind", list(TNorm))
+    def test_one_pass_per_run_of_equal_columns(self, kind):
+        # rows 0 and 2 are equal, and the columns run as [0, 1], [2, 3, 4], [5]
+        a = np.array([[0.5, 0.5, 1.0, 1.0, 1.0, 0.5], [0.2, 0.2, 1.0, 1.0, 1.0, 0.2], [0.5, 0.5, 1.0, 1.0, 1.0, 0.5]])
+        b = np.random.default_rng(3).uniform(0.0, 1.0, (3, 40))
+        combine = _MaxCombine(kind, b)
+        calls, ufunc = [], combine._ufunc
+
+        def counting(x, table, out):
+            calls.append(table)
+            return ufunc(x, table, out=out)
+
+        combine._ufunc = counting
+        assert np.array_equal(combine(a, np.empty((6, 40))), self.per_row_max(kind, a, b))
+        assert [table.shape for table in calls] == [(2, 40)] * 3
+        # with no repeated operand row the pass reads the instance's own table
+        calls.clear()
+        a[2] = 0.7
+        assert np.array_equal(combine(a, np.empty((6, 40))), self.per_row_max(kind, a, b))
+        assert len(calls) == 3 and all(table is combine._table for table in calls)
 
     def test_buffer_size_restored_in_each_thread(self):
         before = np.getbufsize()
