@@ -38,7 +38,7 @@ from .contract import (
     check_zamfirescu,
     sample_pairs,
 )
-from .dist import DEFAULT_GRID_SIZE, DEFAULT_GRID_START, DEFAULT_GRID_STOP, TimeGrid
+from .dist import TimeGrid, _geometric_grid
 from .errors import ConfigError, InvalidParameterError, ProbconeError
 from .registry import _is_number, make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
 from .report import (
@@ -171,7 +171,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_time": {"type": "integer", "minimum": 2},
+                # the (n_time + 1)^2 float64 operator must fit one numpy array
+                "n_time": {"type": "integer", "minimum": 2, "maximum": math.isqrt(_MAX_FLOAT64_LENGTH) - 1},
                 "n_paths": _POSITIVE_INT,
                 "kernel": {},
                 "forcing": {},
@@ -290,10 +291,7 @@ def _grid_from_config(config: dict) -> TimeGrid:
     spec = config.get("grid", {})
     if "points" in spec:
         return TimeGrid(np.asarray(spec["points"], dtype=float))
-    start = spec.get("start", DEFAULT_GRID_START)
-    stop = spec.get("stop", DEFAULT_GRID_STOP)
-    num = spec.get("num", DEFAULT_GRID_SIZE)
-    return TimeGrid(np.geomspace(start, stop, num))
+    return _geometric_grid(**spec)  # the schema admits only start, stop and num beside points
 
 
 def _require_section(config: dict, name: str) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _row_norms
+from .dist import _passes, _row_norms
 from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive
 
 MEMBERSHIP_TOL = 1e-12
@@ -36,7 +36,7 @@ class Cone:
         raise NotImplementedError
 
     def contains(self, x) -> bool:
-        return self.membership_margin(x) >= -MEMBERSHIP_TOL
+        return _passes(self.membership_margin(x), MEMBERSHIP_TOL)
 
     def leq(self, x, y) -> bool:
         """Cone order: x <= y iff y - x is a member."""

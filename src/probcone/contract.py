@@ -2,7 +2,8 @@
 
 Each checker samples point pairs, evaluates a contraction inequality on a
 time grid, and returns a :class:`ContractionCertificate` with the worst
-margin and, on failure, the witnessing (x, y, t). Four conditions ship:
+margin, the verdict and, on failure, the witnessing (x, y, t), all by the
+rule of :func:`~probcone.dist._first_worst`. Four conditions ship:
 
 * banach      -- F(Tx, Ty)(t) >= F(x, y)(t / alpha),              alpha in (0, 1)
 * kannan      -- F(Tx, Ty)(t) >= min of the two self-displacement
@@ -261,11 +262,8 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
         left = _LeftSide.build(space, mapping, pairs, grid, tol, seed)
     X, Y, TX, TY, t = left.X, left.Y, left.TX, left.TY, left.grid.points
 
-    worst, number, flat = _first_worst(
-        left.lhs[b] - bound(space, X[b], Y[b], TX[b], TY[b], t, **params) for b in _blocks(len(X))
-    )
-    passed = worst >= -left.tol
-    p, k = divmod(flat, len(t))
+    margins = (left.lhs[b] - bound(space, X[b], Y[b], TX[b], TY[b], t, **params) for b in _blocks(len(X)))
+    worst, passed, (number, p, k) = _first_worst(margins, left.tol)
     p += number * _BLOCK
     return ContractionCertificate(
         kind=kind,

@@ -67,7 +67,7 @@ class TimeGrid:
     @classmethod
     def default(cls) -> "TimeGrid":
         """50 log-spaced points on [1e-3, 1e2]."""
-        return cls(np.geomspace(DEFAULT_GRID_START, DEFAULT_GRID_STOP, DEFAULT_GRID_SIZE))
+        return _geometric_grid()
 
     @classmethod
     def coerce(cls, grid) -> "TimeGrid":
@@ -76,6 +76,11 @@ class TimeGrid:
         if isinstance(grid, TimeGrid):
             return grid
         return cls(np.asarray(grid, dtype=float))
+
+
+def _geometric_grid(start=DEFAULT_GRID_START, stop=DEFAULT_GRID_STOP, num=DEFAULT_GRID_SIZE) -> TimeGrid:
+    """``num`` log-spaced points on [start, stop]: every grid given by its ends is built here."""
+    return TimeGrid(np.geomspace(start, stop, num))
 
 
 class DistFn:
@@ -332,33 +337,39 @@ def default_comparison_tol(*dists: DistFn) -> float:
     return tol
 
 
-def _first_worst(blocks):
-    """``(margin, block number, flat index in the block)`` of the first smallest margin.
+def _passes(margins, tol):
+    """``margins >= -tol``, which a NaN fails: the package's one pass test, for a number or elementwise."""
+    return margins >= -tol
 
-    The package's one rule for a verdict's worst margin and its witness:
-    blocks are read in order and each block in row-major order, ties go to
-    the first, and a NaN counts as smaller than any number, so the first NaN
-    is the witness and fails every ``worst >= -tol`` test. Empty blocks are
-    skipped, and no margin at all gives None. Each block is reduced before
-    the next one is read, so a generator may refill one buffer per block.
+
+def _first_worst(blocks, tol):
+    """``(worst, passed, witness)``: the package's one rule for a verdict over margin blocks.
+
+    Blocks are read in order and each block in row-major order. ``worst`` is
+    the first smallest margin: ties go to the first, and a NaN counts as
+    smaller than any number, so the first NaN is the worst. ``passed`` is
+    :func:`_passes` of it, and ``witness`` is ``(block number, *index in
+    that block's shape)`` in Python ints. Empty blocks are skipped; no
+    margin at all passes with no witness. Each block is reduced before the
+    next one is read, so a generator may refill one buffer per block.
     """
-    worst = None
+    worst = witness = None
     for number, block in enumerate(blocks):
         block = np.asarray(block)
         if block.size == 0:
             continue
         index = int(np.argmin(block))  # the first NaN, when there is one
         margin = float(block.flat[index])
-        if worst is None or not (margin >= worst[0] or np.isnan(worst[0])):
-            worst = (margin, number, index)
-    return worst
+        if worst is None or not (margin >= worst or np.isnan(worst)):
+            worst, witness = margin, (number, *map(int, np.unravel_index(index, block.shape)))
+    return worst, worst is None or bool(_passes(worst, tol)), witness
 
 
 def dominates(f: DistFn, g: DistFn, grid=None, tol=None) -> DominanceResult:
     """Check f >= g pointwise on a grid, up to tol.
 
     Returns the worst margin min_t (f(t) - g(t)) and the first grid point
-    attaining it; a NaN margin is the worst and fails. ``tol=None`` uses
+    attaining it (:func:`_first_worst`). ``tol=None`` uses
     :func:`default_comparison_tol`.
     """
     grid = TimeGrid.coerce(grid)
@@ -366,8 +377,8 @@ def dominates(f: DistFn, g: DistFn, grid=None, tol=None) -> DominanceResult:
         tol = default_comparison_tol(f, g)
     _check_tol(tol)
     margins = np.asarray(f.eval(grid.points)) - np.asarray(g.eval(grid.points))
-    worst, _, idx = _first_worst([margins])
-    return DominanceResult(holds=worst >= -tol, worst_margin=worst, witness_t=float(grid.points[idx]))
+    worst, holds, (_, k) = _first_worst([margins], tol)
+    return DominanceResult(holds=holds, worst_margin=worst, witness_t=float(grid.points[k]))
 
 
 def to_summary(dist: DistFn) -> dict:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .contract import Mapping
-from .dist import DistFn, TimeGrid, _first_worst, empirical_sample_count
+from .dist import DistFn, TimeGrid, _first_worst, _passes, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
 from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py's patch points
 from .space import PCMSpace, _tau_close, tau_converged
@@ -202,9 +202,9 @@ def check_bounds(
 
     Chain pairs (n, m) with m - n >= 2 are all tested when few, otherwise
     ``max_chain_pairs`` of them sampled deterministically from ``seed``.
-    A margin below ``-tol`` is a violation, and so is a NaN margin; the
-    worst margin is the first smallest, step margins before chain margins
-    (:func:`~probcone.dist._first_worst`).
+    Step margins, then chain margins, give the worst margin and ``holds``
+    (:func:`~probcone.dist._first_worst`); each margin that fails the same
+    test, a NaN included, is a violation.
     """
     _check_rate("rate", alpha)
     _check_tol(tol)
@@ -229,8 +229,8 @@ def check_bounds(
     ).reshape(len(pairs), len(t))
     chain_margins = chain_lhs - chain_rhs
 
-    violations = int(np.sum(~(step_margins >= -tol))) + int(np.sum(~(chain_margins >= -tol)))
-    worst = _first_worst([step_margins, chain_margins])[0]
+    worst, holds, _ = _first_worst([step_margins, chain_margins], tol)
+    violations = int(np.sum(~_passes(step_margins, tol))) + int(np.sum(~_passes(chain_margins, tol)))
     return BoundCheck(
         grid=grid,
         alpha=alpha,
@@ -242,7 +242,7 @@ def check_bounds(
         chain_lhs=chain_lhs,
         chain_rhs=chain_rhs,
         chain_margins=chain_margins,
-        holds=violations == 0,
+        holds=holds,
         n_violations=violations,
         worst_margin=worst,
     )

@@ -15,9 +15,9 @@ randomized checks.
                     values are scalar, so the cone constraint lives on the
                     points; see the package README for the rationale.)
 
-Failures are report content, never exceptions: margins use the uniform
-convention "pass iff worst_margin >= -tol", a NaN margin is the worst and
-fails, and a witness is attached exactly when a check fails.
+Failures are report content, never exceptions: each check's worst margin,
+verdict and witness come from :func:`~probcone.dist._first_worst`, and a
+witness is attached exactly when a check fails.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cone import Cone
+from .cone import MEMBERSHIP_TOL, Cone
 from .dist import DistFn, TimeGrid, _first_worst
 from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _check_tol
 from .parallel import ordered_map
@@ -166,8 +166,7 @@ class AxiomReport:
         )
 
 
-def _passfail(name, worst, tol, witness) -> AxiomCheck:
-    passed = worst is None or worst >= -tol
+def _passfail(name, worst, passed, witness) -> AxiomCheck:
     return AxiomCheck(name=name, passed=passed, worst_margin=worst, witness=None if passed else witness)
 
 
@@ -186,14 +185,15 @@ def check_axioms(
     :meth:`PCMSpace.distance_values`: one call for the (n, n, G) grid table
     and one call per row i, plus one for the replayed row below, for F_ik
     at the distinct sums t + s.
-    Every check reduces its margins with :func:`~probcone.dist._first_worst`
-    in a fixed block order, so the result is identical for any worker
-    count: identity over the rows i, then the chosen row's first smallest
-    value over t; symmetry over the pairs i < j, then t; the triangle over
-    (i, j) in lexicographic order, then (k, t, s) in row-major order; and
-    feasibility over the points. ``sub_distribution_pairs`` asks each
-    off-diagonal ``DistFn`` for ``is_proper``, since no finite grid shows
-    the limit at +inf.
+    Every check takes its worst margin, verdict and witness from
+    :func:`~probcone.dist._first_worst` in a fixed block order, so the
+    result is identical for any worker count: identity over the rows i,
+    then the chosen row's first smallest value over t; symmetry over the
+    pairs i < j, then t; the triangle over (i, j) in lexicographic order,
+    then (k, t, s) in row-major order; and feasibility over the points, at
+    the ``MEMBERSHIP_TOL`` that sampling accepted them with.
+    ``sub_distribution_pairs`` asks each off-diagonal ``DistFn`` for
+    ``is_proper``, since no finite grid shows the limit at +inf.
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, into a copy of the grid table with F_ii = 0, and reduces
@@ -242,17 +242,16 @@ def check_axioms(
     # Axiom 1: F(x, x) == 1 on the grid. The row is chosen by its margin and
     # its t by its smallest value, which may differ once v - 1.0 rounds.
     diag = on_grid[index, index]
-    id_worst, _, i = _first_worst([diag.min(axis=1) - 1.0])
-    _, _, k = _first_worst([diag[i]])
+    id_worst, id_passed, (_, i) = _first_worst([diag.min(axis=1) - 1.0], tol)
+    _, _, (_, k) = _first_worst([diag[i]], tol)
     id_witness = {"index": i, "point": pts[i].tolist(), "t": float(t[k]), "value": float(diag[i, k])}
-    identity = _passfail("identity", id_worst, tol, id_witness)
+    identity = _passfail("identity", id_worst, id_passed, id_witness)
 
     # Axiom 2 over the pairs i < j in lexicographic order; the margin is the
     # exact negation of the gap.
     upper_i, upper_j = np.triu_indices(n_points, 1)
     fij, fji = on_grid[upper_i, upper_j], on_grid[upper_j, upper_i]
-    sym_worst, _, flat = _first_worst([-np.abs(fij - fji)])
-    p, k = divmod(flat, len(t))
+    sym_worst, sym_passed, (_, p, k) = _first_worst([-np.abs(fij - fji)], tol)
     sym_witness = {
         "i": int(upper_i[p]),
         "j": int(upper_j[p]),
@@ -260,7 +259,7 @@ def check_axioms(
         "forward": float(fij[p, k]),
         "reverse": float(fji[p, k]),
     }
-    symmetry = _passfail("symmetry", sym_worst, tol, sym_witness)
+    symmetry = _passfail("symmetry", sym_worst, sym_passed, sym_witness)
 
     # Reverse direction of axiom 1: distinct points whose distance sits at 1
     # across the whole grid can only be reported as consistent with identity,
@@ -306,11 +305,11 @@ def check_axioms(
         for i in run:
             max_combine(operands[i], bound.reshape(g, n_points * g))
             margins = np.subtract(read_lhs(i, lhs), bound.transpose(1, 0, 2), out=lhs)
-            worsts.append(_first_worst([margins])[0])
+            worsts.append(_first_worst([margins], tol)[0])
         return worsts
 
     row_worsts = list(chain.from_iterable(ordered_map(run_worsts, runs, workers=workers)))
-    _, _, i = _first_worst([row_worsts])
+    _, _, (_, i) = _first_worst([row_worsts], tol)
 
     def pair_margins(i, lhs):
         """Row i's (k, t, s) margins for each j != i in turn, in one reused buffer."""
@@ -322,12 +321,11 @@ def check_axioms(
                 margins[j] = np.inf  # masks k == j
                 yield margins
 
-    tri_worst, b, flat = _first_worst(pair_margins(i, read_lhs(i, np.empty((n_points, g, g)))))
+    lhs = read_lhs(i, np.empty((n_points, g, g)))
+    tri_worst, tri_passed, (b, k, ti, si) = _first_worst(pair_margins(i, lhs), tol)
     j = b + (b >= i)  # block b is the b-th j other than i
-    k, cell = divmod(flat, g * g)
-    ti, si = divmod(cell, g)
     tri_witness = {"i": i, "j": j, "k": k, "t": float(t[ti]), "s": float(t[si])}
-    triangle = _passfail("triangle", tri_worst, tol, tri_witness)
+    triangle = _passfail("triangle", tri_worst, tri_passed, tri_witness)
 
     # Axiom 4, reinterpreted as point feasibility.
     if space.point_cone is None:
@@ -335,13 +333,8 @@ def check_axioms(
         feas_note = "no cone declared; feasibility is vacuous"
     else:
         margins = [space.point_cone.membership_margin(p) for p in pts]
-        feas_worst, _, k = _first_worst([margins])
-        feasibility = _passfail(
-            "feasibility",
-            feas_worst,
-            max(tol, 1e-12),
-            {"index": k, "point": pts[k].tolist()},
-        )
+        feas_worst, feas_passed, (_, k) = _first_worst([margins], MEMBERSHIP_TOL)
+        feasibility = _passfail("feasibility", feas_worst, feas_passed, {"index": k, "point": pts[k].tolist()})
         feas_note = None
 
     notes = []

@@ -167,9 +167,8 @@ def check_random_kannan(
             np.asarray(f_txty.eval(t)) - np.minimum(np.asarray(f_xtx.eval(scaled)), np.asarray(f_yty.eval(scaled)))
         )
 
-    worst, e, k = _first_worst(margins)
     resolved_tol = float(default_tol if tol is None else tol)
-    passed = worst >= -resolved_tol
+    worst, passed, (e, k) = _first_worst(margins, resolved_tol)
     fraction = violations / total
     certificate = ContractionCertificate(
         kind="kannan",

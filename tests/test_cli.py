@@ -505,6 +505,12 @@ class TestSchemaValidConfigErrors:
                 {"space": DIRAC_SPACE, "grid": {"num": 10**19}},
                 "config field 'grid/num': 10000000000000000000 is greater than the maximum of 1152921504606846975",
             ),
+            # nor does one hold the (n_time + 1)^2 float64 operator once n_time + 1 reaches 2**30
+            (
+                "sie",
+                {"sie": {"n_time": 10**19}},
+                "config field 'sie/n_time': 10000000000000000000 is greater than the maximum of 1073741822",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "affine-3d-classify", "affine-3d-solve", "halfspaces-ragged", "scale-1e308",
@@ -517,7 +523,8 @@ class TestSchemaValidConfigErrors:
              "sweep-rate-infeasible-region", "kernel-unknown-key", "forcing-unknown-key", "nonlinearity-unknown-key",
              "affine-unknown-key", "kernel-value-true", "kernel-value-string", "affine-matrix-bools",
              "coefficient-int-past-float", "n-pairs-above-sampling-cap", "n-points-above-sampling-cap",
-             "uniqueness-starts-above-sampling-cap", "grid-num-past-array-length"],
+             "uniqueness-starts-above-sampling-cap", "grid-num-past-array-length",
+             "sie-n-time-past-operator-length"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)
@@ -542,6 +549,11 @@ class TestSchemaValidConfigErrors:
         assert main(["axioms", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    def test_n_time_cap_is_the_longest_operator_one_array_holds(self):
+        # the (n_time + 1)^2 float64 operator fits one numpy array at the cap, and not one node past it
+        cap = CONFIG_SCHEMA["properties"]["sie"]["properties"]["n_time"]["maximum"]
+        assert (cap + 1) ** 2 <= cli._MAX_FLOAT64_LENGTH < (cap + 2) ** 2
 
 
 class TestComputationFailures:

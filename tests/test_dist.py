@@ -24,7 +24,7 @@ from probcone import (
     pointwise_min,
     timescale,
 )
-from probcone.dist import _normal_cdf, _row_norms
+from probcone.dist import _first_worst, _normal_cdf, _row_norms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -178,6 +178,59 @@ class TestRowNorms:
     def test_huge_finite_rows_do_not_overflow(self):
         big = 2.0**900
         assert _row_norms(np.array([[1e300, -1e300], [3 * big, 4 * big]])).tolist() == [1.4142135623730952e300, 5 * big]
+
+
+class TestFirstWorst:
+    """The package's one verdict rule: first smallest margin, NaN first, pass iff worst >= -tol."""
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 4, 5)])
+    def test_witness_is_the_unravelled_first_minimum(self, shape):
+        rng = np.random.default_rng(len(shape))
+        block = rng.integers(-3, 3, shape).astype(float)  # few values, so the minimum ties
+        first = int(np.flatnonzero(block.ravel() == block.min())[0])
+        # a larger block ahead of it is read first but holds no worse margin
+        worst, passed, witness = _first_worst([np.full((2, 2), 5.0), block], 0.0)
+        assert worst == block.min() and not passed
+        assert witness == (1, *np.unravel_index(first, shape))
+        assert all(type(v) is int for v in witness)
+
+    def test_no_margin_at_all_passes_without_a_witness(self):
+        assert _first_worst([], 0.0) == (None, True, None)
+        assert _first_worst([np.empty(0), np.empty((2, 0))], -1.0) == (None, True, None)
+
+    def test_empty_blocks_are_skipped_but_keep_their_numbers(self):
+        assert _first_worst([np.empty(0), [3.0, 1.0], []], 0.0) == (1.0, True, (1, 1))
+
+    def test_generator_may_refill_one_buffer(self):
+        def refills():
+            buffer = np.empty((2, 3))
+            for fill in (4.0, -2.0, 0.0):
+                buffer[...] = 1.0
+                buffer[1, 2] = fill
+                yield buffer
+
+        assert _first_worst(refills(), 1.0) == (-2.0, False, (1, 1, 2))
+
+    def test_first_nan_across_blocks_is_the_worst_and_fails_any_tol(self):
+        blocks = [[1.0, -9.0], [0.0, np.nan, np.nan], [np.nan, -5.0]]
+        worst, passed, witness = _first_worst(blocks, np.inf)
+        assert np.isnan(worst) and not passed and witness == (1, 1)
+
+    def test_ties_go_to_the_first(self):
+        assert _first_worst([[3.0, -1.0, -1.0], [-1.0]], 0.0) == (-1.0, False, (0, 1))
+
+    @pytest.mark.parametrize("zeros", [[-0.0, 0.0], [0.0, -0.0]])
+    def test_signed_zeros_tie_so_the_first_keeps_its_sign(self, zeros):
+        # repr tells -0.0 from 0.0, and the sign of a zero reaches the report bytes
+        for blocks in ([zeros], [[zeros[0]], [zeros[1]]]):
+            worst, passed, _ = _first_worst(blocks, 0.0)
+            assert repr(worst) == repr(zeros[0]) and passed
+
+    def test_a_margin_of_exactly_minus_tol_passes(self):
+        assert _first_worst([[0.5, -0.25]], 0.25) == (-0.25, True, (0, 1))
+        assert _first_worst([[0.5, -0.25]], 0.125) == (-0.25, False, (0, 1))
+        assert _first_worst([[1.0]], -1.0) == (1.0, True, (0, 0))
+        assert _first_worst([[1.0]], -2.0) == (1.0, False, (0, 0))
 
 
 class TestConstruction:

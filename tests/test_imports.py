@@ -6,9 +6,9 @@ thread pool loads only for more than one worker.
 Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
 uses, computes a Euclidean norm in one place only, reduces margins to
-their worst in one place only, spells the tau-closeness test
-F(x, y)(eps) > 1 - eps in ``space`` only, and never calls
-``sys.getrefcount``.
+their worst and compares them with -tol in one place each, spells the
+tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, and never
+calls ``sys.getrefcount``.
 """
 
 import ast
@@ -306,6 +306,35 @@ def test_margins_are_reduced_only_in_first_worst():
     allowed = {"contract._checked_images"}
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in arg_reduction_calls(path)]
     assert [use for use in uses if use not in allowed] == ["dist._first_worst"]
+
+
+def is_minus_tol(node) -> bool:
+    """True for ``-tol``, ``-left.tol``, ``-resolved_tol``, ``-MEMBERSHIP_TOL``: a negated tolerance."""
+    if not (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
+        return False
+    name = getattr(node.operand, "attr", getattr(node.operand, "id", ""))
+    return name.lower().endswith("tol")
+
+
+def minus_tol_comparisons(path: Path) -> list:
+    """``module.function`` for each comparison in ``path`` with a negated tolerance on either side."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(map(is_minus_tol, [child.left, *child.comparators])):
+                uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_margins_meet_minus_tol_only_in_passes():
+    # one pass rule (margin >= -tol, which a NaN fails) for every verdict, violation
+    # count and cone membership gate
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in minus_tol_comparisons(path)]
+    assert uses == ["dist._passes"]
 
 
 def refcount_uses(path: Path) -> list:

@@ -438,9 +438,10 @@ def assert_pair_checks_match_reference(space, n_points, grid=None, seed=0):
         (id_worst, id_witness), (sym_worst, sym_witness), ambiguous, sub_pairs = reference_pair_checks(
             space, n_points, grid, tol, seed
         )
-        # repr tells -0.0 from 0.0 and prints NaN, so equal reprs mean equal bits
-        assert repr(report.identity) == repr(_passfail("identity", id_worst, tol, id_witness))
-        assert repr(report.symmetry) == repr(_passfail("symmetry", sym_worst, tol, sym_witness))
+        # repr tells -0.0 from 0.0 and prints NaN, so equal reprs mean equal bits; a
+        # reference check passes iff its worst margin is >= -tol, which a NaN fails
+        assert repr(report.identity) == repr(_passfail("identity", id_worst, id_worst >= -tol, id_witness))
+        assert repr(report.symmetry) == repr(_passfail("symmetry", sym_worst, sym_worst >= -tol, sym_witness))
         assert repr(report.identity_ambiguous_pairs) == repr(ambiguous)
         assert repr(report.sub_distribution_pairs) == repr(sub_pairs)
 
