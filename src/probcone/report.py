@@ -30,6 +30,8 @@ def _plain(value):
     lists, a dataclass instance becomes the dict of its fields, and a
     non-finite float becomes the string "NaN", "Infinity" or "-Infinity",
     since JSON has no token for it."""
+    if value is None or isinstance(value, (int, str)):  # bool is an int; the commonest leaves go first
+        return value
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):

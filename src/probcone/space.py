@@ -23,7 +23,6 @@ witness is attached exactly when a check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -182,9 +181,9 @@ def check_axioms(
 
     Samples ``n_points`` points (inside the cone when one is declared) and
     reads every ordered pair's distance values from
-    :meth:`PCMSpace.distance_values`: one call for the (n, n, G) grid table
-    and one call per row i, plus one for the replayed row below, for F_ik
-    at the distinct sums t + s.
+    :meth:`PCMSpace.distance_values` in n + 2 calls: one for the (n, n, G)
+    grid table, one for F(+inf) of the n(n - 1) off-diagonal pairs, and one
+    per row i for F_ik at the distinct sums t + s.
     Every check takes its worst margin, verdict and witness from
     :func:`~probcone.dist._first_worst` in a fixed block order, so the
     result is identical for any worker count: identity over the rows i,
@@ -192,8 +191,9 @@ def check_axioms(
     pairs i < j, then t; the triangle over (i, j) in lexicographic order,
     then (k, t, s) in row-major order; and feasibility over the points, at
     the ``MEMBERSHIP_TOL`` that sampling accepted them with.
-    ``sub_distribution_pairs`` asks each off-diagonal ``DistFn`` for
-    ``is_proper``, since no finite grid shows the limit at +inf.
+    ``sub_distribution_pairs`` lists the pairs with F(+inf) < 1, since no
+    finite grid shows the limit at +inf; for the built-in ``DistFn``
+    variants that is ``not is_proper``.
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, into a copy of the grid table with F_ii = 0, and reduces
@@ -202,27 +202,37 @@ def check_axioms(
     B_ik(t, s) = max_j T(F_ij(t), F_jk(s)). Rows j with bitwise-equal
     F_ij(.) share one pass through their folded table rows, and a grid time
     whose F_i.(t) is bitwise equal to the previous time's copies that B
-    (see ``_MaxCombine``). One subtraction from F_ik(t + s) and one
-    ``_first_worst`` then give the row's worst. The zero diagonal masks
-    j == i and k == j, as T(0, b) = T(a, 0) = 0 never exceeds a valid term;
-    +inf masks k == i. The reduction is exact: rounding is
+    (see ``_MaxCombine``). One subtraction from F_ik(t + s), into the buffer
+    of B, and one ``_first_worst`` then give the row's worst. The zero
+    diagonal masks j == i and k == j, as T(0, b) = T(a, 0) = 0 never exceeds
+    a valid term; +inf masks k == i. The reduction is exact: rounding is
     monotone, so fl(L - max_j T_j) = min_j fl(L - T_j), and each row's worst
     compares equal to the least of its per-triple margins (NaN when one is
-    NaN). Only the sign of a zero may differ, so the first worst row is
-    replayed one (i, j) block at a time, with k == i and k == j masked by
-    +inf, and the replay gives ``worst_margin`` and the witness bit for bit,
-    whether the check passes or fails. F_ik(t + s) is read once per
-    distinct sum t_a + t_b, a <= b, and scattered to the G^2 cells: t_a +
-    t_b == t_b + t_a exactly, and a ``DistFn`` is a function of t.
+    NaN). Only the sign of a zero may differ. So each task keeps, for its
+    first worst row, the (k, t, s) cells whose reduced margin equals the
+    row's worst (its NaN cells when that is NaN) and F_ik(t + s) there.
+    Every cell where a single j reaches the worst is among them, since
+    T_j <= B gives fl(L - T_j) >= fl(L - B). The witness search takes the
+    points j in order, evaluates fl(F_ik - T(F_ij(t), F_jk(s))) at those
+    cells only, k == j masked by +inf, and stops at the first j that
+    reaches the worst: its first such cell is the witness, and its margin,
+    with its own sign of zero, is ``worst_margin``. That is what a replay of
+    every (i, j) block would give, bit for bit, whether the check passes or
+    fails. F_ik(t + s) is read once per distinct sum t_a + t_b, a <= b, and
+    gathered to the G^2 cells: t_a + t_b == t_b + t_a exactly, and a
+    ``DistFn`` is a function of t.
 
     The rows are split into ``workers`` contiguous runs, one task each. A
-    task holds one (n, G, G) buffer of F_ik(t + s) and margins and one
-    (G, n, G) buffer of B, reused row by row; an (n, n * G) t-norm scratch
-    table, or for a row with r < n distinct F_ij(.) a folded (r, n * G)
-    table and its scratch; and each row's (n - 1, G(G + 1)/2) block of sums
-    and its (n - 1, G^2) scatter; the replay adds two (n, G, G) buffers.
-    Peak memory is the (n, n, G) grid table, its checked copy (and, for
-    LUKASIEWICZ, 1 - F) plus the per-task buffers, so it grows with
+    task holds one (n, G, G) buffer of F_ik(t + s) and one (G, n, G)
+    buffer of B and then the margins, reused row by row; an (n, n * G)
+    t-norm scratch table, or for a row with r < n distinct F_ij(.) a
+    folded (r, n * G) table and its scratch; each row's (n - 1, G(G + 1)/2)
+    block of sums; and, for its first worst row, an (n, G, G) mask of the
+    kept cells and F_ik(t + s) at each (one or two cells on a cone-Gaussian
+    row, tens of thousands where a Dirac row ties at 0). The search then
+    holds those and their flat indices, and goes through them in slices of
+    G^2 cells. Peak memory is the (n, n, G) grid table, its checked copy
+    (and, for LUKASIEWICZ, 1 - F) plus the per-task buffers, so it grows with
     ``workers`` * n * G^2, not with n^2 * G^2. With ``workers`` > 1 the
     F_ik(t + s) rows are read on worker threads, so the distance map, its
     ``table`` and the ``DistFn`` it returns must be thread-safe.
@@ -266,16 +276,16 @@ def check_axioms(
     # never equated.
     at_one = np.all(on_grid >= 1.0 - tol, axis=2)
     ambiguous = [(int(i), int(j)) for i, j in zip(upper_i, upper_j) if at_one[i, j] and at_one[j, i]]
-    sub_pairs = [
-        (i, j) for i in range(n_points) for j in range(n_points)
-        if i != j and not space.distance(pts[i], pts[j]).is_proper
-    ]
+    # F(+inf) < 1 marks a sub-distribution; no finite grid shows that limit
+    off_diagonal = ~np.eye(n_points, dtype=bool)
+    pairs = off_diagonal.ravel()
+    at_inf = space.distance_values(pts[rows[pairs]], pts[cols[pairs]], [np.inf])[:, 0]
+    sub_pairs = list(map(tuple, np.argwhere(off_diagonal)[at_inf < 1.0].tolist()))
 
     # Axiom 3 over ordered distinct triples and every (t, s) cell. Each row i
-    # is reduced over j first, then the first worst row is replayed one (i, j)
-    # block at a time for its witness.
+    # is reduced over j first; the first worst row's cells at its worst are
+    # then searched one j at a time for the witness.
     g = len(grid)
-    off_diagonal = ~np.eye(n_points, dtype=bool)
     # the diagonal is axiom 1's; a 0.0 there keeps each entry at its (i, j, k)
     # index, and T(0, b) = T(a, 0) = 0 masks j == i and k == j in the max
     operands = _check_unit(np.where(off_diagonal[:, :, None], on_grid, 0.0), "distance values F(x_i, x_j)(t_k)")
@@ -293,38 +303,60 @@ def check_axioms(
         """Fill the (n, G, G) buffer ``lhs`` with F_ik(t + s), +inf at k == i."""
         others = pts[off_diagonal[i]]
         values = space.distance_values(np.broadcast_to(pts[i], others.shape), others, sums)
-        lhs.reshape(n_points, g * g)[off_diagonal[i]] = values[:, sum_index]
-        lhs[i] = np.inf  # masks k == i
+        values = np.asarray(values, dtype=float)  # np.take writes only its own dtype to ``out``
+        by_k = lhs.reshape(n_points, g * g)
+        # the slabs k < i and k > i; every index is in range, so "clip" only skips a buffered copy
+        np.take(values[:i], sum_index, axis=1, out=by_k[:i], mode="clip")
+        np.take(values[i:], sum_index, axis=1, out=by_k[i + 1 :], mode="clip")
+        by_k[i] = np.inf  # masks k == i
         return lhs
 
     def run_worsts(run):
-        """The worst margin of each row i in ``run``, over (j, k, t, s)."""
+        """The worst margin of each row i in ``run``, over (j, k, t, s), and the
+        first worst row's cells at that worst: (row, their (k, t, s) mask,
+        F_ik(t + s) at them in row-major order)."""
         lhs = np.empty((n_points, g, g))
-        bound = np.empty((g, n_points, g))  # (t, k, s): max over j of T(F_ij(t), F_jk(s))
-        worsts = []
+        bound = np.empty((g, n_points, g))  # (t, k, s): max over j of T(F_ij(t), F_jk(s)), then the margins
+        margins = bound.transpose(1, 0, 2)
+        worsts, kept = [], None
         for i in run:
             max_combine(operands[i], bound.reshape(g, n_points * g))
-            margins = np.subtract(read_lhs(i, lhs), bound.transpose(1, 0, 2), out=lhs)
-            worsts.append(_first_worst([margins], tol)[0])
-        return worsts
+            # in the order of ``bound``, which writes contiguously
+            np.subtract(read_lhs(i, lhs).transpose(1, 0, 2), bound, out=bound)
+            # only the worst's value is used, so the buffer's own order serves
+            worst = _first_worst([bound], tol)[0]
+            worsts.append(worst)
+            if _first_worst([worsts], tol)[2][1] == len(worsts) - 1:
+                kept = None  # frees the previous row's cells first
+                hit = np.isnan(margins) if np.isnan(worst) else margins == worst
+                kept = (i, hit, lhs[hit])
+        return worsts, kept
 
-    row_worsts = list(chain.from_iterable(ordered_map(run_worsts, runs, workers=workers)))
-    _, _, (_, i) = _first_worst([row_worsts], tol)
+    results = ordered_map(run_worsts, runs, workers=workers)
+    row_worst, _, (_, i) = _first_worst([[w for worsts, _ in results for w in worsts]], tol)
+    hit, lhs_cells = next(kept[1:] for _, kept in results if kept[0] == i)
+    del results  # the other tasks' kept cells
+    cells = np.flatnonzero(hit)
 
-    def pair_margins(i, lhs):
-        """Row i's (k, t, s) margins for each j != i in turn, in one reused buffer."""
-        margins = np.empty_like(lhs)
-        for j in range(n_points):
-            if j != i:
-                space.tnorm._combine(operands[i, j][None, :, None], operands[j][:, None, :], out=margins)
-                np.subtract(lhs, margins, out=margins)
-                margins[j] = np.inf  # masks k == j
-                yield margins
+    def reach(j):
+        """(margin, passed, witness) at block j's first cell that reaches the row's worst, else None.
 
-    lhs = read_lhs(i, np.empty((n_points, g, g)))
-    tri_worst, tri_passed, (b, k, ti, si) = _first_worst(pair_margins(i, lhs), tol)
-    j = b + (b >= i)  # block b is the b-th j other than i
-    tri_witness = {"i": i, "j": j, "k": k, "t": float(t[ti]), "s": float(t[si])}
+        The kept cells go in slices of at most G^2, so no temporary here is
+        longer than one (t, s) plane.
+        """
+        for start in range(0, len(cells), g * g):
+            k, ti, si = np.unravel_index(cells[start : start + g * g], (n_points, g, g))
+            margins = operands[i, j].take(ti)
+            space.tnorm._combine(margins, operands[j, k, si], out=margins)
+            np.subtract(lhs_cells[start : start + g * g], margins, out=margins)
+            margins[k == j] = np.inf  # masks k == j
+            worst, passed, (_, c) = _first_worst([margins], tol)
+            if np.isnan(worst) or worst == row_worst:  # no block reaches below it
+                return worst, passed, {"i": i, "j": j, "k": int(k[c]), "t": float(t[ti[c]]), "s": float(t[si[c]])}
+        return None
+
+    # the first j that reaches the worst holds the witness
+    tri_worst, tri_passed, tri_witness = next(filter(None, (reach(j) for j in range(n_points) if j != i)))
     triangle = _passfail("triangle", tri_worst, tri_passed, tri_witness)
 
     # Axiom 4, reinterpreted as point feasibility.

@@ -271,6 +271,26 @@ class TestIsProper:
         assert from_samples([1.0]).is_proper
         assert not Rescaled(ScaledGaussian(0.25), 3.0).is_proper
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            base
+            for plain in (
+                DiracStep(1.5),
+                GaussianShift(0.7),
+                ScaledGaussian(0.5),
+                ScaledGaussian(1.0),
+                Empirical(np.array([0.2, 0.2, 1.0, 3.5])),
+            )
+            for base in (plain, Rescaled(plain, 2.5))
+        ],
+        ids=repr,
+    )
+    def test_proper_iff_one_at_infinity(self, dist):
+        # check_axioms reads properness as F(+inf) == 1 through distance_values
+        assert dist.is_proper == (dist.eval(np.inf) == 1.0)
+        assert dist.eval(np.array([np.inf]))[0] == dist.eval(np.inf)
+
 
 class TestTimescale:
     def test_dirac_maps_to_dirac(self):

@@ -18,6 +18,7 @@ from probcone import (
     tau_converged,
 )
 import probcone.space
+from probcone.dist import _first_worst
 from probcone.registry import cone_gaussian_space, dirac_space, rotation_half_map
 from probcone.report import axiom_report_to_dict, canonical_json
 from probcone.space import _passfail
@@ -127,6 +128,48 @@ def assert_triangle_matches_reference(space, n_points, grid=None, seed=0):
         # repr tells -0.0 from 0.0, and the sign of a zero reaches the report bytes
         assert repr(report.triangle.worst_margin) == repr(worst)
         assert report.triangle.witness == witness
+
+
+def replay_triangle(space, n_points, grid=None, seed=0):
+    """Worst triangle margin and its witness by the per-(i, j) block replay.
+
+    Each block holds one (i, j)'s (k, t, s) margins, F_ik(t + s) -
+    T(F_ij(t), F_jk(s)) from one ``_combine`` pass, with k == i and k == j
+    masked by +inf; ``_first_worst`` reads the blocks in lexicographic (i, j)
+    order. The witness search in ``check_axioms`` must reproduce this bit
+    for bit, the sign of a zero included.
+    """
+    grid = TimeGrid.coerce(grid)
+    pts = sample_points(space, n_points, np.random.default_rng(seed))
+    t = grid.points
+    g = len(t)
+    sums = (t[:, None] + t[None, :]).ravel()
+    rows, cols = np.divmod(np.arange(n_points * n_points), n_points)
+    on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, g)
+
+    def blocks():
+        for i in range(n_points):
+            lhs = space.distance_values(pts[[i] * n_points], pts, sums).reshape(n_points, g, g)
+            lhs[i] = np.inf  # masks k == i
+            for j in range(n_points):
+                if j != i:
+                    margins = lhs - space.tnorm._combine(on_grid[i, j][None, :, None], on_grid[j][:, None, :])
+                    margins[j] = np.inf  # masks k == j
+                    yield margins
+
+    worst, _, (b, k, ti, si) = _first_worst(blocks(), 0.0)
+    i, j = divmod(b, n_points - 1)
+    j += j >= i  # block b is the j-th point other than i
+    return worst, {"i": i, "j": j, "k": k, "t": float(t[ti]), "s": float(t[si])}
+
+
+def assert_triangle_matches_replay(space, n_points, grid=None, seeds=range(1)):
+    for seed in seeds:
+        worst, witness = replay_triangle(space, n_points, grid, seed)
+        for workers in (1, 2, 3):
+            report = check_axioms(space, n_points=n_points, grid=grid, tol=-2.0, seed=seed, workers=workers)
+            assert repr(report.triangle.worst_margin) == repr(worst)
+            assert report.triangle.witness == witness
 
 
 class ColumnLoopMaxCombine(_MaxCombine):
@@ -364,6 +407,45 @@ class TestTriangleKernel:
         monkeypatch.setattr(probcone.space, "_MaxCombine", ColumnLoopMaxCombine)
         assert grouped == reports()
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            cone_gaussian_space(delta=0.5, tnorm=TNorm.MINIMUM),
+            cone_gaussian_space(delta=0.5, tnorm=TNorm.PRODUCT),
+            dirac_space(dim=3, tnorm=TNorm.LUKASIEWICZ, point_cone=Orthant(3)),
+        ],
+        ids=["cone-gaussian-min", "cone-gaussian-product", "orthant3-dirac-lukasiewicz"],
+    )
+    def test_witness_matches_the_block_replay_at_benchmark_size(self, space):
+        # the orthant Dirac rows tie at 0 in tens of thousands of cells; a
+        # cone-Gaussian row keeps about one
+        assert_triangle_matches_replay(space, 24, seeds=range(10))
+
+    @pytest.mark.parametrize("tnorm", list(TNorm))
+    def test_witness_matches_the_block_replay_on_ties_zeros_and_nans(self, tnorm):
+        repeated = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]), tnorm=tnorm)
+        assert_triangle_matches_replay(repeated, 4)
+        assert_triangle_matches_replay(signed_zero_space(tnorm), 5, seeds=range(6))
+        # NaN in F_ik(t + s) past t + s = 150, only in the rows of points with x[0] > 0
+        nan_above = PCMSpace(
+            dim=2,
+            distance=lambda x, y: NanAbove(float(np.linalg.norm(x - y)), 150.0 if x[0] > 0.0 else np.inf),
+            tnorm=tnorm,
+        )
+        assert_triangle_matches_replay(nan_above, 5, seeds=range(4))
+        assert_triangle_matches_replay(BROKEN_SPACES["nan-identity"], 5, grid=[0.5, 1.0, 2.0], seeds=range(6))
+
+    def test_table_of_another_dtype(self):
+        # a float32 table of Dirac steps holds the same 0s and 1s
+        space = dirac_space(dim=3, point_cone=Orthant(3))
+
+        def distance(x, y):
+            return space.distance(x, y)
+
+        distance.table = lambda X, Y, t: space.distance.table(X, Y, t).astype(np.float32)
+        narrow = PCMSpace(dim=3, distance=distance, tnorm=space.tnorm, point_cone=space.point_cone)
+        assert repr(check_axioms(narrow, n_points=6, tol=-2.0)) == repr(check_axioms(space, n_points=6, tol=-2.0))
+
     def test_operands_outside_unit_interval_rejected(self):
         class Doubled(DistFn):
             def eval(self, t):
@@ -532,11 +614,11 @@ class TestPairChecks:
         distance.table = table
         n, g = 6, 7
         check_axioms(PCMSpace(dim=2, distance=distance, tnorm=space.tnorm), n_points=n, grid=np.arange(1.0, g + 1))
-        # the (n, n, G) grid table, one ``distance`` per off-diagonal pair for
+        # the (n, n, G) grid table, F(+inf) of every off-diagonal pair for
         # properness, then one (n - 1, G(G + 1)/2) block of F_ik at the distinct
-        # sums t + s per row, and one more for the worst row's replay
+        # sums t + s per row; the witness is found with no further read
         sums = g * (g + 1) // 2
-        assert calls == [(n * n, g)] + ["distance"] * (n * (n - 1)) + [(n - 1, sums)] * (n + 1)
+        assert calls == [(n * n, g), (n * (n - 1), 1)] + [(n - 1, sums)] * n
 
 
 class NanAbove(DistFn):
