@@ -91,8 +91,8 @@ class DistFn:
 
     @property
     def is_proper(self) -> bool:
-        """True iff the limit at +infinity is 1."""
-        return True
+        """True iff the limit at +infinity is 1: ``eval(+inf) == 1``."""
+        return float(self.eval(np.inf)) == 1.0
 
     def _scaled(self, c: float) -> "DistFn":
         return Rescaled(self, c)
@@ -218,10 +218,6 @@ class ScaledGaussian(DistFn):
         vals = np.where(arr > 0.0, self.delta * np.asarray(_normal_cdf(arr)), 0.0)
         return _as_eval_result(vals, arr.ndim == 0)
 
-    @property
-    def is_proper(self) -> bool:
-        return self.delta == 1.0
-
 
 @dataclass(frozen=True, eq=False)
 class Empirical(DistFn):
@@ -269,10 +265,6 @@ class Rescaled(DistFn):
     def eval(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
         return _as_eval_result(np.asarray(self.base.eval(arr / self.scale)), arr.ndim == 0)
-
-    @property
-    def is_proper(self) -> bool:
-        return self.base.is_proper
 
     def _scaled(self, c: float) -> DistFn:
         return Rescaled(self.base, self.scale * c)

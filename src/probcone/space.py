@@ -181,8 +181,8 @@ def check_axioms(
 
     Samples ``n_points`` points (inside the cone when one is declared) and
     reads every ordered pair's distance values from
-    :meth:`PCMSpace.distance_values` in n + 2 calls: one for the (n, n, G)
-    grid table, one for F(+inf) of the n(n - 1) off-diagonal pairs, and one
+    :meth:`PCMSpace.distance_values` in n + 1 calls: one for the (n, n, G + 1)
+    table of the grid times and +inf, F(+inf) in its last column, and one
     per row i for F_ik at the distinct sums t + s.
     Every check takes its worst margin, verdict and witness from
     :func:`~probcone.dist._first_worst` in a fixed block order, so the
@@ -192,8 +192,8 @@ def check_axioms(
     then (k, t, s) in row-major order; and feasibility over the points, at
     the ``MEMBERSHIP_TOL`` that sampling accepted them with.
     ``sub_distribution_pairs`` lists the pairs with F(+inf) < 1, since no
-    finite grid shows the limit at +inf; for the built-in ``DistFn``
-    variants that is ``not is_proper``.
+    finite grid shows the limit at +inf; for F(+inf) in [0, 1] that is
+    ``not is_proper``.
 
     The triangle check validates every off-diagonal grid value as a t-norm
     operand once, into a copy of the grid table with F_ii = 0, and reduces
@@ -224,18 +224,18 @@ def check_axioms(
 
     The rows are split into ``workers`` contiguous runs, one task each. A
     task holds one (n, G, G) buffer of F_ik(t + s) and one (G, n, G)
-    buffer of B and then the margins, reused row by row; an (n, n * G)
-    t-norm scratch table, or for a row with r < n distinct F_ij(.) a
-    folded (r, n * G) table and its scratch; each row's (n - 1, G(G + 1)/2)
-    block of sums; and, for its first worst row, an (n, G, G) mask of the
-    kept cells and F_ik(t + s) at each (one or two cells on a cone-Gaussian
-    row, tens of thousands where a Dirac row ties at 0). The search then
-    holds those and their flat indices, and goes through them in slices of
-    G^2 cells. Peak memory is the (n, n, G) grid table, its checked copy
-    (and, for LUKASIEWICZ, 1 - F) plus the per-task buffers, so it grows with
-    ``workers`` * n * G^2, not with n^2 * G^2. With ``workers`` > 1 the
-    F_ik(t + s) rows are read on worker threads, so the distance map, its
-    ``table`` and the ``DistFn`` it returns must be thread-safe.
+    buffer of B and then the margins, reused row by row; for a row with r
+    distinct F_ij(.), a folded (r, n * G) table and its scratch; each
+    row's (n - 1, G(G + 1)/2) block of sums; and, for its first worst row,
+    an (n, G, G) mask of the kept cells and F_ik(t + s) at each (one or two
+    cells on a cone-Gaussian row, tens of thousands where a Dirac row ties
+    at 0). The search then holds those and their flat indices, and goes
+    through them in slices of G^2 cells. Peak memory is the (n, n, G + 1)
+    table, its checked copy (and, for LUKASIEWICZ, 1 - F) plus the per-task
+    buffers, so it grows with ``workers`` * n * G^2, not with n^2 * G^2.
+    With ``workers`` > 1 the F_ik(t + s) rows are read on worker threads,
+    so the distance map, its ``table`` and the ``DistFn`` it returns must
+    be thread-safe.
     """
     if n_points < 3:
         raise InvalidParameterError(f"need at least 3 points to exercise the triangle axiom, got {n_points}")
@@ -245,8 +245,10 @@ def check_axioms(
     pts = sample_points(space, n_points, rng)
     t = grid.points
 
+    # F(+inf) is the last column: no finite grid shows that limit
     rows, cols = np.divmod(np.arange(n_points * n_points), n_points)
-    on_grid = space.distance_values(pts[rows], pts[cols], t).reshape(n_points, n_points, -1)
+    table = space.distance_values(pts[rows], pts[cols], np.append(t, np.inf)).reshape(n_points, n_points, -1)
+    on_grid, at_inf = table[:, :, :-1], table[:, :, -1]
     index = np.arange(n_points)
 
     # Axiom 1: F(x, x) == 1 on the grid. The row is chosen by its margin and
@@ -276,11 +278,9 @@ def check_axioms(
     # never equated.
     at_one = np.all(on_grid >= 1.0 - tol, axis=2)
     ambiguous = [(int(i), int(j)) for i, j in zip(upper_i, upper_j) if at_one[i, j] and at_one[j, i]]
-    # F(+inf) < 1 marks a sub-distribution; no finite grid shows that limit
+    # F(+inf) < 1 marks a sub-distribution
     off_diagonal = ~np.eye(n_points, dtype=bool)
-    pairs = off_diagonal.ravel()
-    at_inf = space.distance_values(pts[rows[pairs]], pts[cols[pairs]], [np.inf])[:, 0]
-    sub_pairs = list(map(tuple, np.argwhere(off_diagonal)[at_inf < 1.0].tolist()))
+    sub_pairs = list(map(tuple, np.argwhere(off_diagonal & (at_inf < 1.0)).tolist()))
 
     # Axiom 3 over ordered distinct triples and every (t, s) cell. Each row i
     # is reduced over j first; the first worst row's cells at its worst are

@@ -205,9 +205,12 @@ class SIEProblem:
     of mesh rows: ``t_mesh`` and ``s_mesh`` are read-only zero-stride
     (r, n_time+1) views holding t_i and s_l for rows i = r0 .. r0+r-1,
     and it returns an (r, n_time+1) array-like. The result is copied into
-    the operator and never written. ``nonlinearity(s, x)`` must be
-    elementwise with declared Lipschitz constant ``lipschitz`` in x. A
-    zero nonlinearity may declare lipschitz = 0.
+    the operator and never written. Only its causal half s <= t is read:
+    values above the diagonal are overwritten unread, NaN included, so a
+    kernel undefined there, such as sqrt(t - s), needs no clamp.
+    ``nonlinearity(s, x)`` must be elementwise with declared Lipschitz
+    constant ``lipschitz`` in x. A zero nonlinearity may declare
+    lipschitz = 0.
     """
 
     time_grid: np.ndarray
@@ -360,9 +363,11 @@ class _DiscreteOperator:
     kernel: ``n_paths`` for a random kernel, else 1. One pass over row
     blocks of 2 MiB per layer calls the kernel once per block and layer on
     that block's (r, n) mesh rows (see :class:`SIEProblem`), writes the
-    result into the layer's block, takes its causal sup of |k| and
-    multiplies it in place by the block's trapezoid weight rows, which
-    turns the kernel into ``weighted``.
+    result into the layer's block, zeroes its acausal half s > t in place,
+    takes the block's sup of |k| and multiplies it in place by the block's
+    trapezoid weight rows, which turns the kernel into ``weighted``. The
+    sup, the row masses M and the operator all read that causal block, so
+    no kernel value above the diagonal is read, NaN included.
     """
 
     def __init__(self, problem: SIEProblem):
@@ -386,8 +391,6 @@ class _DiscreteOperator:
         # read-only zero-stride views of the grid: no memory
         t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij", copy=False)
         weighted = np.empty((problem.n_paths if problem.kernel_is_random else 1, n, n))
-        # only the causal half s <= t enters the equation; np.tril zeroes the
-        # rest, which leaves the max of |k| >= 0 unchanged
         sups = []
         # blocks are sized for one layer, so every kernel call gets about 2 MiB of rows
         for r0, r1 in _row_blocks(weighted[:1]):
@@ -400,10 +403,12 @@ class _DiscreteOperator:
                         f"for mesh rows {r0}..{r1 - 1}, expected {block.shape}"
                     )
                 block[...] = k
-                del k  # free the result before np.tril(block) allocates
-                causal = np.tril(block, r0)
-                sups.append(np.abs(causal, out=causal).max())
-                del causal
+                del k  # free the result before the mask and the weights are made
+                # only the causal half s <= t enters the equation: the rest is
+                # zeroed, NaN included, before anything reads the block, and
+                # the zeros leave the max of |k| >= 0 unchanged
+                np.copyto(block, 0.0, where=~np.tri(r1 - r0, n, r0, dtype=bool))
+                sups.append(np.maximum(block.max(), -block.min()))
                 if weights is None:
                     weights = causal_trapezoid_weights(t, r0, r1)
                 block *= weights

@@ -112,11 +112,9 @@ class _MaxCombine:
     ``out`` to the rest. For LUKASIEWICZ max_j max(x_j, 0) =
     max(max_j x_j, 0), so the clamp at 0 runs once per call, over all of
     ``out``. Only the sign of a zero may differ from the per-j maxima of
-    ``_combine``. An instance is read-only, so threads may share one.
-
-    With no repeated operand row the pass reads the instance's own table
-    and holds one (n, m) scratch table; with r < n distinct rows it holds
-    the folded (r, m) table and an (r, m) scratch, at most 2(n - 1) rows.
+    ``_combine``. An instance is read-only, so threads may share one. A
+    call with r distinct operand rows holds the folded (r, m) table and an
+    (r, m) scratch, at most 2n rows.
 
     The t-norm pass broadcasts a column of ``a`` along each table row. With
     numpy's default 8192-element ufunc buffer the iterator groups several
@@ -136,17 +134,15 @@ class _MaxCombine:
 
     def __call__(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill the (P, m) array ``out`` from the (n, P) operands ``a`` and return it."""
-        keys, table = _bit_keys(a), self._table
-        if len(set(keys)) < len(keys):
-            groups = {}
-            for j, key in enumerate(keys):
-                groups.setdefault(key, []).append(j)
-            table = np.empty((len(groups), table.shape[1]))
-            for folded, (first, *rest) in zip(table, groups.values()):
-                folded[:] = self._table[first]
-                for j in rest:
-                    self._fold(folded, self._table[j], out=folded)
-            a = a[[first for first, *_ in groups.values()]]
+        groups = {}
+        for j, key in enumerate(_bit_keys(a)):
+            groups.setdefault(key, []).append(j)
+        table = np.empty((len(groups), self._table.shape[1]))
+        for folded, (first, *rest) in zip(table, groups.values()):
+            folded[:] = self._table[first]
+            for j in rest:
+                self._fold(folded, self._table[j], out=folded)
+        a = a[[first for first, *_ in groups.values()]]
         columns = _bit_keys(a.T)
         scratch = np.empty(table.shape)
         row = table.shape[1]

@@ -281,6 +281,28 @@ class TestCheckAxioms:
         assert forward.is_proper
         assert not reverse.is_proper
 
+    def test_user_sub_distribution_without_override(self):
+        class HalfStep(DistFn):
+            """Half the Dirac step at d: F(+inf) = 0.5, with no ``is_proper`` of its own."""
+
+            def __init__(self, d):
+                self.d = d
+
+            def eval(self, t):
+                return np.where(np.asarray(t, dtype=float) > self.d, 0.5, 0.0)
+
+        def distance(x, y):
+            d = float(np.linalg.norm(x - y))
+            return HalfStep(d) if x[0] > y[0] else DiracStep(d)
+
+        assert not HalfStep(1.0).is_proper
+        report = check_axioms(PCMSpace(dim=2, distance=distance, tnorm=TNorm.MINIMUM), n_points=5, seed=2)
+        x = report.points[:, 0]
+        assert report.sub_distribution_pairs == tuple(
+            (i, j) for i in range(5) for j in range(5) if x[i] > x[j]
+        )
+        assert report.sub_distribution_pairs
+
     def test_feasibility_check_with_cone(self):
         space = dirac_space(point_cone=Orthant(2))
         report = check_axioms(space, n_points=6, seed=1)
@@ -614,11 +636,25 @@ class TestPairChecks:
         distance.table = table
         n, g = 6, 7
         check_axioms(PCMSpace(dim=2, distance=distance, tnorm=space.tnorm), n_points=n, grid=np.arange(1.0, g + 1))
-        # the (n, n, G) grid table, F(+inf) of every off-diagonal pair for
-        # properness, then one (n - 1, G(G + 1)/2) block of F_ik at the distinct
-        # sums t + s per row; the witness is found with no further read
+        # the (n, n, G + 1) table of the grid and F(+inf), then one
+        # (n - 1, G(G + 1)/2) block of F_ik at the distinct sums t + s per row;
+        # the witness is found with no further read
         sums = g * (g + 1) // 2
-        assert calls == [(n * n, g), (n * (n - 1), 1)] + [(n - 1, sums)] * n
+        assert calls == [(n * n, g + 1)] + [(n - 1, sums)] * n
+
+    def test_table_less_map_distance_calls(self):
+        # one DistFn per ordered pair for the grid and F(+inf), then one per
+        # off-diagonal pair for the sums t + s: 2n^2 - n
+        space = dirac_space()
+        calls = []
+
+        def distance(x, y):
+            calls.append(1)
+            return space.distance(x, y)
+
+        n = 8
+        check_axioms(PCMSpace(dim=2, distance=distance, tnorm=space.tnorm), n_points=n)
+        assert len(calls) == 2 * n * n - n == 120
 
 
 class NanAbove(DistFn):

@@ -44,12 +44,16 @@ def kernel_meshes(problem):
 
 
 def full_array_conditions(problem):
-    """Reference: the conditions from full-size |k|, a causal mask and w * |k|."""
+    """Reference: the conditions from full-size |k|, a causal mask and w * |k|.
+
+    Only the causal half s <= t is read, so a NaN or infinity above the
+    diagonal reaches neither the sup nor the masses M.
+    """
     weights = loop_trapezoid_weights(problem.time_grid)
     abs_k = np.abs(kernel_meshes(problem))
     causal = np.tril(np.ones_like(weights, dtype=bool))
     sup_k = float(abs_k[:, causal].max())
-    m_per_path = np.max(np.sum(weights[None, :, :] * abs_k, axis=2), axis=1)
+    m_per_path = np.max(np.sum(np.where(causal, weights * abs_k, 0.0), axis=2), axis=1)
     if m_per_path.size == 1 and problem.n_paths > 1:
         m_per_path = np.repeat(m_per_path, problem.n_paths)
     m_hat = float(np.mean(m_per_path))
@@ -527,6 +531,8 @@ class TestBlockedConditions:
         with np.errstate(invalid="ignore"):
             actual, expected = sie_conditions(p), full_array_conditions(p)
         assert_same_conditions(actual, expected)
+        # an entry above the diagonal is never read
+        assert np.isfinite(actual.contraction_rate) == (where[1] > where[0])
 
     def test_solve_reports_the_same_conditions(self):
         gaussian = make_forcing({"name": "gaussian", "base": 1.0, "scale": 0.1})
@@ -833,6 +839,25 @@ class TestSieSolve:
         with pytest.warns(RuntimeWarning):
             sol = sie_solve(p, eps=1e-10)
         assert sol.converged  # rate 0.6 is still a discrete contraction here
+
+    def test_kernel_undefined_above_the_diagonal(self):
+        # sqrt(t - s) is NaN for s > t, which the equation never reads
+        def undefined(t, s, path):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(t - s)
+
+        def clamped(t, s, path):
+            return np.sqrt(np.maximum(t - s, 0.0))
+
+        grid = np.linspace(0, 1, 51)
+        solutions = [
+            sie_solve(SIEProblem(grid, kernel, UNIT_FORCING, LINEAR_04, L_04), eps=1e-8)
+            for kernel in (undefined, clamped)
+        ]
+        assert all(sol.converged for sol in solutions)
+        assert np.array_equal(solutions[0].field, solutions[1].field)
+        assert solutions[0].step_norms == solutions[1].step_norms
+        assert_same_conditions(solutions[0].conditions, solutions[1].conditions)
 
     def test_divergence_raises(self):
         # the coefficient must outrun the factorial decay of the iterated
