@@ -310,12 +310,15 @@ def uniqueness_probe(
     again from the starts.
 
     ``unique`` requires every orbit to converge and every pair of limits to
-    pass the tau-closeness test at ``agree_tol``. Everything runs on the
-    calling thread; ``workers`` is accepted and has no effect.
+    pass the tau-closeness test at ``agree_tol`` (checked before any orbit
+    runs), read for all n(n - 1) ordered pairs in one ``distance_values``
+    call. Everything runs on the calling thread; ``workers`` is accepted
+    and has no effect.
     """
     starts = list(starts)
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
+    _check_positive("agree_tol", agree_tol)
 
     stacked = _stacked_orbits(space, mapping, starts, eps, max_iter)
     if stacked is None:
@@ -326,13 +329,9 @@ def uniqueness_probe(
 
     unique = all(r == "converged" for r in reasons)
     if unique:
-        _check_positive("agree_tol", agree_tol)
-        # tau_converged(space, limits[i], limits[j], agree_tol) for all j != i, one row i at a time
-        for i in range(len(limits)):
-            others = np.delete(limits, i, axis=0)
-            if not _tau_close(space, np.broadcast_to(limits[i], others.shape), others, agree_tol).all():
-                unique = False
-                break
+        # tau_converged(space, limits[i], limits[j], agree_tol) for every ordered pair i != j, row by row
+        i, j = np.nonzero(~np.eye(len(limits), dtype=bool))
+        unique = bool(_tau_close(space, limits[i], limits[j], agree_tol).all())
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=tuple(reasons))
 
 

@@ -57,8 +57,10 @@ class PCMSpace:
         box = np.asarray(box, dtype=float)
         if box.shape != (self.dim, 2):
             raise InvalidParameterError(f"sampling box must have shape ({self.dim}, 2), got {box.shape}")
-        if np.any(box[:, 1] < box[:, 0]):
-            raise InvalidParameterError("sampling box upper bounds must be >= lower bounds")
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths = box[:, 1] - box[:, 0]
+        if not np.all((widths >= 0) & (widths < np.inf)):  # NaN fails both
+            raise InvalidParameterError(f"sampling box widths hi - lo must be finite and >= 0, got {widths.tolist()}")
         box = box.copy()
         box.setflags(write=False)
         object.__setattr__(self, "sampling_box", box)
@@ -399,8 +401,7 @@ def check_axioms(
 def tau_converged(space: PCMSpace, x, y, eps: float) -> bool:
     """Distributional closeness test: F(x, y)(eps) > 1 - eps."""
     _check_positive("eps", eps)
-    value = float(space.distance(np.asarray(x, float), np.asarray(y, float)).eval(eps))
-    return value > 1.0 - eps
+    return bool(_tau_close(space, np.asarray(x, float)[None], np.asarray(y, float)[None], eps)[0])
 
 
 def _tau_close(space: PCMSpace, X, Y, eps: float) -> np.ndarray:

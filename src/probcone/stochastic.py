@@ -264,8 +264,8 @@ def causal_trapezoid_weights(t: np.ndarray, start: int = 0, stop: Optional[int] 
     return w
 
 
-# Rows per block of the (paths, rows, n) build and condition temporaries:
-# about 2 MiB of float64 each, however large the mesh.
+# Elements per row block of one kernel layer in the operator build: about
+# 2 MiB of float64, however large the mesh.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -349,13 +349,6 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _row_blocks(mesh: np.ndarray):
-    """(r0, r1) row ranges covering axis 1 of a (paths, n, n) array."""
-    n_paths, n_rows, n_cols = mesh.shape
-    step = max(1, _BLOCK_ELEMENTS // (n_paths * n_cols))
-    return ((r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step))
-
-
 class _DiscreteOperator:
     """Compiled form of one problem: forcing matrix plus weighted kernel.
 
@@ -364,10 +357,12 @@ class _DiscreteOperator:
     blocks of 2 MiB per layer calls the kernel once per block and layer on
     that block's (r, n) mesh rows (see :class:`SIEProblem`), writes the
     result into the layer's block, zeroes its acausal half s > t in place,
-    takes the block's sup of |k| and multiplies it in place by the block's
-    trapezoid weight rows, which turns the kernel into ``weighted``. The
-    sup, the row masses M and the operator all read that causal block, so
-    no kernel value above the diagonal is read, NaN included.
+    takes the block's sup of |k|, multiplies it in place by the block's
+    trapezoid weight rows, which turns the kernel into ``weighted``, and
+    sums each row of |weighted| into its mass M_i. So the one pass yields
+    ``weighted``, sup|k| and M, and :meth:`conditions` reads no operator.
+    All three read that causal block, so no kernel value above the
+    diagonal is read, NaN included.
     """
 
     def __init__(self, problem: SIEProblem):
@@ -391,9 +386,13 @@ class _DiscreteOperator:
         # read-only zero-stride views of the grid: no memory
         t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij", copy=False)
         weighted = np.empty((problem.n_paths if problem.kernel_is_random else 1, n, n))
+        # M_i = sum_l w_il |k_il| is the row sum of |weighted| because w >= 0
+        row_mass = np.empty(weighted.shape[:2])
         sups = []
         # blocks are sized for one layer, so every kernel call gets about 2 MiB of rows
-        for r0, r1 in _row_blocks(weighted[:1]):
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
             weights = None  # made once the first layer's temporaries are freed
             for j, block in enumerate(weighted[:, r0:r1]):
                 k = problem.kernel(t_mesh[r0:r1], s_mesh[r0:r1], j)
@@ -412,7 +411,10 @@ class _DiscreteOperator:
                 if weights is None:
                     weights = causal_trapezoid_weights(t, r0, r1)
                 block *= weights
+                # the last layer no longer needs the weight rows, so |block| goes into them
+                row_mass[j, r0:r1] = np.sum(np.abs(block, out=weights if j == len(weighted) - 1 else None), axis=1)
         self.sup_kernel = float(np.max(sups))
+        self.row_mass = row_mass
         self.weighted = weighted
 
     def apply(self, field: PathField) -> PathField:
@@ -446,9 +448,9 @@ class _DiscreteOperator:
                     np.matmul(rows, kernel_t, out=product)
                     np.add(self.h[p0 : p0 + r], product[:r], out=out[p0 : p0 + r])
             else:
-                for j in range(field.shape[0]):
-                    matrix = weighted[0] if shared else weighted[j]
-                    out[j] = self.h[j] + np.matmul(matrix, f_vals[j])
+                # matmul makes one matrix-vector product per path, against the
+                # shared layer or the path's own: no path's bits depend on another
+                np.add(self.h, np.matmul(weighted, f_vals[:, :, None])[:, :, 0], out=out)
         return out
 
     def step_norm(self, new: PathField, old: PathField) -> float:
@@ -461,12 +463,7 @@ class _DiscreteOperator:
     def conditions(self) -> SIEConditions:
         """Contraction diagnostics of this discretization; see :func:`sie_conditions`."""
         problem = self.problem
-        weighted = self.weighted
-        # sum_l w_il |k_il| is the row sum of |weighted| because w >= 0
-        row_mass = np.empty(weighted.shape[:2])
-        for r0, r1 in _row_blocks(weighted):
-            row_mass[:, r0:r1] = np.sum(np.abs(weighted[:, r0:r1]), axis=2)
-        m_per_path = np.max(row_mass, axis=1)
+        m_per_path = np.max(self.row_mass, axis=1)
         if m_per_path.size == 1 and problem.n_paths > 1:
             m_per_path = np.repeat(m_per_path, problem.n_paths)
         m_hat = float(np.mean(m_per_path))

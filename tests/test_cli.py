@@ -511,6 +511,12 @@ class TestSchemaValidConfigErrors:
                 {"sie": {"n_time": 10**19}},
                 "config field 'sie/n_time': 10000000000000000000 is greater than the maximum of 1073741822",
             ),
+            # both bounds are finite, but no float holds the width hi - lo that uniform sampling needs
+            (
+                "axioms",
+                {"space": {"dim": 2, "sampling_box": [[-1e308, 1e308], [0, 1]]}, "axioms": {"n_points": 4}},
+                "sampling box widths hi - lo must be finite and >= 0, got [inf, 1.0]",
+            ),
         ],
         ids=["scale-abc", "affine-no-matrix", "orthant-no-dim", "halfspaces-no-normals", "kernel-value-x",
              "affine-non-numeric", "affine-3d-classify", "affine-3d-solve", "halfspaces-ragged", "scale-1e308",
@@ -524,7 +530,7 @@ class TestSchemaValidConfigErrors:
              "affine-unknown-key", "kernel-value-true", "kernel-value-string", "affine-matrix-bools",
              "coefficient-int-past-float", "n-pairs-above-sampling-cap", "n-points-above-sampling-cap",
              "uniqueness-starts-above-sampling-cap", "grid-num-past-array-length",
-             "sie-n-time-past-operator-length"],
+             "sie-n-time-past-operator-length", "sampling-box-width-overflows"],
     )
     def test_exits_2(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path, payload)

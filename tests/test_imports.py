@@ -383,4 +383,4 @@ def closeness_tests(path: Path) -> list:
 
 def test_tau_closeness_is_spelled_only_in_space():
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in closeness_tests(path)]
-    assert sorted(uses) == ["space._tau_close", "space.tau_converged"]
+    assert uses == ["space._tau_close"]

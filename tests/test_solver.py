@@ -641,6 +641,46 @@ class TestUniquenessProbe:
         with pytest.raises(InvalidParameterError):
             uniqueness_probe(SPACE, ROTATE, [[1.0, 0.0], [0.0, 1.0]], eps=1e-8, agree_tol=0.0)
 
+    @pytest.mark.parametrize("agree_tol", [-1.0, np.nan, 0.0, np.inf])
+    @pytest.mark.parametrize("max_iter", [2, 10_000], ids=["orbits-stop-at-max-iter", "orbits-converge"])
+    def test_agree_tol_refused_before_any_orbit_runs(self, agree_tol, max_iter):
+        calls = []
+
+        def rotate(u):
+            calls.append(u)
+            return ROTATE(u)
+
+        mapping = Mapping(rotate, name="rotate")
+        starts = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(InvalidParameterError, match="agree_tol must be positive"):
+            uniqueness_probe(SPACE, mapping, starts, eps=1e-12, max_iter=max_iter, agree_tol=agree_tol)
+        assert calls == []
+
+    def test_agreement_is_one_distance_values_read(self, monkeypatch):
+        reads = []
+        distance_values = PCMSpace.distance_values
+
+        def recording(space, X, Y, t):
+            reads.append((np.array(X), np.array(Y)))
+            return distance_values(space, X, Y, t)
+
+        monkeypatch.setattr(PCMSpace, "distance_values", recording)
+        starts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.25], [0.05, 0.05]])
+        result = uniqueness_probe(SPACE, identity_map(), starts, eps=1.0, agree_tol=0.5)
+        assert result.unique
+        # one stop test for the four orbits, then the 4 * 3 ordered pairs of limits row by row
+        assert [len(X) for X, _ in reads] == [4, 12]
+        i, j = zip(*[(i, j) for i in range(4) for j in range(4) if i != j])
+        assert_bitwise(reads[1][0], starts[list(i)])
+        assert_bitwise(reads[1][1], starts[list(j)])
+
+    def test_a_raising_pair_raises_after_a_disagreeing_one(self):
+        # every gap from limit 0 is finite and row 0 already disagrees; the gap
+        # between limits 2 and 3 overflows, and the one agreement read reaches it
+        starts = [[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="DiracStep distance must be finite"):
+            uniqueness_probe(SPACE, identity_map(), starts, eps=0.5, agree_tol=1e-6)
+
 
 class TestTheoremConsistency:
     """Certified rate implies orbit bounds, across maps and rates."""
@@ -702,19 +742,22 @@ def reference_probe(space, mapping, starts, eps=None, max_iter=10_000, agree_tol
     starts = [np.asarray(s, dtype=float) for s in starts]
     if len(starts) < 2:
         raise InvalidParameterError("need at least two starts to probe uniqueness")
+    if not np.isfinite(agree_tol) or agree_tol <= 0.0:
+        raise InvalidParameterError(f"agree_tol must be positive, got {agree_tol}")
     grid = TimeGrid.default()
     traces = [reference_picard(space, mapping, s, eps=eps, max_iter=max_iter, grid=grid) for s in starts]
     limits = np.asarray([tr.limit for tr in traces])
     reasons = tuple(tr.stopped_reason for tr in traces)
     unique = all(r == "converged" for r in reasons)
     if unique:
-        if not np.isfinite(agree_tol) or agree_tol <= 0.0:
-            raise InvalidParameterError(f"agree_tol must be positive, got {agree_tol}")
+        # every ordered pair is read, so a raising pair raises after a disagreeing one
         unique = all(
-            tau_converged(space, limits[i], limits[j], agree_tol)
-            for i in range(len(limits))
-            for j in range(len(limits))
-            if i != j
+            [
+                tau_converged(space, limits[i], limits[j], agree_tol)
+                for i in range(len(limits))
+                for j in range(len(limits))
+                if i != j
+            ]
         )
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=reasons)
 

@@ -237,6 +237,33 @@ class TestSampling:
             sample_points(dirac_space(), 100_001, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            [[-1e308, 1e308], [0.0, 1.0]],
+            [[0.0, np.nan], [0.0, 1.0]],
+            [[np.nan, np.nan], [0.0, 1.0]],
+            [[-np.inf, 0.0], [0.0, 1.0]],
+            [[0.0, 1.0], [0.0, np.inf]],
+            [[np.inf, np.inf], [0.0, 1.0]],
+        ],
+        ids=["overflowing-width", "nan-bound", "nan-box", "minus-inf", "plus-inf", "inf-to-inf"],
+    )
+    def test_box_without_a_finite_width_is_refused_without_a_warning(self, box):
+        # the module turns a RuntimeWarning into an error, so hi - lo warns nothing
+        with pytest.raises(InvalidParameterError, match=r"^sampling box widths hi - lo must be finite and >= 0, got "):
+            dirac_space(sampling_box=np.array(box))
+
+    def test_widest_finite_box_samples(self):
+        space = dirac_space(sampling_box=np.array([[-1e308, 0.0], [0.0, 1e308]]))
+        pts = sample_points(space, 20, np.random.default_rng(7))
+        assert np.all(np.isfinite(pts))
+        assert np.all((pts[:, 0] <= 0.0) & (pts[:, 1] >= 0.0))
+
+    def test_reversed_box_is_refused(self):
+        with pytest.raises(InvalidParameterError, match=r"must be finite and >= 0, got \[-1.0, 1.0\]"):
+            dirac_space(sampling_box=np.array([[1.0, 0.0], [0.0, 1.0]]))
+
     def test_degenerate_box_repeats_one_point(self):
         space = dirac_space(sampling_box=np.array([[0.3, 0.3], [0.7, 0.7]]))
         pts = sample_points(space, 5, np.random.default_rng(3))
@@ -731,6 +758,37 @@ class TestTauConverged:
             x, y = rng.uniform(-1, 1, (2, 2))
             eps = rng.uniform(0.05, 2.0)
             assert tau_converged(space, x, y, eps) == tau_converged(space, y, x, eps)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: dirac_space(), lambda: cone_gaussian_space(delta=0.5), squared_distance_space],
+        ids=["dirac", "cone-gaussian", "tableless"],
+    )
+    def test_is_the_definition(self, make):
+        space = make()
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(200):
+            x, y = rng.uniform(-1, 1, (2, 2))
+            eps = rng.uniform(0.05, 2.0)
+            expected = float(space.distance(x, y).eval(eps)) > 1.0 - eps
+            assert tau_converged(space, x, y, eps) is expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_reads_the_table_without_a_distance_call(self):
+        base = dirac_space().distance
+        calls = []
+
+        def distance(x, y):
+            calls.append((x, y))
+            return base(x, y)
+
+        distance.table = base.table
+        space = PCMSpace(dim=2, distance=distance, tnorm=TNorm.MINIMUM)
+        assert tau_converged(space, [0.0, 0.0], [0.5, 0.0], eps=1.0)
+        assert not tau_converged(space, [0.0, 0.0], [0.5, 0.0], eps=0.5)
+        assert calls == []
 
     def test_monotone_in_eps(self):
         space = dirac_space()

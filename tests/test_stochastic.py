@@ -378,11 +378,19 @@ class TestBlockedApply:
         field = positive_field(70, n_time)
         np.testing.assert_array_max_ulp(op.apply(field), matvec_apply(op, field), maxulp=8)
 
-    @pytest.mark.parametrize("n_time,random", [(512, False), (100, True)], ids=["large-mesh", "random-kernel"])
-    def test_matvec_loop_beyond_the_blocks(self, n_time, random):
-        op = paths_operator(5, n_time, random)
-        field = positive_field(5, n_time)
-        assert np.array_equal(op.apply(field), matvec_apply(op, field))
+    @pytest.mark.parametrize(
+        "n_paths,n_time,random",
+        [(5, 512, False), (1, 600, False), (3, 600, False), (1, 2000, False), (3, 2000, False),
+         (5, 100, True), (2, 200, True), (4, 1000, True)],
+        ids=["large-mesh", "600x1", "600x3", "2000x1", "2000x3", "random-kernel", "random-200x2", "random-1000x4"],
+    )
+    def test_matvec_loop_beyond_the_blocks(self, n_paths, n_time, random):
+        # the stacked product is one matrix-vector product per path, bit for bit
+        op = paths_operator(n_paths, n_time, random)
+        field = positive_field(n_paths, n_time)
+        with stochastic._ONE_BLAS_THREAD:
+            expected = matvec_apply(op, field)
+        assert np.array_equal(op.apply(field), expected)
 
     def test_nonlinearity_of_the_wrong_shape_is_refused(self):
         p = SIEProblem(np.linspace(0, 1, 11), CONST_KERNEL, UNIT_FORCING, lambda s, x: np.sin(s), 1.0, n_paths=3)
@@ -499,9 +507,9 @@ class TestBlockedConditions:
     @pytest.mark.parametrize("block_elements", [1, 2 * 13, 3 * 13, 5 * 13, 12 * 13, 13 * 13, 1 << 18])
     @pytest.mark.parametrize("random", [False, True])
     def test_block_boundaries(self, monkeypatch, block_elements, random):
-        # 13 nodes: blocks of 1, 2, 3, 5, 12 and 13 rows, and one block
+        # 13 nodes: blocks of 1, 2, 3, 5, 12 and 13 rows per layer, and one block
         n_paths = 3 if random else 1
-        monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", block_elements * n_paths)
+        monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", block_elements)
         inner = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 11))
         kernel = random_kernel if random else make_kernel("exp-decay")
         p = SIEProblem(
@@ -533,6 +541,17 @@ class TestBlockedConditions:
         assert_same_conditions(actual, expected)
         # an entry above the diagonal is never read
         assert np.isfinite(actual.contraction_rate) == (where[1] > where[0])
+
+    @pytest.mark.parametrize("n_paths,random", [(1, False), (4, False), (4, True)])
+    def test_conditions_read_no_operator(self, n_paths, random):
+        # the row masses come from the build pass, so a spoiled operator changes nothing
+        p = SIEProblem(
+            nonuniform_grid(41), random_kernel if random else make_kernel("exp-decay"), UNIT_FORCING, LINEAR_04,
+            L_04, n_paths=n_paths, kernel_is_random=random,
+        )
+        op = stochastic._DiscreteOperator(p)
+        op.weighted[...] = np.nan
+        assert_same_conditions(op.conditions(), full_array_conditions(p))
 
     def test_solve_reports_the_same_conditions(self):
         gaussian = make_forcing({"name": "gaussian", "base": 1.0, "scale": 0.1})
