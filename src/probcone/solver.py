@@ -30,6 +30,8 @@ from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py'
 from .space import PCMSpace, _tau_close, tau_converged
 from .tnorm import TNorm, _check_unit
 
+_AGREEMENT_PAIRS = 1 << 14  # ordered pairs per agreement read in uniqueness_probe: bounds its temporaries
+
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
@@ -303,17 +305,16 @@ def uniqueness_probe(
     """Run independent orbits and test whether all limits coincide.
 
     Limits, stop reasons and errors are those of ``picard`` run on each
-    start in turn, so the first failing start's error is raised (a
-    ``DivergenceError`` with its partial trace). All orbits are first
-    iterated as one stacked array; when the stacked run fails, the starts
-    are replayed through ``picard``, so a failing probe calls the map
-    again from the starts.
+    start in turn: the first failing start's error is raised (a
+    ``DivergenceError`` with its partial trace). The orbits run as one
+    stacked array; when that run fails, the starts are replayed through
+    ``picard``, which calls the map again from the starts.
 
-    ``unique`` requires every orbit to converge and every pair of limits to
-    pass the tau-closeness test at ``agree_tol`` (checked before any orbit
-    runs), read for all n(n - 1) ordered pairs in one ``distance_values``
-    call. Everything runs on the calling thread; ``workers`` is accepted
-    and has no effect.
+    ``unique`` requires every orbit to converge and every ordered pair of
+    limits to pass the tau-closeness test at ``agree_tol`` (checked before
+    any orbit runs). The pairs are read row by row, one ``distance_values``
+    call per ``_AGREEMENT_PAIRS`` of them, until a read disagrees. Everything
+    runs on the calling thread; ``workers`` is accepted and has no effect.
     """
     starts = list(starts)
     if len(starts) < 2:
@@ -328,10 +329,12 @@ def uniqueness_probe(
     limits, reasons = stacked
 
     unique = all(r == "converged" for r in reasons)
-    if unique:
-        # tau_converged(space, limits[i], limits[j], agree_tol) for every ordered pair i != j, row by row
-        i, j = np.nonzero(~np.eye(len(limits), dtype=bool))
-        unique = bool(_tau_close(space, limits[i], limits[j], agree_tol).all())
+    n, p0 = len(limits), 0
+    while unique and p0 < n * (n - 1):
+        # pair p is limits[i] and the k-th other limit, (i, k) = divmod(p, n - 1): tau_converged's pairs, row by row
+        i, k = np.divmod(np.arange(p0, min(p0 + _AGREEMENT_PAIRS, n * (n - 1))), n - 1)
+        unique = bool(_tau_close(space, limits[i], limits[k + (k >= i)], agree_tol).all())
+        p0 += _AGREEMENT_PAIRS
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=tuple(reasons))
 
 

@@ -387,7 +387,7 @@ class _DiscreteOperator:
         t_mesh, s_mesh = np.meshgrid(t, t, indexing="ij", copy=False)
         weighted = np.empty((problem.n_paths if problem.kernel_is_random else 1, n, n))
         # M_i = sum_l w_il |k_il| is the row sum of |weighted| because w >= 0
-        row_mass = np.empty(weighted.shape[:2])
+        self.row_mass = np.empty(weighted.shape[:2])
         sups = []
         # blocks are sized for one layer, so every kernel call gets about 2 MiB of rows
         step = max(1, _BLOCK_ELEMENTS // n)
@@ -412,9 +412,8 @@ class _DiscreteOperator:
                     weights = causal_trapezoid_weights(t, r0, r1)
                 block *= weights
                 # the last layer no longer needs the weight rows, so |block| goes into them
-                row_mass[j, r0:r1] = np.sum(np.abs(block, out=weights if j == len(weighted) - 1 else None), axis=1)
+                self.row_mass[j, r0:r1] = np.sum(np.abs(block, out=weights if j == len(weighted) - 1 else None), axis=1)
         self.sup_kernel = float(np.max(sups))
-        self.row_mass = row_mass
         self.weighted = weighted
 
     def apply(self, field: PathField) -> PathField:

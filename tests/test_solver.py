@@ -674,12 +674,52 @@ class TestUniquenessProbe:
         assert_bitwise(reads[1][0], starts[list(i)])
         assert_bitwise(reads[1][1], starts[list(j)])
 
-    def test_a_raising_pair_raises_after_a_disagreeing_one(self):
-        # every gap from limit 0 is finite and row 0 already disagrees; the gap
-        # between limits 2 and 3 overflows, and the one agreement read reaches it
+    def test_agreement_reads_stop_after_the_first_disagreeing_read(self, monkeypatch):
+        import probcone.solver as solver
+
+        reads = []
+        distance_values = PCMSpace.distance_values
+
+        def recording(space, X, Y, t):
+            reads.append((np.array(X), np.array(Y)))
+            return distance_values(space, X, Y, t)
+
+        monkeypatch.setattr(PCMSpace, "distance_values", recording)
+        monkeypatch.setattr(solver, "_AGREEMENT_PAIRS", 5)
+        starts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.25], [0.05, 0.05]])
+        i, j = map(list, zip(*[(i, j) for i in range(4) for j in range(4) if i != j]))
+        # every pair agrees: the 12 pairs in reads of 5, 5 and 2, row by row
+        assert uniqueness_probe(SPACE, identity_map(), starts, eps=1.0, agree_tol=0.5).unique
+        assert [len(X) for X, _ in reads] == [4, 5, 5, 2]
+        assert_bitwise(np.concatenate([X for X, _ in reads[1:]]), starts[i])
+        assert_bitwise(np.concatenate([Y for _, Y in reads[1:]]), starts[j])
+        # pair (0, 1) disagrees at this tolerance, so the first read is the last
+        reads.clear()
+        assert not uniqueness_probe(SPACE, identity_map(), starts, eps=1.0, agree_tol=0.05).unique
+        assert [len(X) for X, _ in reads] == [4, 5]
+
+    @pytest.mark.parametrize("pairs_per_read", [5, 12])
+    def test_a_raising_pair_raises_only_in_a_read_that_is_made(self, monkeypatch, pairs_per_read):
+        import probcone.solver as solver
+
+        monkeypatch.setattr(solver, "_AGREEMENT_PAIRS", pairs_per_read)
+        # row 0 disagrees at pair (0, 1); the gap of pair (2, 3), the ninth, overflows
         starts = [[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]
-        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="DiracStep distance must be finite"):
-            uniqueness_probe(SPACE, identity_map(), starts, eps=0.5, agree_tol=1e-6)
+        assert_probe_matches_reference(SPACE, identity_map(), starts, eps=0.5, agree_tol=1e-6)
+        with np.errstate(over="ignore"):
+            if pairs_per_read == 5:
+                assert not uniqueness_probe(SPACE, identity_map(), starts, eps=0.5, agree_tol=1e-6).unique
+            else:
+                with pytest.raises(InvalidParameterError, match="DiracStep distance must be finite"):
+                    uniqueness_probe(SPACE, identity_map(), starts, eps=0.5, agree_tol=1e-6)
+
+    def test_agreement_peak_memory_is_bounded(self, traced_peak):
+        # 2000 limits make 3,998,000 ordered pairs; read all at once they would
+        # hold about 300 MB of index arrays, gathers and table temporaries
+        starts = np.random.default_rng(0).uniform(0.0, 1e-3, size=(2000, 2))
+        result, peak = traced_peak(uniqueness_probe, SPACE, identity_map(), starts, eps=1.0, agree_tol=0.5)
+        assert result.unique
+        assert peak < 4 * 2**20
 
 
 class TestTheoremConsistency:
@@ -750,14 +790,14 @@ def reference_probe(space, mapping, starts, eps=None, max_iter=10_000, agree_tol
     reasons = tuple(tr.stopped_reason for tr in traces)
     unique = all(r == "converged" for r in reasons)
     if unique:
-        # every ordered pair is read, so a raising pair raises after a disagreeing one
+        from probcone.solver import _AGREEMENT_PAIRS as per_read
+
+        # the ordered pairs row by row, read per_read at a time until a read disagrees; every
+        # pair of a read is evaluated, so a raising pair raises after a disagreeing one in its read
+        pairs = [(i, j) for i in range(len(limits)) for j in range(len(limits)) if i != j]
         unique = all(
-            [
-                tau_converged(space, limits[i], limits[j], agree_tol)
-                for i in range(len(limits))
-                for j in range(len(limits))
-                if i != j
-            ]
+            all([tau_converged(space, limits[i], limits[j], agree_tol) for i, j in pairs[p : p + per_read]])
+            for p in range(0, len(pairs), per_read)
         )
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=reasons)
 
