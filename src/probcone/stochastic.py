@@ -1,8 +1,8 @@
 """Random operators and pathwise integral equations, solved by Monte Carlo.
 
-Ensembles hold N draws of a point in R^d; the distance between two
-ensembles is the empirical distribution of the samplewise norm gaps, which
-plugs straight into every distributional check in the package.
+Ensembles hold N draws of a point in R^d. Flattened, an ensemble is a point of
+R^(N d), and the empirical distribution of the samplewise norm gaps makes such
+points a random metric space (an E-space), so the contraction checkers apply.
 
 The integral-equation solver iterates the map
 
@@ -36,8 +36,10 @@ import numpy as np
 from .cone import Cone
 from .dist import Empirical, TimeGrid, _first_worst, _row_norms, default_comparison_tol, from_samples
 from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
-from .contract import ContractionCertificate
+from .contract import ContractionCertificate, Mapping, _LeftSide, check_kannan
 from .rng import path_generator
+from .space import PCMSpace
+from .tnorm import TNorm
 
 PathField = np.ndarray  # shape (n_paths, n_time + 1)
 
@@ -52,7 +54,7 @@ class Ensemble:
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if arr.ndim != 2 or arr.shape[0] < 1:
+        if arr.ndim != 2 or arr.size == 0:
             raise InvalidParameterError("ensemble samples must form a nonempty (N, d) array")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("ensemble samples must be finite")
@@ -82,19 +84,32 @@ class RandomOperator:
 
     def apply(self, ensemble: Ensemble) -> Ensemble:
         out = np.empty_like(ensemble.samples)
+        shape = out.shape[1:]
         for j in range(ensemble.n):
-            out[j] = np.asarray(self.fn(j, ensemble.samples[j]), dtype=float)
+            image = np.asarray(self.fn(j, ensemble.samples[j]), dtype=float)
+            if image.shape != shape:
+                raise InvalidParameterError(
+                    f"random operator {self.name!r} must send draw {j} to a point of shape {shape}, "
+                    f"got shape {image.shape}"
+                )
+            out[j] = image
         return Ensemble(out, seed=ensemble.seed, cone=None)
+
+    def _mapping(self, n: int, dim: int) -> Mapping:
+        """This operator as a self-map of the flattened ensembles of n draws in R^dim."""
+        return Mapping(lambda z: self.apply(Ensemble(z.reshape(n, dim))).samples.ravel(), name=self.name)
+
+
+def _ensemble_space(n: int, dim: int) -> PCMSpace:
+    """Flattened ensembles of n draws in R^dim: an E-space (Schweizer and Sklar, 1983, ch. 9)."""
+    return PCMSpace(n * dim, lambda x, y: from_samples(_row_norms((x - y).reshape(n, dim))), TNorm.LUKASIEWICZ)
 
 
 def empirical_metric(x: Ensemble, y: Ensemble) -> Empirical:
     """Empirical distribution of the samplewise distances ||x_j - y_j||."""
     if x.samples.shape != y.samples.shape:
-        raise InvalidParameterError(
-            f"ensemble shapes differ: {x.samples.shape} vs {y.samples.shape}"
-        )
-    gaps = _row_norms(x.samples - y.samples)
-    return from_samples(gaps)
+        raise InvalidParameterError(f"ensemble shapes differ: {x.samples.shape} vs {y.samples.shape}")
+    return _ensemble_space(x.n, x.dim).distance(x.samples.ravel(), y.samples.ravel())
 
 
 @dataclass(frozen=True)
@@ -126,10 +141,11 @@ def check_random_kannan(
 
     (a) samplewise: ||Tx_j - Ty_j|| <= alpha * max(||x_j - Tx_j||, ||y_j - Ty_j||)
         per draw, reporting the violating fraction;
-    (b) distributional: the self-displacement condition on the empirical
-        metrics over the grid, at tolerance ``tol`` (default 2/sqrt(N) for
-        the smallest ensemble size N, the loosest
-        :func:`~probcone.dist.default_comparison_tol` over all operands).
+    (b) distributional: :func:`~probcone.contract.check_kannan` on each pair
+        as a point pair of the ensembles' E-space, at tolerance ``tol``
+        (default 2/sqrt(N) for the smallest ensemble size N, the loosest
+        :func:`~probcone.dist.default_comparison_tol` over every pair's
+        distance); the worst pair is the first in pair order.
 
     The distributional side tests the t / (2 alpha) rescaling; the stricter
     t / alpha form implies it for alpha < 1/2 since the distributions are
@@ -141,34 +157,21 @@ def check_random_kannan(
     if not ensembles:
         raise InvalidParameterError("need at least one ensemble pair")
     grid = TimeGrid.coerce(grid)
-    t = grid.points
+    gaps = [empirical_metric(x, y) for x, y in ensembles]  # refuses a pair of two shapes
+    tol = float(default_comparison_tol(*gaps) if tol is None else tol)
 
-    total = 0
     violations = 0
-    margins = []
-    default_tol = 0.0
+    certificates = []
     for x, y in ensembles:
-        if x.samples.shape != y.samples.shape:
-            raise InvalidParameterError("paired ensembles must share shape")
-        tx = operator.apply(x)
-        ty = operator.apply(y)
-        lhs_gap = _row_norms(tx.samples - ty.samples)
-        x_disp = _row_norms(x.samples - tx.samples)
-        y_disp = _row_norms(y.samples - ty.samples)
-        rhs_gap = alpha * np.maximum(x_disp, y_disp)
-        violations += int(np.sum(lhs_gap > rhs_gap + 1e-12))
-        total += x.n
+        space, mapping = _ensemble_space(x.n, x.dim), operator._mapping(x.n, x.dim)
+        left = _LeftSide.build(space, mapping, [(x.samples.ravel(), y.samples.ravel())], grid, tol)
+        X, Y, TX, TY = (side.reshape(x.samples.shape) for side in (left.X, left.Y, left.TX, left.TY))
+        rhs_gap = alpha * np.maximum(_row_norms(X - TX), _row_norms(Y - TY))
+        violations += int(np.sum(_row_norms(TX - TY) > rhs_gap + 1e-12))
+        certificates.append(check_kannan(space, mapping, alpha, pairs=left))
 
-        # the empirical metrics of the same gaps
-        f_txty, f_xtx, f_yty = from_samples(lhs_gap), from_samples(x_disp), from_samples(y_disp)
-        default_tol = max(default_tol, default_comparison_tol(f_txty, f_xtx, f_yty))
-        scaled = t / (2.0 * alpha)
-        margins.append(
-            np.asarray(f_txty.eval(t)) - np.minimum(np.asarray(f_xtx.eval(scaled)), np.asarray(f_yty.eval(scaled)))
-        )
-
-    resolved_tol = float(default_tol if tol is None else tol)
-    worst, passed, (e, k) = _first_worst(margins, resolved_tol)
+    worst, passed, (e,) = _first_worst([c.worst_margin for c in certificates], tol)
+    total = sum(x.n for x, _ in ensembles)
     fraction = violations / total
     certificate = ContractionCertificate(
         kind="kannan",
@@ -177,8 +180,8 @@ def check_random_kannan(
         grid=grid,
         worst_margin=worst,
         passed=passed,
-        tol=resolved_tol,
-        witness=None if passed else {"t": float(t[k]), "n_samples": ensembles[e][0].n},
+        tol=tol,
+        witness=None if passed else {"t": certificates[e].witness["t"], "n_samples": ensembles[e][0].n},
         notes=(
             f"samplewise violations: {violations} of {total} ({fraction:.6f})",
             "distributional check uses the t/(2 alpha) rescaling; the t/alpha "

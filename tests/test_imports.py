@@ -7,8 +7,9 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
 uses, computes a Euclidean norm in one place only, reduces margins to
 their worst and compares them with -tol in one place each, spells the
-tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, and never
-calls ``sys.getrefcount``.
+tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, divides a
+time by twice a rate in the Kannan bound only, and never calls
+``sys.getrefcount``.
 """
 
 import ast
@@ -384,3 +385,33 @@ def closeness_tests(path: Path) -> list:
 def test_tau_closeness_is_spelled_only_in_space():
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in closeness_tests(path)]
     assert uses == ["space._tau_close"]
+
+
+def half_rate_rescalings(path: Path) -> list:
+    """``module.function`` for each division by ``2 * rate`` (or ``rate * 2``) in ``path``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.BinOp)
+                and isinstance(child.op, ast.Div)
+                and isinstance(child.right, ast.BinOp)
+                and isinstance(child.right.op, ast.Mult)
+                and any(
+                    isinstance(factor, ast.Constant) and factor.value == 2
+                    for factor in (child.right.left, child.right.right)
+                )
+            ):
+                uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_kannan_rescaling_is_spelled_only_in_the_kannan_bound():
+    # the Kannan and Chatterjea bounds read F at t / (2 alpha); random operators
+    # certify through check_kannan rather than a rescaling of their own
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in half_rate_rescalings(path)]
+    assert uses == ["contract._kannan_bound"]

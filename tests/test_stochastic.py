@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probcone import (
     DivergenceError,
@@ -16,6 +17,7 @@ from probcone import (
 )
 from probcone import stochastic
 from probcone.registry import make_forcing, make_kernel, make_nonlinearity, rotation_half_map
+from probcone.dist import TimeGrid, _first_worst, _row_norms, default_comparison_tol, from_samples
 from probcone.rng import mix_seed, path_generator
 from probcone.stochastic import SIEConditions, causal_trapezoid_weights
 
@@ -146,6 +148,11 @@ class TestEnsemble:
         with pytest.raises(InvalidParameterError):
             Ensemble(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("samples", [[], [[]], np.zeros((3, 0))], ids=["empty-list", "empty-row", "3x0"])
+    def test_refuses_points_of_no_coordinates(self, samples):
+        with pytest.raises(InvalidParameterError, match="nonempty"):
+            Ensemble(samples)
+
     def test_cone_constraint(self):
         Ensemble(np.array([[1.0, 2.0], [0.0, 0.5]]), cone=Orthant(2))
         with pytest.raises(InvalidParameterError):
@@ -155,6 +162,25 @@ class TestEnsemble:
         ens = Ensemble(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             ens.samples[0, 0] = 5.0
+
+
+class TestRandomOperatorApply:
+    def test_scalar_image_refused(self):
+        # broadcasting used to copy 0.5 * u[0] into every coordinate: [1, 0] -> [0.5, 0.5]
+        op = RandomOperator(lambda j, u: 0.5 * u[0], name="first coordinate")
+        with pytest.raises(InvalidParameterError, match=r"draw 0 to a point of shape \(2,\), got shape \(\)"):
+            op.apply(Ensemble(np.array([[1.0, 0.0], [0.0, 1.0]])))
+
+    def test_wrong_length_image_refused(self):
+        op = RandomOperator(lambda j, u: np.zeros(3) if j == 1 else u, name="lifts draw 1")
+        with pytest.raises(InvalidParameterError, match=r"'lifts draw 1' must send draw 1 .* got shape \(3,\)"):
+            op.apply(Ensemble(np.array([[1.0, 0.0], [0.0, 1.0]])))
+
+    def test_refused_inside_check_random_kannan(self):
+        op = RandomOperator(lambda j, u: u[:1])
+        x = Ensemble(np.array([[1.0, 0.0]]))
+        with pytest.raises(InvalidParameterError, match=r"draw 0 .* got shape \(1,\)"):
+            check_random_kannan(op, [(x, x)], 0.25)
 
 
 class TestEmpiricalMetric:
@@ -251,6 +277,85 @@ class TestCheckRandomKannan:
             check_random_kannan(op, [(x, y)], 0.5)
         with pytest.raises(InvalidParameterError):
             check_random_kannan(op, [], 0.25)
+
+
+def loop_random_kannan(operator, ensembles, alpha, grid=None, tol=None):
+    """Reference: the margin loop ``check_random_kannan`` used before it read ``check_kannan``.
+
+    Returns ``(worst, passed, tol, witness, violations, total)``.
+    """
+    t = TimeGrid.coerce(grid).points
+    total = violations = 0
+    margins = []
+    default_tol = 0.0
+    for x, y in ensembles:
+        tx, ty = operator.apply(x), operator.apply(y)
+        lhs_gap = _row_norms(tx.samples - ty.samples)
+        x_disp = _row_norms(x.samples - tx.samples)
+        y_disp = _row_norms(y.samples - ty.samples)
+        violations += int(np.sum(lhs_gap > alpha * np.maximum(x_disp, y_disp) + 1e-12))
+        total += x.n
+        f_txty, f_xtx, f_yty = from_samples(lhs_gap), from_samples(x_disp), from_samples(y_disp)
+        default_tol = max(default_tol, default_comparison_tol(f_txty, f_xtx, f_yty))
+        scaled = t / (2.0 * alpha)
+        margins.append(f_txty.eval(t) - np.minimum(f_xtx.eval(scaled), f_yty.eval(scaled)))
+    resolved_tol = float(default_tol if tol is None else tol)
+    worst, passed, (e, k) = _first_worst(margins, resolved_tol)
+    witness = None if passed else {"t": float(t[k]), "n_samples": ensembles[e][0].n}
+    return worst, passed, resolved_tol, witness, violations, total
+
+
+_RANDOM_OPERATORS = {
+    "halving": lambda j, u: 0.5 * u,
+    "identity": lambda j, u: u,
+    "constant": lambda j, u: np.full(u.shape, 0.5),
+    "per-draw shrink": lambda j, u: u / (2.0 + j % 3),
+    "noisy affine": lambda j, u: 0.4 * u + 0.1 * np.sin(j + u),
+    "swap and scale": lambda j, u: 0.3 * u[::-1],
+}
+
+
+class TestCheckRandomKannanOracle:
+    """``check_random_kannan`` through ``check_kannan`` against the loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_RANDOM_OPERATORS)),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        dim=st.integers(1, 3),
+        alpha=st.one_of(st.sampled_from([0.05, 0.2, 0.35, 0.49]), st.floats(0.01, 0.499)),
+        tol=st.one_of(st.none(), st.just(0.0), st.floats(-0.1, 0.1)),
+        grid=st.one_of(st.none(), st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=8, unique=True).map(sorted)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_margin_loop(self, name, sizes, dim, alpha, tol, grid, seed):
+        rng = np.random.default_rng(seed)
+        ensembles = []
+        for n in sizes:
+            x = rng.uniform(-1.0, 1.0, (n, dim))
+            y = rng.uniform(0.5, 1.0) * x + rng.normal(0.0, 0.1, (n, dim)) * (seed % 2)
+            ensembles.append((Ensemble(x), Ensemble(y)))
+        op = RandomOperator(_RANDOM_OPERATORS[name], name=name)
+        result = check_random_kannan(op, ensembles, alpha, grid=grid, tol=tol)
+        worst, passed, resolved_tol, witness, violations, total = loop_random_kannan(op, ensembles, alpha, grid, tol)
+        cert = result.certificate
+        assert np.float64(cert.worst_margin).tobytes() == np.float64(worst).tobytes()
+        assert (cert.passed, cert.tol, cert.witness) == (passed, resolved_tol, witness)
+        assert cert.notes == (
+            f"samplewise violations: {violations} of {total} ({violations / total:.6f})",
+            "distributional check uses the t/(2 alpha) rescaling; the t/alpha form implies it for rates below 1/2",
+        )
+        assert (result.n_samples, result.samplewise_violations) == (total, violations)
+
+    def test_tied_pairs_give_the_first_witness(self):
+        # the identity fails both pairs by -1 at the first grid time
+        op = RandomOperator(lambda j, u: u, name="identity")
+        three = (Ensemble(np.array([[0.0], [1.0], [3.0]])), Ensemble(np.array([[1.0], [1.5], [2.0]])))
+        two = (Ensemble(three[0].samples[:2]), Ensemble(three[1].samples[:2]))
+        for ensembles, n_samples in (([two, three], 2), ([three, two], 3)):
+            witness = check_random_kannan(op, ensembles, 0.25, tol=0.0).certificate.witness
+            assert witness == loop_random_kannan(op, ensembles, 0.25, tol=0.0)[3]
+            assert witness["n_samples"] == n_samples
 
 
 class TestTrapezoidWeights:
