@@ -22,6 +22,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -281,7 +282,16 @@ def timescale(dist: DistFn, c: float) -> DistFn:
     The result G satisfies G.eval(t) == dist.eval(t / c) for every t.
     Step and empirical variants rescale their support exactly; the
     Gaussian shapes are wrapped, since Phi(t/c - d) leaves the family.
+
+    Deprecated: each call warns with :class:`DeprecationWarning`.
+    ``Rescaled(dist, c)`` has the same values. This function and the
+    ``_scaled`` methods behind it are removed in the next release.
     """
+    warnings.warn(
+        "timescale is deprecated and will be removed in the next release; use Rescaled(dist, c)",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     _check_positive("timescale factor", c)
     if c == 1.0:
         return dist
@@ -289,7 +299,17 @@ def timescale(dist: DistFn, c: float) -> DistFn:
 
 
 def pointwise_min(f: DistFn, g: DistFn, grid=None) -> np.ndarray:
-    """Tabulate min(f(t), g(t)) over a time grid."""
+    """Tabulate min(f(t), g(t)) over a time grid.
+
+    Deprecated: each call warns with :class:`DeprecationWarning`, and the
+    function is removed in the next release. ``np.minimum(f.eval(t),
+    g.eval(t))`` gives the same values.
+    """
+    warnings.warn(
+        "pointwise_min is deprecated and will be removed in the next release; use np.minimum(f.eval(t), g.eval(t))",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     grid = TimeGrid.coerce(grid)
     fv = np.asarray(f.eval(grid.points))
     gv = np.asarray(g.eval(grid.points))

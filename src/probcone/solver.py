@@ -27,10 +27,8 @@ from .contract import Mapping
 from .dist import DistFn, TimeGrid, _first_worst, _passes, empirical_sample_count
 from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
 from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py's patch points
-from .space import PCMSpace, _tau_close, tau_converged
+from .space import PCMSpace, _checked_points, _tau_close, cauchy_window, tau_converged
 from .tnorm import TNorm, _check_unit
-
-_AGREEMENT_PAIRS = 1 << 14  # ordered pairs per agreement read in uniqueness_probe: bounds its temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +100,7 @@ def _checked_start(space: PCMSpace, x0, eps: Optional[float], max_iter: int):
     """Validate one orbit's start; returns it as a float array with its eps."""
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-    try:
-        x = np.asarray(x0, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric
-        raise InvalidParameterError(f"x0 must be a numeric point: {exc}") from exc
-    if x.shape != (space.dim,):
-        raise InvalidParameterError(f"x0 must have dimension {space.dim}, got shape {x.shape}")
+    x = _checked_points(space, x0, "x0")
     if not space.feasible(x):
         raise InvalidParameterError("x0 is outside the declared cone")
     if eps is None:
@@ -135,10 +128,7 @@ def kannan_bound(first_step: DistFn, alpha: float, n: int, t):
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr > 0.0) & (t_arr < np.inf)):  # NaN fails both
         raise InvalidParameterError("t must be positive")
-    scale = (2.0 * alpha) ** n
-    with np.errstate(divide="ignore", over="ignore"):
-        arg = t_arr / scale
-    out = first_step.eval(arg)
+    out = _first_step_at(first_step, t_arr.reshape(-1), alpha, [n])[0].reshape(t_arr.shape)
     return float(out) if t_arr.ndim == 0 else out
 
 
@@ -160,16 +150,20 @@ def cauchy_chain_bound(
 
 def _chain_bound_on_grid(first_step, alpha, n, m, t, tnorm) -> np.ndarray:
     """``cauchy_chain_bound`` at every time of the 1-d array ``t``."""
-    gap = float(m - n)
-    values = _first_step_at(first_step, t, [gap * (2.0 * alpha) ** j for j in range(n, m)])
+    values = _first_step_at(first_step, t, alpha, range(n, m), gap=float(m - n))
     terms = _check_unit(values, "first-step values")
     return reduce(tnorm._combine, terms, np.ones_like(t))
 
 
-def _first_step_at(first_step, t, divisors) -> np.ndarray:
-    """F(x_0, x_1)(t / d), one row per divisor d (built with Python ``**``, as the scalar formulas are)."""
+def _first_step_at(first_step, t, alpha, steps, gap=1.0) -> np.ndarray:
+    """F(x_0, x_1)(t / (gap (2 alpha)^j)) at the 1-d times ``t``, one row per step j in ``steps``.
+
+    Each divisor is built with Python ``**``, as the scalar formulas are;
+    ``gap`` 1.0 leaves ``(2 alpha)^j`` bit for bit.
+    """
+    divisors = np.array([gap * (2.0 * alpha) ** j for j in steps])
     with np.errstate(divide="ignore", over="ignore"):
-        return first_step.eval(t[None, :] / np.array(divisors)[:, None])
+        return first_step.eval(t[None, :] / divisors[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +214,7 @@ def check_bounds(
     n_steps = trace.n_iters
 
     step_lhs = trace.space.distance_values(points[:-1], points[1:], t)
-    step_rhs = _first_step_at(first_step, t, [(2.0 * alpha) ** n for n in range(n_steps)])
+    step_rhs = _first_step_at(first_step, t, alpha, range(n_steps))
     step_margins = step_lhs - step_rhs
 
     n_idx, m_idx = _chain_ends(n_steps, max_chain_pairs, seed)
@@ -277,10 +271,14 @@ class FixedPointCheck:
 
 
 def verify_fixed_point(space: PCMSpace, mapping: Mapping, x, grid=None, tol: float = 0.0) -> FixedPointCheck:
-    """Accept x as fixed iff F(Tx, x) sits at 1 (within tol) across the grid."""
+    """Accept x as fixed iff F(Tx, x) sits at 1 (within tol) across the grid.
+
+    Raises :class:`~probcone.errors.InvalidParameterError` when x is not a
+    numeric point of the space's dimension.
+    """
     _check_tol(tol)
     grid = TimeGrid.coerce(grid)
-    x = np.asarray(x, dtype=float)
+    x = _checked_points(space, x, "x")
     values = np.asarray(space.distance(mapping(x), x).eval(grid.points))
     worst = float(values.min())
     return FixedPointCheck(is_fixed=worst >= 1.0 - tol, worst=worst)
@@ -310,11 +308,10 @@ def uniqueness_probe(
     stacked array; when that run fails, the starts are replayed through
     ``picard``, which calls the map again from the starts.
 
-    ``unique`` requires every orbit to converge and every ordered pair of
-    limits to pass the tau-closeness test at ``agree_tol`` (checked before
-    any orbit runs). The pairs are read row by row, one ``distance_values``
-    call per ``_AGREEMENT_PAIRS`` of them, until a read disagrees. Everything
-    runs on the calling thread; ``workers`` is accepted and has no effect.
+    ``unique`` requires every orbit to converge and the limits to form a
+    :func:`~probcone.space.cauchy_window` at ``agree_tol`` (checked before
+    any orbit runs). Everything runs on the calling thread; ``workers`` is
+    accepted and has no effect.
     """
     starts = list(starts)
     if len(starts) < 2:
@@ -328,13 +325,7 @@ def uniqueness_probe(
         stacked = np.array([tr.limit for tr in traces]), [tr.stopped_reason for tr in traces]
     limits, reasons = stacked
 
-    unique = all(r == "converged" for r in reasons)
-    n, p0 = len(limits), 0
-    while unique and p0 < n * (n - 1):
-        # pair p is limits[i] and the k-th other limit, (i, k) = divmod(p, n - 1): tau_converged's pairs, row by row
-        i, k = np.divmod(np.arange(p0, min(p0 + _AGREEMENT_PAIRS, n * (n - 1))), n - 1)
-        unique = bool(_tau_close(space, limits[i], limits[k + (k >= i)], agree_tol).all())
-        p0 += _AGREEMENT_PAIRS
+    unique = all(r == "converged" for r in reasons) and cauchy_window(space, limits, agree_tol)
     return UniquenessResult(unique=unique, limits=limits, stopped_reasons=tuple(reasons))
 
 

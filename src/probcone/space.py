@@ -23,7 +23,7 @@ witness is attached exactly when a check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .parallel import ordered_map
 from .tnorm import TNorm, _MaxCombine, _check_unit
 
 _SAMPLING_ATTEMPT_CAP = 100_000
+_AGREEMENT_PAIRS = 1 << 14  # ordered pairs per cauchy_window read: bounds its temporaries
 
 DistanceMap = Callable[[np.ndarray, np.ndarray], DistFn]
 
@@ -398,10 +399,29 @@ def check_axioms(
     )
 
 
+def _checked_points(space: PCMSpace, x, name: str, ndim: int = 1) -> np.ndarray:
+    """``x`` as a float array of ``ndim`` axes, the last of length ``space.dim``.
+
+    ``ndim`` 1 is one point and 2 a window of points, one per row. A ragged,
+    non-numeric or misshapen ``x`` raises
+    :class:`~probcone.errors.InvalidParameterError` naming ``name``, and the
+    shape of a misshapen one.
+    """
+    one = ndim == 1
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InvalidParameterError(f"{name} must be {'a numeric point' if one else 'numeric points'}: {exc}") from exc
+    if x.ndim != ndim or x.shape[-1] != space.dim:
+        want = f"dimension {space.dim}" if one else f"shape (n, {space.dim})"
+        raise InvalidParameterError(f"{name} must have {want}, got shape {x.shape}")
+    return x
+
+
 def tau_converged(space: PCMSpace, x, y, eps: float) -> bool:
     """Distributional closeness test: F(x, y)(eps) > 1 - eps."""
     _check_positive("eps", eps)
-    return bool(_tau_close(space, np.asarray(x, float)[None], np.asarray(y, float)[None], eps)[0])
+    return bool(_tau_close(space, _checked_points(space, x, "x")[None], _checked_points(space, y, "y")[None], eps)[0])
 
 
 def _tau_close(space: PCMSpace, X, Y, eps: float) -> np.ndarray:
@@ -409,10 +429,23 @@ def _tau_close(space: PCMSpace, X, Y, eps: float) -> np.ndarray:
     return space.distance_values(X, Y, np.array([eps]))[:, 0] > 1.0 - eps
 
 
-def cauchy_window(space: PCMSpace, pts: Sequence, eps: float) -> bool:
-    """True iff every ordered pair in the window meets the closeness test."""
+def cauchy_window(space: PCMSpace, pts, eps: float) -> bool:
+    """True iff every ordered pair of distinct window points is tau-close at eps.
+
+    ``pts`` is a nonempty window of points of the space, one per row. The
+    n(n - 1) ordered pairs (m, k), m != k, are read row by row,
+    ``_AGREEMENT_PAIRS`` per ``distance_values`` call, and the first read
+    that holds a pair that is not close is the last: every pair of a read is
+    evaluated, so its temporaries stay bounded however long the window is.
+    """
     _check_positive("eps", eps)
-    pts = [np.asarray(p, dtype=float) for p in pts]
-    if not pts:
+    pts = _checked_points(space, pts, "window", ndim=2)
+    n = len(pts)
+    if not n:
         raise InvalidParameterError("window must contain at least one point")
-    return all(tau_converged(space, x, y, eps) for m, x in enumerate(pts) for n, y in enumerate(pts) if m != n)
+    for p0 in range(0, n * (n - 1), _AGREEMENT_PAIRS):
+        # pair p is pts[m] and the k-th other point, (m, k) = divmod(p, n - 1)
+        m, k = np.divmod(np.arange(p0, min(p0 + _AGREEMENT_PAIRS, n * (n - 1))), n - 1)
+        if not _tau_close(space, pts[m], pts[k + (k >= m)], eps).all():
+            return False
+    return True

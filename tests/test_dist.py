@@ -292,26 +292,34 @@ class TestIsProper:
         assert dist.eval(np.array([np.inf]))[0] == dist.eval(np.inf)
 
 
+def warned_once(fn, *args):
+    """``fn(*args)``, checked to warn one DeprecationWarning and nothing else."""
+    with pytest.warns(DeprecationWarning) as record:
+        out = fn(*args)
+    assert [w.category for w in record] == [DeprecationWarning]
+    return out
+
+
 class TestTimescale:
     def test_dirac_maps_to_dirac(self):
-        g = timescale(DiracStep(1.0), 0.5)
+        g = warned_once(timescale, DiracStep(1.0), 0.5)
         assert isinstance(g, DiracStep)
         assert g.d == 0.5
         assert g.eval(0.6) == 1.0  # 0.6 / 0.5 = 1.2 > 1
 
     def test_identity_factor(self):
         for f in variants():
-            g = timescale(f, 1.0)
+            g = warned_once(timescale, f, 1.0)
             grid = np.geomspace(1e-3, 50, 40)
             assert np.array_equal(np.asarray(g.eval(grid)), np.asarray(f.eval(grid)))
 
     def test_gaussian_shift_semantics(self):
-        g = timescale(GaussianShift(1.0), 2.0)
+        g = warned_once(timescale, GaussianShift(1.0), 2.0)
         assert g.eval(2.0) == pytest.approx(0.5, abs=1e-15)  # Phi(2/2 - 1) = Phi(0)
 
     def test_empirical_rescales_exactly(self):
         f = from_samples([1.0, 2.0])
-        g = timescale(f, 3.0)
+        g = warned_once(timescale, f, 3.0)
         assert isinstance(g, Empirical)
         assert np.array_equal(g.samples, [3.0, 6.0])
 
@@ -320,34 +328,36 @@ class TestTimescale:
         grid = np.sort(rng.uniform(1e-3, 40.0, 200))
         for f in variants():
             for a, b in [(0.5, 3.0), (2.0, 2.0), (0.1, 0.7)]:
-                lhs = np.asarray(timescale(timescale(f, a), b).eval(grid))
-                rhs = np.asarray(timescale(f, a * b).eval(grid))
+                lhs = np.asarray(warned_once(timescale, warned_once(timescale, f, a), b).eval(grid))
+                rhs = np.asarray(warned_once(timescale, f, a * b).eval(grid))
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_rejects_nonpositive_factor(self):
-        with pytest.raises(InvalidParameterError):
-            timescale(DiracStep(1.0), 0.0)
-        with pytest.raises(InvalidParameterError):
-            timescale(DiracStep(1.0), -2.0)
+        for c in (0.0, -2.0):
+            # the warning comes before the refusal
+            with pytest.warns(DeprecationWarning) as record, pytest.raises(InvalidParameterError):
+                timescale(DiracStep(1.0), c)
+            assert [w.category for w in record] == [DeprecationWarning]
 
 
 class TestPointwiseMin:
     def test_two_steps(self):
-        vals = pointwise_min(DiracStep(1.0), DiracStep(2.0), TimeGrid(np.array([0.5, 1.5, 2.5])))
+        vals = warned_once(pointwise_min, DiracStep(1.0), DiracStep(2.0), TimeGrid(np.array([0.5, 1.5, 2.5])))
         assert np.array_equal(vals, [0.0, 0.0, 1.0])
 
     def test_idempotent(self):
         f = GaussianShift(0.3)
         grid = TimeGrid(np.geomspace(1e-2, 10, 30))
-        assert np.array_equal(pointwise_min(f, f, grid), np.asarray(f.eval(grid.points)))
+        assert np.array_equal(warned_once(pointwise_min, f, f, grid), np.asarray(f.eval(grid.points)))
 
     def test_gaussian_vs_scaled(self):
-        vals = pointwise_min(GaussianShift(0.0), ScaledGaussian(0.5), TimeGrid(np.array([3.0])))
+        vals = warned_once(pointwise_min, GaussianShift(0.0), ScaledGaussian(0.5), TimeGrid(np.array([3.0])))
         assert vals[0] == pytest.approx(HALF_PHI_3, abs=1e-12)
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.warns(DeprecationWarning) as record, pytest.raises(InvalidParameterError):
             pointwise_min(DiracStep(1.0), DiracStep(2.0), np.array([]))
+        assert [w.category for w in record] == [DeprecationWarning]
 
 
 class TestDominates:
@@ -441,7 +451,7 @@ class TestSummary:
         assert emp["variant"] == "empirical"
         assert emp["n"] == 5
         assert emp["quantiles"] == {"min": 0.0, "p25": 1.0, "p50": 2.0, "p75": 3.0, "max": 4.0}
-        nested = to_summary(timescale(GaussianShift(1.0), 2.0))
+        nested = to_summary(warned_once(timescale, GaussianShift(1.0), 2.0))
         assert nested["variant"] == "rescaled"
         assert nested["base"]["variant"] == "gaussian-shift"
 

@@ -8,22 +8,28 @@ since imported them itself. The package also imports no name it never
 uses, computes a Euclidean norm in one place only, reduces margins to
 their worst and compares them with -tol in one place each, spells the
 tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, divides a
-time by twice a rate in the Kannan bound only, and never calls
-``sys.getrefcount``.
+time by twice a rate in the Kannan bound only, raises twice a rate to a
+power in ``solver._first_step_at`` only, and never calls
+``sys.getrefcount``. Every public name is read by the CLI, named in the
+README or deprecated.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import probcone
 from probcone import cli, stochastic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 DIRAC_AXIOMS = {"space": {"dim": 2, "distance": "dirac", "tnorm": "min"}, "axioms": {"n_points": 4}}
 GAUSS_AXIOMS = {
@@ -415,3 +421,114 @@ def test_kannan_rescaling_is_spelled_only_in_the_kannan_bound():
     # certify through check_kannan rather than a rescaling of their own
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in half_rate_rescalings(path)]
     assert uses == ["contract._kannan_bound"]
+
+
+def twice_rate_powers(path: Path) -> list:
+    """``module.function`` for each power of ``2 * rate`` (or ``rate * 2``) in ``path``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.BinOp)
+                and isinstance(child.op, ast.Pow)
+                and isinstance(child.left, ast.BinOp)
+                and isinstance(child.left.op, ast.Mult)
+                and any(
+                    isinstance(factor, ast.Constant) and factor.value == 2
+                    for factor in (child.left.left, child.left.right)
+                )
+            ):
+                uses.append(f"{path.stem}.{scope}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_step_divisors_are_spelled_only_in_first_step_at():
+    # kannan_bound, the step rows of check_bounds and the chain bound all read
+    # F(x_0, x_1) at t / (gap (2 alpha)^j) through this one helper
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in twice_rate_powers(path)]
+    assert uses == ["solver._first_step_at"]
+
+
+PUBLIC_NAMES = [
+    "AxiomCheck", "AxiomReport", "BoundCheck", "Cone", "ConfigError", "ContractionCertificate",
+    "DiracStep", "DistFn", "DivergenceError", "DominanceResult", "Empirical", "Ensemble",
+    "FixedPointCheck", "GaussianShift", "Halfspaces", "InfeasibleRegionError", "InvalidParameterError",
+    "IterationTrace", "Mapping", "NormalityResult", "Orthant", "PCMSpace", "ProbconeError",
+    "RandomKannanResult", "RandomOperator", "RateNotCertifiedError", "Rescaled", "SIEConditions",
+    "SIEProblem", "SIESolution", "ScaledGaussian", "TNorm", "TimeGrid", "UniquenessResult",
+    "cauchy_chain_bound", "cauchy_window", "check_axioms", "check_banach", "check_bounds",
+    "check_chatterjea", "check_kannan", "check_random_kannan", "check_zamfirescu", "dominates",
+    "empirical_metric", "from_samples", "kannan_bound", "normality_check", "picard", "pointwise_min",
+    "sample_pairs", "sample_points", "sie_apply", "sie_conditions", "sie_solve", "tau_converged",
+    "timescale", "uniqueness_probe", "verify_fixed_point", "zamfirescu_delta",
+]  # fmt: skip
+
+# The public names that only tests called (ROADMAP item 17). Each is named in the
+# README: as a library entry, as deprecated, or, for Rescaled, as a replacement.
+ITEM_17_NAMES = (
+    "cauchy_window",
+    "kannan_bound",
+    "cauchy_chain_bound",
+    "zamfirescu_delta",
+    "RateNotCertifiedError",
+    "sie_apply",
+    "normality_check",
+    "NormalityResult",
+    "pointwise_min",
+    "timescale",
+    "Rescaled",
+)
+DEPRECATED = {"pointwise_min", "timescale"}
+
+
+def readme_code_names() -> set:
+    """Every identifier inside a fenced block or a code span of the README."""
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    text = README.read_text()
+    code = fence.findall(text) + re.findall(r"`([^`]+)`", fence.sub("", text))
+    return {word for span in code for word in re.findall(r"\w+", span)}
+
+
+def names_the_cli_reads() -> set:
+    """Module-level functions and classes of the package reached by name from ``cli.py``.
+
+    A name read anywhere in a reached body (a call, an attribute, an
+    annotation) reaches every module-level definition of that name, so this
+    over-approximates what a CLI run calls.
+    """
+    definitions = defaultdict(list)
+    for path in sorted((SRC / "probcone").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions[node.name].append(node)
+    reached, todo = set(), [ast.parse((SRC / "probcone" / "cli.py").read_text())]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in definitions and name not in reached:
+                reached.add(name)
+                todo.extend(definitions[name])
+    return reached
+
+
+def test_public_names_are_pinned():
+    assert probcone.__all__ == PUBLIC_NAMES
+
+
+def test_item_17_names_are_named_in_the_readme():
+    assert set(ITEM_17_NAMES) - readme_code_names() == set()
+
+
+def test_every_public_name_is_read_by_the_cli_named_in_the_readme_or_deprecated():
+    assert set(PUBLIC_NAMES) - names_the_cli_reads() - readme_code_names() - DEPRECATED == set()
+    # the uniqueness probe's agreement is cauchy_window on its limits
+    assert "cauchy_window" in names_the_cli_reads()
+
+
+@pytest.mark.parametrize("name", sorted(DEPRECATED))
+def test_deprecated_names_are_read_by_no_cli_path(name):
+    assert name not in names_the_cli_reads()

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -503,6 +504,24 @@ class TestVerifyFixedPoint:
     def test_rotation_fixed_point_at_origin(self):
         assert verify_fixed_point(SPACE, ROTATE, [0.0, 0.0]).is_fixed
 
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            ([0.0], "x must have dimension 2, got shape (1,)"),
+            ([0.0, 0.0, 0.0], "x must have dimension 2, got shape (3,)"),
+            (0.0, "x must have dimension 2, got shape ()"),
+            ([[0.0], [0.0, 1.0]], "x must be a numeric point: "),
+        ],
+        ids=["short", "long", "scalar", "ragged"],
+    )
+    def test_point_of_the_wrong_shape_is_refused(self, x, message):
+        # [0.0] used to be mapped to [0.0] and reported fixed
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            verify_fixed_point(SPACE, scale_map(0.5), x)
+        # picard's start is checked by the same rule
+        with pytest.raises(InvalidParameterError, match=re.escape(message.replace("x ", "x0 ", 1))):
+            picard(SPACE, scale_map(0.5), x)
+
     def test_non_fixed_point(self):
         result = verify_fixed_point(SPACE, ROTATE, [1.0, 0.0])
         assert not result.is_fixed
@@ -675,7 +694,7 @@ class TestUniquenessProbe:
         assert_bitwise(reads[1][1], starts[list(j)])
 
     def test_agreement_reads_stop_after_the_first_disagreeing_read(self, monkeypatch):
-        import probcone.solver as solver
+        import probcone.space as space
 
         reads = []
         distance_values = PCMSpace.distance_values
@@ -685,7 +704,7 @@ class TestUniquenessProbe:
             return distance_values(space, X, Y, t)
 
         monkeypatch.setattr(PCMSpace, "distance_values", recording)
-        monkeypatch.setattr(solver, "_AGREEMENT_PAIRS", 5)
+        monkeypatch.setattr(space, "_AGREEMENT_PAIRS", 5)
         starts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.25], [0.05, 0.05]])
         i, j = map(list, zip(*[(i, j) for i in range(4) for j in range(4) if i != j]))
         # every pair agrees: the 12 pairs in reads of 5, 5 and 2, row by row
@@ -700,9 +719,9 @@ class TestUniquenessProbe:
 
     @pytest.mark.parametrize("pairs_per_read", [5, 12])
     def test_a_raising_pair_raises_only_in_a_read_that_is_made(self, monkeypatch, pairs_per_read):
-        import probcone.solver as solver
+        import probcone.space as space
 
-        monkeypatch.setattr(solver, "_AGREEMENT_PAIRS", pairs_per_read)
+        monkeypatch.setattr(space, "_AGREEMENT_PAIRS", pairs_per_read)
         # row 0 disagrees at pair (0, 1); the gap of pair (2, 3), the ninth, overflows
         starts = [[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]
         assert_probe_matches_reference(SPACE, identity_map(), starts, eps=0.5, agree_tol=1e-6)
@@ -790,7 +809,7 @@ def reference_probe(space, mapping, starts, eps=None, max_iter=10_000, agree_tol
     reasons = tuple(tr.stopped_reason for tr in traces)
     unique = all(r == "converged" for r in reasons)
     if unique:
-        from probcone.solver import _AGREEMENT_PAIRS as per_read
+        from probcone.space import _AGREEMENT_PAIRS as per_read
 
         # the ordered pairs row by row, read per_read at a time until a read disagrees; every
         # pair of a read is evaluated, so a raising pair raises after a disagreeing one in its read

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,16 @@ def squared_distance_space(tnorm=TNorm.MINIMUM):
         tnorm=tnorm,
         sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
     )
+
+
+def lopsided_space():
+    """A table-less, asymmetric map: F(x, y) steps at the gap, or at three times it when x[0] > y[0]."""
+
+    def lopsided(x, y):
+        gap = float(np.linalg.norm(x - y))
+        return DiracStep(gap if x[0] <= y[0] else 3.0 * gap)
+
+    return PCMSpace(dim=2, distance=lopsided, tnorm=TNorm.MINIMUM)
 
 
 class Decay(DistFn):
@@ -819,26 +831,106 @@ class TestCauchyWindow:
         assert cauchy_window(space, orbit[20:31], eps=0.1)
         assert not cauchy_window(space, orbit[0:5], eps=0.1)
 
-    def test_pairs_in_row_major_order_until_the_first_failure(self):
+    def test_reads_pairs_in_row_major_order_until_the_first_disagreeing_read(self, monkeypatch):
+        monkeypatch.setattr(probcone.space, "_AGREEMENT_PAIRS", 5)
+        lopsided = lopsided_space().distance  # (m, k) and (k, m) may disagree
         seen = []
 
         def recording(x, y):
             seen.append((float(x[0]), float(y[0])))
-            return DiracStep(float(np.linalg.norm(x - y)))
+            return lopsided(x, y)
 
-        space = PCMSpace(dim=1, distance=recording, tnorm=TNorm.MINIMUM)
-        # pairs (0, 1), (0, 2), (0, 3), (1, 0), ... in turn: (0, 2) is the first 0.5 or more apart
-        assert not cauchy_window(space, [[0.0], [0.1], [0.6], [0.7]], eps=0.5)
-        assert seen == [(0.0, 0.1), (0.0, 0.6)]
+        space = PCMSpace(dim=2, distance=recording, tnorm=TNorm.MINIMUM)
+
+        def window(*xs):
+            return [[x, 0.0] for x in xs]
+
+        def ordered_pairs(xs):
+            return [(a, b) for m, a in enumerate(xs) for k, b in enumerate(xs) if m != k]
+
+        # pair 7 of 12, (0.2, 0.0), is the first 0.5 or more apart: the second read of five is the last
+        xs = (0.0, 0.1, 0.2, 0.3)
+        assert not cauchy_window(space, window(*xs), eps=0.5)
+        assert seen == ordered_pairs(xs)[:10]
+        # pair 1, (0.0, 0.6), disagrees: the first read is the last
         seen.clear()
-        assert cauchy_window(space, [[0.0], [0.1], [0.2]], eps=0.5)
-        assert seen == [(0.0, 0.1), (0.0, 0.2), (0.1, 0.0), (0.1, 0.2), (0.2, 0.0), (0.2, 0.1)]
+        xs = (0.0, 0.6, 0.1, 0.2)
+        assert not cauchy_window(space, window(*xs), eps=0.5)
+        assert seen == ordered_pairs(xs)[:5]
+        # every pair is close: reads of 5, 5 and 2
+        seen.clear()
+        xs = (0.0, 0.05, 0.1, 0.15)
+        assert cauchy_window(space, window(*xs), eps=0.5)
+        assert seen == ordered_pairs(xs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["dirac", "cone-gaussian", "squared", "lopsided"]),
+        n=st.integers(1, 9),
+        spread=st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+        eps=st.floats(0.01, 1.5),
+        per_read=st.sampled_from([1, 4, 1 << 14]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_per_pair_loop(self, kind, n, spread, eps, per_read, seed):
+        space = {
+            "dirac": dirac_space,
+            "cone-gaussian": lambda: cone_gaussian_space(delta=0.5),
+            "squared": squared_distance_space,
+            "lopsided": lopsided_space,
+        }[kind]()
+        pts = spread * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcone.space, "_AGREEMENT_PAIRS", per_read)
+            assert cauchy_window(space, pts, eps) is loop_cauchy_window(space, pts, eps)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             cauchy_window(dirac_space(), [], eps=0.1)
+        with pytest.raises(InvalidParameterError, match="window must contain at least one point"):
+            cauchy_window(dirac_space(), np.empty((0, 2)), eps=0.1)
         with pytest.raises(InvalidParameterError):
             cauchy_window(dirac_space(), [[0.0, 0.0]], eps=-1.0)
+
+
+def loop_cauchy_window(space, pts, eps):
+    """``cauchy_window`` as one ``tau_converged`` call per ordered pair, row by row."""
+    return all(tau_converged(space, x, y, eps) for m, x in enumerate(pts) for k, y in enumerate(pts) if m != k)
+
+
+class TestPointShapes:
+    """A window or point of the wrong shape is refused, naming its shape."""
+
+    @pytest.mark.parametrize(
+        "window,message",
+        [
+            ([[0, 0], [0]], "window must be numeric points: "),
+            ([[0, 0, 0], [0, 0, 0]], "window must have shape (n, 2), got shape (2, 3)"),
+            ([0.5, 0.5], "window must have shape (n, 2), got shape (2,)"),
+            (0.5, "window must have shape (n, 2), got shape ()"),
+            ([["a", "b"]], "window must be numeric points: "),
+        ],
+        ids=["ragged", "3-d", "scalar-points", "scalar", "non-numeric"],
+    )
+    def test_cauchy_window(self, window, message):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            cauchy_window(dirac_space(), window, 0.1)
+
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [
+            ([0, 0], [0], "y must have dimension 2, got shape (1,)"),
+            ([0, 0, 0], [0, 0], "x must have dimension 2, got shape (3,)"),
+            (0.0, [0, 0], "x must have dimension 2, got shape ()"),
+            ([0, 0], 0.0, "y must have dimension 2, got shape ()"),
+            ([0, 0], [[0, 0]], "y must have dimension 2, got shape (1, 2)"),
+            ([0, 0], ["a", "b"], "y must be a numeric point: "),
+        ],
+        ids=["short-y", "long-x", "scalar-x", "scalar-y", "stacked-y", "non-numeric-y"],
+    )
+    def test_tau_converged(self, x, y, message):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            tau_converged(dirac_space(), x, y, 0.1)
 
 
 def per_row_values(space, X, Y, t):
