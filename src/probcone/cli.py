@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .cone import _SAMPLING_ATTEMPT_CAP
 from .contract import (
     _check_rates,
     _LeftSide,
@@ -52,7 +53,7 @@ from .report import (
     write_trace_csv,
 )
 from .solver import check_bounds, picard, uniqueness_probe, verify_fixed_point
-from .space import _SAMPLING_ATTEMPT_CAP, check_axioms, sample_points
+from .space import check_axioms, sample_points
 from .stochastic import SIEProblem, sie_conditions, sie_solve  # noqa: F401  bench/tracer.py patches cli.sie_conditions
 
 # ``json.load`` reads NaN, Infinity and overflowing literals such as 1e400 as

@@ -14,35 +14,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import _passes, _row_norms
-from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive
+from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _checked_points
 
 MEMBERSHIP_TOL = 1e-12
-
-
-def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (dim,):
-        raise InvalidParameterError(f"{name} must be a vector of dimension {dim}, got shape {arr.shape}")
-    return arr
+_SAMPLING_ATTEMPT_CAP = 100_000  # candidates one rejection-sampling call may draw
 
 
 class Cone:
-    """Shared behaviour of the concrete cone variants."""
+    """Shared behaviour of the concrete cone variants.
+
+    A variant states its constraint once, as the rows kernel ``_margins``;
+    the point methods are its one-row case.
+    """
 
     dim: int
 
-    def membership_margin(self, x) -> float:
-        """Smallest constraint value at x; non-negative means inside."""
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        """Row p is the smallest constraint value at X[p], for an ``(n, dim)`` float array."""
         raise NotImplementedError
 
+    def _members(self, X: np.ndarray) -> np.ndarray:
+        """Row p is whether X[p] is a member: its margin passes ``MEMBERSHIP_TOL``, which a NaN fails."""
+        return _passes(self._margins(X), MEMBERSHIP_TOL)
+
+    def membership_margin(self, x) -> float:
+        """Smallest constraint value at x; non-negative means inside."""
+        return float(self._margins(_checked_points(x, self.dim, "x")[None])[0])
+
     def contains(self, x) -> bool:
-        return _passes(self.membership_margin(x), MEMBERSHIP_TOL)
+        return bool(self._members(_checked_points(x, self.dim, "x")[None])[0])
 
     def leq(self, x, y) -> bool:
         """Cone order: x <= y iff y - x is a member."""
-        x = _as_vector(x, self.dim, "x")
-        y = _as_vector(y, self.dim, "y")
-        return self.contains(y - x)
+        x = _checked_points(x, self.dim, "x")
+        return self.contains(_checked_points(y, self.dim, "y") - x)
 
     def sample_member(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         """Draw one member, used by the randomized axiom/normality suites."""
@@ -59,9 +64,8 @@ class Orthant(Cone):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InvalidParameterError(f"dimension must be a positive integer, got {self.dim}")
 
-    def membership_margin(self, x) -> float:
-        arr = _as_vector(x, self.dim)
-        return float(arr.min())
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        return X.min(axis=1)
 
     def sample_member(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return rng.uniform(0.0, scale, self.dim)
@@ -87,14 +91,15 @@ class Halfspaces(Cone):
     def dim(self) -> int:
         return int(self.normals.shape[1])
 
-    def membership_margin(self, x) -> float:
-        arr = _as_vector(x, self.dim)
-        return float((self.normals @ arr).min())
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        # a stack of matrix-vector products, one per row, as ``normals @ x``
+        # computes it for one point; X @ normals.T rounds by the batch
+        return np.matmul(self.normals[None], X[:, :, None])[:, :, 0].min(axis=1)
 
     def sample_member(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         # Rejection from the enclosing box; fine for the low dimensions
         # these diagnostics run at.
-        for _ in range(100_000):
+        for _ in range(_SAMPLING_ATTEMPT_CAP):
             candidate = rng.uniform(-scale, scale, self.dim)
             if self.contains(candidate):
                 return candidate

@@ -140,8 +140,10 @@ def _coerce_pairs(space, mapping, pairs, seed) -> np.ndarray:
         stacked = np.array(pairs, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric pairs
         raise InvalidParameterError(f"pairs must be numeric (x, y) points of one dimension: {exc}") from exc
-    if stacked.ndim != 3 or stacked.shape[1] != 2 or stacked.size == 0:
-        raise InvalidParameterError(f"pairs must be a nonempty list of (x, y) points, got shape {stacked.shape}")
+    if stacked.shape[1:] != (2, space.dim) or stacked.size == 0:
+        raise InvalidParameterError(
+            f"pairs must be a nonempty list of (x, y) points of dimension {space.dim}, got shape {stacked.shape}"
+        )
     if not np.isfinite(stacked).all():  # None became NaN above
         raise InvalidParameterError("pairs must have finite coordinates (None, NaN and +-inf are refused)")
     return stacked

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class ProbconeError(Exception):
     """Base class for all errors raised by this package."""
@@ -57,3 +59,21 @@ def _check_tol(tol) -> None:
     """Raise unless the tolerance ``tol`` is finite; negative values are allowed."""
     if not -math.inf < tol < math.inf:
         raise InvalidParameterError(f"tol must be finite, got {tol}")
+
+
+def _checked_points(x, dim: int, name: str, ndim: int = 1) -> np.ndarray:
+    """``x`` as a float array of ``ndim`` axes, the last of length ``dim``.
+
+    ``ndim`` 1 is one point and 2 a window of points, one per row. A ragged,
+    non-numeric or misshapen ``x`` raises :class:`InvalidParameterError`
+    naming ``name``, and the shape of a misshapen one.
+    """
+    one = ndim == 1
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InvalidParameterError(f"{name} must be {'a numeric point' if one else 'numeric points'}: {exc}") from exc
+    if x.ndim != ndim or x.shape[-1] != dim:
+        want = f"dimension {dim}" if one else f"shape (n, {dim})"
+        raise InvalidParameterError(f"{name} must have {want}, got shape {x.shape}")
+    return x

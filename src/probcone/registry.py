@@ -12,8 +12,8 @@ import numbers
 
 import numpy as np
 
-from .cone import MEMBERSHIP_TOL, Cone, Orthant, cone_from_config
-from .dist import DiracStep, GaussianShift, ScaledGaussian, _normal_cdf, _passes, _row_norms
+from .cone import Cone, Orthant, cone_from_config
+from .dist import DiracStep, GaussianShift, ScaledGaussian, _normal_cdf, _row_norms
 from .errors import InvalidParameterError
 from .contract import Mapping
 from .space import PCMSpace
@@ -217,8 +217,7 @@ def cone_gaussian_space(
 
     def table(X, Y, t):
         diff = X - Y
-        # the gate's own test, row by row: a NaN component fails it
-        inside = _passes(diff.min(axis=1), MEMBERSHIP_TOL)
+        inside = gate._members(diff)  # the gate's own test, row by row
         d = _row_norms(diff[inside])
         _check_finite(d, "GaussianShift offset must be finite")
         out = np.empty((len(diff), t.size))

@@ -25,9 +25,9 @@ import numpy as np
 
 from .contract import Mapping
 from .dist import DistFn, TimeGrid, _first_worst, _passes, empirical_sample_count
-from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
+from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol, _checked_points
 from .parallel import ordered_map  # noqa: F401 -- read only by bench/tracer.py's patch points
-from .space import PCMSpace, _checked_points, _tau_close, cauchy_window, tau_converged
+from .space import PCMSpace, _tau_close, cauchy_window, tau_converged
 from .tnorm import TNorm, _check_unit
 
 
@@ -100,7 +100,7 @@ def _checked_start(space: PCMSpace, x0, eps: Optional[float], max_iter: int):
     """Validate one orbit's start; returns it as a float array with its eps."""
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
-    x = _checked_points(space, x0, "x0")
+    x = _checked_points(x0, space.dim, "x0")
     if not space.feasible(x):
         raise InvalidParameterError("x0 is outside the declared cone")
     if eps is None:
@@ -278,7 +278,7 @@ def verify_fixed_point(space: PCMSpace, mapping: Mapping, x, grid=None, tol: flo
     """
     _check_tol(tol)
     grid = TimeGrid.coerce(grid)
-    x = _checked_points(space, x, "x")
+    x = _checked_points(x, space.dim, "x")
     values = np.asarray(space.distance(mapping(x), x).eval(grid.points))
     worst = float(values.min())
     return FixedPointCheck(is_fixed=worst >= 1.0 - tol, worst=worst)

@@ -27,13 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cone import MEMBERSHIP_TOL, Cone
+from .cone import _SAMPLING_ATTEMPT_CAP, MEMBERSHIP_TOL, Cone
 from .dist import DistFn, TimeGrid, _first_worst
-from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _check_tol
+from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _check_tol, _checked_points
 from .parallel import ordered_map
 from .tnorm import TNorm, _MaxCombine, _check_unit
 
-_SAMPLING_ATTEMPT_CAP = 100_000
 _AGREEMENT_PAIRS = 1 << 14  # ordered pairs per cauchy_window read: bounds its temporaries
 
 DistanceMap = Callable[[np.ndarray, np.ndarray], DistFn]
@@ -367,8 +366,7 @@ def check_axioms(
         feasibility = AxiomCheck("feasibility", True, None, None)
         feas_note = "no cone declared; feasibility is vacuous"
     else:
-        margins = [space.point_cone.membership_margin(p) for p in pts]
-        feas_worst, feas_passed, (_, k) = _first_worst([margins], MEMBERSHIP_TOL)
+        feas_worst, feas_passed, (_, k) = _first_worst([space.point_cone._margins(pts)], MEMBERSHIP_TOL)
         feasibility = _passfail("feasibility", feas_worst, feas_passed, {"index": k, "point": pts[k].tolist()})
         feas_note = None
 
@@ -399,29 +397,11 @@ def check_axioms(
     )
 
 
-def _checked_points(space: PCMSpace, x, name: str, ndim: int = 1) -> np.ndarray:
-    """``x`` as a float array of ``ndim`` axes, the last of length ``space.dim``.
-
-    ``ndim`` 1 is one point and 2 a window of points, one per row. A ragged,
-    non-numeric or misshapen ``x`` raises
-    :class:`~probcone.errors.InvalidParameterError` naming ``name``, and the
-    shape of a misshapen one.
-    """
-    one = ndim == 1
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric
-        raise InvalidParameterError(f"{name} must be {'a numeric point' if one else 'numeric points'}: {exc}") from exc
-    if x.ndim != ndim or x.shape[-1] != space.dim:
-        want = f"dimension {space.dim}" if one else f"shape (n, {space.dim})"
-        raise InvalidParameterError(f"{name} must have {want}, got shape {x.shape}")
-    return x
-
-
 def tau_converged(space: PCMSpace, x, y, eps: float) -> bool:
     """Distributional closeness test: F(x, y)(eps) > 1 - eps."""
     _check_positive("eps", eps)
-    return bool(_tau_close(space, _checked_points(space, x, "x")[None], _checked_points(space, y, "y")[None], eps)[0])
+    x, y = _checked_points(x, space.dim, "x"), _checked_points(y, space.dim, "y")
+    return bool(_tau_close(space, x[None], y[None], eps)[0])
 
 
 def _tau_close(space: PCMSpace, X, Y, eps: float) -> np.ndarray:
@@ -439,7 +419,7 @@ def cauchy_window(space: PCMSpace, pts, eps: float) -> bool:
     evaluated, so its temporaries stay bounded however long the window is.
     """
     _check_positive("eps", eps)
-    pts = _checked_points(space, pts, "window", ndim=2)
+    pts = _checked_points(pts, space.dim, "window", ndim=2)
     n = len(pts)
     if not n:
         raise InvalidParameterError("window must contain at least one point")

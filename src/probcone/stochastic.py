@@ -35,7 +35,7 @@ import numpy as np
 
 from .cone import Cone
 from .dist import Empirical, TimeGrid, _first_worst, _row_norms, default_comparison_tol, from_samples
-from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol
+from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol, _checked_points
 from .contract import ContractionCertificate, Mapping, _LeftSide, check_kannan
 from .rng import path_generator
 from .space import PCMSpace
@@ -59,9 +59,9 @@ class Ensemble:
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("ensemble samples must be finite")
         if self.cone is not None:
-            for row in arr:
-                if not self.cone.contains(row):
-                    raise InvalidParameterError("ensemble declares a cone but a sample violates it")
+            members = self.cone._members(_checked_points(arr, self.cone.dim, "ensemble samples", ndim=2))
+            if not members.all():
+                raise InvalidParameterError("ensemble declares a cone but a sample violates it")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -91,6 +91,11 @@ class RandomOperator:
                 raise InvalidParameterError(
                     f"random operator {self.name!r} must send draw {j} to a point of shape {shape}, "
                     f"got shape {image.shape}"
+                )
+            if not np.isfinite(image).all():
+                raise InvalidParameterError(
+                    f"random operator {self.name!r} must send draw {j} to a point with finite coordinates, "
+                    f"got {image.tolist()}"
                 )
             out[j] = image
         return Ensemble(out, seed=ensemble.seed, cone=None)

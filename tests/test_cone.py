@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from probcone import Halfspaces, InvalidParameterError, Orthant, normality_check
 from probcone.cone import cone_from_config
+from probcone.registry import cone_gaussian_space
 
 WEDGE = Halfspaces(np.array([[1.0, 1.0], [1.0, -1.0]]))
+THIN = Halfspaces(np.array([[1e-3, 1.0], [1e-3, -1.0]]))  # |x_2| <= 1e-3 x_1
 
 
 class TestMembership:
@@ -125,3 +129,86 @@ class TestConfig:
         assert isinstance(cone, Halfspaces) and cone.dim == 2
         with pytest.raises(InvalidParameterError):
             cone_from_config({"type": "simplicial"})
+
+
+def point_margin(cone, x):
+    """The per-point margin the cones computed before their rows kernel: min over the constraints at x."""
+    if isinstance(cone, Orthant):
+        return float(np.asarray(x, dtype=float).min())
+    return float((cone.normals @ np.asarray(x, dtype=float)).min())
+
+
+# finite values of every size plus NaN, +-inf and -0.0, as sampled, gated and cone-ordered points carry
+COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-13, -1e-12, 1e-300]),
+)
+
+
+@st.composite
+def cones_and_rows(draw):
+    """A cone (the orthant, the wedge, a thin cone or random halfspaces) and an (n, dim) array of rows."""
+    kind = draw(st.sampled_from(["orthant", "wedge", "thin", "halfspaces"]))
+    if kind == "orthant":
+        cone = Orthant(draw(st.integers(1, 8)))
+    elif kind == "halfspaces":
+        shape = (draw(st.integers(1, 7)), draw(st.integers(1, 8)))
+        cone = Halfspaces(draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0))))
+    else:
+        cone = WEDGE if kind == "wedge" else THIN
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 12)), cone.dim), elements=COORDINATES))
+    return cone, rows
+
+
+class TestRowsKernel:
+    """Each cone's constraint is its rows kernel ``_margins``; the point methods are its one-row case."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cones_and_rows())
+    def test_margins_equal_the_per_point_margin_bit_for_bit(self, case):
+        cone, rows = case
+        with np.errstate(all="ignore"):
+            margins = cone._margins(rows)
+            expected = np.array([point_margin(cone, x) for x in rows])
+            members = cone._members(rows)
+            one_row = [cone.membership_margin(x) for x in rows]
+        assert margins.shape == (len(rows),)
+        assert margins.tobytes() == expected.tobytes()
+        assert np.array(one_row).tobytes() == expected.tobytes()
+        assert members.tolist() == [bool(m >= -1e-12) for m in expected]  # a NaN margin fails
+
+    def test_cone_gaussian_table_gate_is_the_per_pair_gate(self):
+        # differences on, just inside and just outside the orthant's tolerance, with NaN and inf ones
+        space = cone_gaussian_space(delta=0.5)
+        diffs = np.array(
+            [[1.0, 2.0], [0.0, 0.0], [-0.0, 3.0], [0.5, -1e-13], [0.5, -1e-12], [0.5, -2e-12], [-1.0, 1.0],
+             [2.0, -3.0], [np.nan, 1.0], [1.0, -np.inf], [1e200, 1e200], [-1e-300, 0.0]]
+        )
+        Y = np.random.default_rng(0).uniform(-1.0, 1.0, diffs.shape)
+        X = Y + diffs
+        t = np.geomspace(0.01, 10.0, 17)
+        with np.errstate(all="ignore"):
+            rows = [space.distance(x, y) for x, y in zip(X, Y)]
+            table = space.distance_values(X, Y, t)
+        for p, dist in enumerate(rows):
+            assert table[p].tobytes() == np.asarray(dist.eval(t), dtype=float).tobytes()
+
+
+class TestPointCheck:
+    """Every point method refuses a ragged, non-numeric or misshapen point by its argument's name."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Orthant(2).contains(["a", "b"]), "^x must be a numeric point"),
+            (lambda: Orthant(2).contains([[1], [2, 3]]), "^x must be a numeric point"),
+            (lambda: Orthant(2).membership_margin([1.0, None, 2.0]), r"^x must have dimension 2, got shape \(3,\)"),
+            (lambda: Orthant(2).leq([1, "x"], [1, 2]), "^x must be a numeric point"),
+            (lambda: Orthant(2).leq([1, 2], [1, "y"]), "^y must be a numeric point"),
+            (lambda: WEDGE.leq([1.0, 2.0], [[1.0, 2.0]]), r"^y must have dimension 2, got shape \(1, 2\)"),
+        ],
+        ids=["strings", "ragged", "wrong-length", "leq-x", "leq-y", "leq-matrix"],
+    )
+    def test_refused_naming_the_argument(self, call, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            call()

@@ -191,6 +191,17 @@ class TestExplicitPairs:
         with pytest.raises(InvalidParameterError, match="points of one dimension"):
             check_banach(SPACE, identity_map(), 0.5, pairs=pairs)
 
+    @pytest.mark.parametrize("kind", ["banach", "kannan", "chatterjea", "zamfirescu"])
+    def test_pairs_of_another_dimension_are_refused(self, kind):
+        # a pair of 3-d points on the plane used to be certified: passed=True, n_pairs=1
+        check, _, params = KINDS[kind]
+        with pytest.raises(InvalidParameterError, match=r"points of dimension 2, got shape \(1, 2, 3\)$"):
+            check(SPACE, scale_map(0.5), pairs=[(np.zeros(3), np.ones(3))], **params)
+
+    def test_left_side_refuses_pairs_of_another_dimension(self):
+        with pytest.raises(InvalidParameterError, match=r"points of dimension 2, got shape \(4, 2, 1\)$"):
+            _LeftSide.build(SPACE, scale_map(0.5), np.zeros((4, 2, 1)))
+
     @pytest.mark.parametrize(
         "bad", [None, float("nan"), float("inf"), -float("inf")], ids=["none", "nan", "inf", "-inf"]
     )

@@ -7,7 +7,8 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported them itself. The package also imports no name it never
 uses, computes a Euclidean norm in one place only, reduces margins to
 their worst and compares them with -tol in one place each, spells the
-tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, divides a
+tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, states each
+cone's membership in its rows kernel only, divides a
 time by twice a rate in the Kannan bound only, raises twice a rate to a
 power in ``solver._first_step_at`` only, and never calls
 ``sys.getrefcount``. Every public name is read by the CLI, named in the
@@ -391,6 +392,51 @@ def closeness_tests(path: Path) -> list:
 def test_tau_closeness_is_spelled_only_in_space():
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in closeness_tests(path)]
     assert uses == ["space._tau_close"]
+
+
+def membership_uses(path: Path) -> list:
+    """``(use, module.scope)`` in ``path`` for each ``_passes`` call given ``MEMBERSHIP_TOL`` ("tolerance"),
+    each definition of ``_margins`` or ``membership_margin`` and each call of ``membership_margin`` or
+    ``contains`` ("call membership_margin", "call contains"). The scope is the enclosing class or function."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                args = [getattr(arg, "attr", getattr(arg, "id", None)) for arg in child.args]
+                if name == "_passes" and "MEMBERSHIP_TOL" in args:
+                    uses.append(("tolerance", f"{path.stem}.{scope}"))
+                if name in ("membership_margin", "contains"):
+                    uses.append((f"call {name}", f"{path.stem}.{scope}"))
+            if isinstance(child, ast.FunctionDef) and child.name in ("_margins", "membership_margin"):
+                uses.append((child.name, f"{path.stem}.{scope}"))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return uses
+
+
+def test_cone_membership_is_spelled_only_in_each_cones_rows_kernel():
+    # each cone states its constraint once, in _margins; the tolerance meets it in Cone._members; the
+    # point methods are their one-row case on Cone; and no caller loops over points to test membership
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in membership_uses(path)]
+    assert sorted(uses) == sorted(
+        [
+            ("_margins", "cone.Cone"),
+            ("_margins", "cone.Orthant"),
+            ("_margins", "cone.Halfspaces"),
+            ("membership_margin", "cone.Cone"),
+            ("tolerance", "cone._members"),
+            # one point per call: the cone order, sampling and the scalar gate of one pair
+            ("call contains", "cone.leq"),
+            ("call contains", "cone.sample_member"),
+            ("call contains", "cone.normality_check"),
+            ("call contains", "space.feasible"),
+            ("call contains", "registry.distance"),
+        ]
+    )
 
 
 def half_rate_rescalings(path: Path) -> list:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from probcone import (
     DivergenceError,
     Ensemble,
+    Halfspaces,
     InvalidParameterError,
     Orthant,
     RandomOperator,
@@ -158,6 +159,20 @@ class TestEnsemble:
         with pytest.raises(InvalidParameterError):
             Ensemble(np.array([[1.0, -2.0]]), cone=Orthant(2))
 
+    def test_cone_of_another_dimension_names_the_samples_shape(self):
+        with pytest.raises(InvalidParameterError, match=r"^ensemble samples must have shape \(n, 2\), got shape \(3, 3\)$"):
+            Ensemble(np.ones((3, 3)), cone=Orthant(2))
+
+    @pytest.mark.parametrize("cone", [Orthant(2), Halfspaces([[1.0, 1.0], [1.0, -1.0]])], ids=["orthant", "wedge"])
+    def test_cone_constraint_on_every_row(self, cone):
+        rows = np.array([[1.0, 0.0], [2.0, -1e-13], [3.0, 1.0]])
+        assert Ensemble(rows, cone=cone).n == 3
+        for p in range(len(rows)):
+            bad = rows.copy()
+            bad[p] = [-1.0, 0.5]
+            with pytest.raises(InvalidParameterError, match="a sample violates it"):
+                Ensemble(bad, cone=cone)
+
     def test_immutable(self):
         ens = Ensemble(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
@@ -181,6 +196,24 @@ class TestRandomOperatorApply:
         x = Ensemble(np.array([[1.0, 0.0]]))
         with pytest.raises(InvalidParameterError, match=r"draw 0 .* got shape \(1,\)"):
             check_random_kannan(op, [(x, x)], 0.25)
+
+    @staticmethod
+    def blowup(j, u):
+        with np.errstate(divide="ignore"):
+            return u / 0.0 if j == 7 else 0.5 * u
+
+    def test_non_finite_image_names_the_operator_and_draw(self):
+        # the rebuilt ensemble used to refuse it as "ensemble samples must be finite"
+        op = RandomOperator(self.blowup, name="blowup")
+        x = Ensemble(np.ones((10, 2)))
+        with pytest.raises(InvalidParameterError, match=r"^random operator 'blowup' must send draw 7 to a point with finite coordinates, got \[inf, inf\]$"):
+            op.apply(x)
+
+    def test_non_finite_image_refused_inside_check_random_kannan(self):
+        op = RandomOperator(self.blowup, name="blowup")
+        x, y = Ensemble(np.ones((10, 2))), Ensemble(np.zeros((10, 2)))
+        with pytest.raises(InvalidParameterError, match="random operator 'blowup' must send draw 7 .* finite"):
+            check_random_kannan(op, [(x, y)], 0.25)
 
 
 class TestEmpiricalMetric:
