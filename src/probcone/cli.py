@@ -40,7 +40,7 @@ from .contract import (
     sample_pairs,
 )
 from .dist import TimeGrid, _geometric_grid
-from .errors import ConfigError, InvalidParameterError, ProbconeError
+from .errors import ConfigError, InvalidParameterError, ProbconeError, _check_rate
 from .registry import _is_number, make_kernel, make_mapping, make_nonlinearity, make_forcing, make_space
 from .report import (
     axiom_report_to_dict,
@@ -373,6 +373,10 @@ def run_solve(config: dict, seed: int, workers: int, out_dir: Path | None = None
     grid = _grid_from_config(config)
     eps = section.get("eps", 1e-6)
     max_iter = section.get("max_iter", 10_000)
+    bound_alpha = section.get("bound_alpha")
+    # the rate is a config error (exit 2), so it is checked before the orbit runs
+    if bound_alpha is not None:
+        _check_rate("rate", bound_alpha)
 
     trace = picard(space, mapping, np.asarray(section["x0"], dtype=float), eps=eps, max_iter=max_iter, grid=grid)
     result = {
@@ -383,7 +387,6 @@ def run_solve(config: dict, seed: int, workers: int, out_dir: Path | None = None
     if mapping.note:
         result["mapping_note"] = mapping.note
 
-    bound_alpha = section.get("bound_alpha")
     if bound_alpha is not None:
         result["bounds"] = bound_check_to_dict(
             check_bounds(trace, bound_alpha, grid=grid, tnorm=space.tnorm, seed=seed)

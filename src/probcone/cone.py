@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import _passes, _row_norms
-from .errors import InfeasibleRegionError, InvalidParameterError, _check_positive, _checked_points
+from .errors import InfeasibleRegionError, InvalidParameterError, _check_count, _check_positive, _checked_points
 
 MEMBERSHIP_TOL = 1e-12
 _SAMPLING_ATTEMPT_CAP = 100_000  # candidates one rejection-sampling call may draw
@@ -127,8 +127,7 @@ def normality_check(cone: Cone, bound: float, sample_count: int, seed: int = 0) 
     ||x|| / ||y|| over samples with nonzero y.
     """
     _check_positive("normality bound", bound)
-    if sample_count < 1:
-        raise InvalidParameterError(f"sample_count must be >= 1, got {sample_count}")
+    _check_count("sample_count", sample_count)
     rng = np.random.default_rng(seed)
 
     worst = -np.inf

@@ -14,7 +14,10 @@ than t". Four concrete shapes cover everything the toolkit needs:
   ``#{s_i < t}/n``, which keeps it left-continuous at every atom.
 
 All values are immutable after construction and safe to share across
-threads. ``eval`` accepts scalars or numpy arrays.
+threads. ``eval`` accepts scalars or numpy arrays. ``DiracStep`` and
+``GaussianShift`` state their parameter rule (``_check``) and formula
+(``_cdf``) once; their private rows form ``_table(d, t)`` applies both to
+a 1-d array of parameters, and the built-in distance tables are that form.
 """
 
 from __future__ import annotations
@@ -171,6 +174,17 @@ def _as_eval_result(values: np.ndarray, scalar: bool) -> ArrayLike:
     return values
 
 
+def _refuse_first(d, admitted, words: str) -> None:
+    """Raise ``words, got <value>`` for the first parameter ``admitted`` refuses.
+
+    ``d`` is one parameter or a 1-d array of them and ``admitted`` its rule
+    applied elementwise, so a family's constructor and its rows form
+    (``_table``) run one check and word its error alike.
+    """
+    if not admitted.all():
+        raise InvalidParameterError(f"{words}, got {d[~admitted][0] if np.ndim(d) else d}")
+
+
 @dataclass(frozen=True)
 class DiracStep(DistFn):
     """Step distribution of a deterministic distance d: 0 for t <= d, 1 after."""
@@ -178,12 +192,27 @@ class DiracStep(DistFn):
     d: float
 
     def __post_init__(self):
-        if not np.isfinite(self.d) or self.d < 0.0:
-            raise InvalidParameterError(f"DiracStep distance must be finite and >= 0, got {self.d}")
+        self._check(self.d)
+
+    @staticmethod
+    def _check(d) -> None:
+        """The family's parameter rule, for one distance or a 1-d array of them."""
+        _refuse_first(d, np.isfinite(d) & (d >= 0.0), "DiracStep distance must be finite and >= 0")
+
+    @staticmethod
+    def _cdf(t, d):
+        """The family's formula, elementwise: 1 where t > d, else 0."""
+        return np.where(t > d, 1.0, 0.0)
+
+    @classmethod
+    def _table(cls, d: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Row i is ``DiracStep(d[i]).eval(t)``: the constructor's check, then eval's formula, on all rows."""
+        cls._check(d)
+        return cls._cdf(t[None, :], d[:, None])
 
     def eval(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        return _as_eval_result(np.where(arr > self.d, 1.0, 0.0), arr.ndim == 0)
+        return _as_eval_result(self._cdf(arr, self.d), arr.ndim == 0)
 
     def _scaled(self, c: float) -> DistFn:
         return DiracStep(c * self.d)
@@ -196,12 +225,27 @@ class GaussianShift(DistFn):
     d: float
 
     def __post_init__(self):
-        if not np.isfinite(self.d):
-            raise InvalidParameterError(f"GaussianShift offset must be finite, got {self.d}")
+        self._check(self.d)
+
+    @staticmethod
+    def _check(d) -> None:
+        """The family's parameter rule, for one offset or a 1-d array of them."""
+        _refuse_first(d, np.isfinite(d), "GaussianShift offset must be finite")
+
+    @staticmethod
+    def _cdf(t, d):
+        """The family's formula, elementwise: Phi(t - d)."""
+        return np.asarray(_normal_cdf(t - d))
+
+    @classmethod
+    def _table(cls, d: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Row i is ``GaussianShift(d[i]).eval(t)``: the constructor's check, then eval's formula, on all rows."""
+        cls._check(d)
+        return cls._cdf(t[None, :], d[:, None])
 
     def eval(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        return _as_eval_result(np.asarray(_normal_cdf(arr - self.d)), arr.ndim == 0)
+        return _as_eval_result(self._cdf(arr, self.d), arr.ndim == 0)
 
 
 @dataclass(frozen=True)

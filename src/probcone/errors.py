@@ -49,6 +49,12 @@ def _check_rate(name: str, value, upper: float = 0.5) -> None:
         raise InvalidParameterError(f"{name} must lie in (0, {'1/2' if upper == 0.5 else 1}), got {value}")
 
 
+def _check_count(name: str, value) -> None:
+    """Raise unless the count ``value`` is at least 1."""
+    if value < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {value}")
+
+
 def _check_positive(name: str, value) -> None:
     """Raise unless ``value`` is finite and > 0 (cheaper than ``np.isfinite`` on a float)."""
     if not 0.0 < value < math.inf:

@@ -13,7 +13,7 @@ import numbers
 import numpy as np
 
 from .cone import Cone, Orthant, cone_from_config
-from .dist import DiracStep, GaussianShift, ScaledGaussian, _normal_cdf, _row_norms
+from .dist import DiracStep, GaussianShift, ScaledGaussian, _row_norms
 from .errors import InvalidParameterError
 from .contract import Mapping
 from .space import PCMSpace
@@ -187,9 +187,7 @@ def dirac_space(
         return DiracStep(float(_row_norms((x - y)[None])[0]))
 
     def table(X, Y, t):
-        d = _row_norms(X - Y)
-        _check_finite(d, "DiracStep distance must be finite and >= 0")
-        return np.where(t[None, :] > d[:, None], 1.0, 0.0)
+        return DiracStep._table(_row_norms(X - Y), t)
 
     distance.table = table
     return PCMSpace(dim=dim, distance=distance, tnorm=tnorm, point_cone=point_cone, sampling_box=sampling_box)
@@ -218,21 +216,13 @@ def cone_gaussian_space(
     def table(X, Y, t):
         diff = X - Y
         inside = gate._members(diff)  # the gate's own test, row by row
-        d = _row_norms(diff[inside])
-        _check_finite(d, "GaussianShift offset must be finite")
         out = np.empty((len(diff), t.size))
-        out[inside] = _normal_cdf(t[None, :] - d[:, None])
+        out[inside] = GaussianShift._table(_row_norms(diff[inside]), t)
         out[~inside] = ScaledGaussian(delta).eval(t)
         return out
 
     distance.table = table
     return PCMSpace(dim=2, distance=distance, tnorm=tnorm, point_cone=None, sampling_box=sampling_box)
-
-
-def _check_finite(d: np.ndarray, message: str) -> None:
-    bad = ~np.isfinite(d)
-    if bad.any():
-        raise InvalidParameterError(f"{message}, got {float(d[bad][0])}")
 
 
 def make_space(config: dict) -> PCMSpace:

@@ -35,7 +35,15 @@ import numpy as np
 
 from .cone import Cone
 from .dist import Empirical, TimeGrid, _first_worst, _row_norms, default_comparison_tol, from_samples
-from .errors import DivergenceError, InvalidParameterError, _check_positive, _check_rate, _check_tol, _checked_points
+from .errors import (
+    DivergenceError,
+    InvalidParameterError,
+    _check_count,
+    _check_positive,
+    _check_rate,
+    _check_tol,
+    _checked_points,
+)
 from .contract import ContractionCertificate, Mapping, _LeftSide, check_kannan
 from .rng import path_generator
 from .space import PCMSpace
@@ -240,8 +248,7 @@ class SIEProblem:
             raise InvalidParameterError("time grid must be strictly increasing")
         if not np.isfinite(self.lipschitz) or self.lipschitz < 0.0:
             raise InvalidParameterError(f"lipschitz constant must be >= 0, got {self.lipschitz}")
-        if self.n_paths < 1:
-            raise InvalidParameterError(f"n_paths must be >= 1, got {self.n_paths}")
+        _check_count("n_paths", self.n_paths)
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "time_grid", t)
@@ -543,8 +550,7 @@ def sie_solve(problem: SIEProblem, eps: float = 1e-8, max_iter: int = 500) -> SI
     non-finite values only.
     """
     _check_positive("eps", eps)
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+    _check_count("max_iter", max_iter)
     op = _DiscreteOperator(problem)
     conditions = op.conditions()
     if not conditions.satisfied:

@@ -776,6 +776,22 @@ class TestSolveCommand:
         assert result["bounds"]["holds"]
         assert result["uniqueness"]["unique"]
 
+    @pytest.mark.parametrize("mapping", ["scale:2", "scale:0.5"], ids=["diverging", "converging"])
+    def test_bound_rate_refused_before_the_orbit(self, tmp_path, capsys, monkeypatch, mapping):
+        # the diverging map used to exit 1 on its non-finite iterate, the converging
+        # one to run its whole orbit before the rate was read
+        orbits = []
+        picard = cli.picard
+        monkeypatch.setattr(cli, "picard", lambda *args, **kwargs: orbits.append(1) or picard(*args, **kwargs))
+        cfg = write_config(
+            tmp_path,
+            {"space": {"dim": 1}, "mapping": mapping, "solve": {"x0": [1], "max_iter": 5000, "bound_alpha": 0.7}},
+        )
+        with np.errstate(over="ignore"):
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: rate must lie in (0, 1/2), got 0.7\n"
+        assert orbits == []
+
 
 class TestSieCommand:
     def test_linear_benchmark(self, tmp_path):

@@ -262,6 +262,56 @@ class TestConstruction:
         assert f.eval(0.0) == 0.0
 
 
+TINY = 5e-324  # the smallest subnormal
+
+
+class TestFamilyRows:
+    """Each family's ``_table(d, t)`` is its constructor's check and its ``eval`` on every row."""
+
+    # gaps at the edges: zeros of both signs, a subnormal, an ordinary value and a huge one;
+    # GaussianShift also takes negative offsets
+    PARAMS = {
+        DiracStep: [0.0, -0.0, TINY, 1.0, 1e300],
+        GaussianShift: [0.0, -0.0, TINY, -TINY, 1.0, -2.5, 1e300, -1e300],
+    }
+
+    @pytest.mark.parametrize("family", [DiracStep, GaussianShift], ids=lambda f: f.__name__)
+    def test_rows_form_is_per_row_eval_bitwise(self, family):
+        d = np.array(self.PARAMS[family])
+        # t == d exactly at every parameter, between them, and at +inf
+        t = np.concatenate([d, [0.5, 2.0, np.inf]])
+        rows = family._table(d, t)
+        assert rows.shape == (len(d), len(t))
+        for i, value in enumerate(d.tolist()):
+            assert rows[i].tobytes() == np.asarray(family(value).eval(t), dtype=float).tobytes()
+
+    @pytest.mark.parametrize("family", [DiracStep, GaussianShift], ids=lambda f: f.__name__)
+    def test_no_rows_give_an_empty_table(self, family):
+        assert family._table(np.empty(0), np.array([1.0, 2.0])).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "family,bad",
+        [
+            (DiracStep, np.inf),
+            (DiracStep, -np.inf),
+            (DiracStep, np.nan),
+            (DiracStep, -1.0),
+            (DiracStep, -TINY),
+            (GaussianShift, np.inf),
+            (GaussianShift, -np.inf),
+            (GaussianShift, np.nan),
+        ],
+    )
+    def test_bad_row_raises_the_constructors_words(self, family, bad):
+        with pytest.raises(InvalidParameterError) as expected:
+            family(bad)
+        # the first bad row is named, though a later row is bad too
+        d = np.array([0.5, bad, np.inf])
+        with pytest.raises(InvalidParameterError) as raised:
+            family._table(d, np.array([1.0]))
+        assert str(raised.value) == str(expected.value)
+
+
 class TestIsProper:
     def test_flags(self):
         assert DiracStep(1.0).is_proper

@@ -8,9 +8,11 @@ since imported them itself. The package also imports no name it never
 uses, computes a Euclidean norm in one place only, reduces margins to
 their worst and compares them with -tol in one place each, spells the
 tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, states each
-cone's membership in its rows kernel only, divides a
-time by twice a rate in the Kannan bound only, raises twice a rate to a
-power in ``solver._first_step_at`` only, and never calls
+cone's membership in its rows kernel only, writes each distribution
+family's parameter rule and formula in its class only, words the count
+rule ">= 1" in ``errors`` only, divides a time by twice a rate in the
+Kannan bound only, raises twice a rate to a power in
+``solver._first_step_at`` only, and never calls
 ``sys.getrefcount``. Every public name is read by the CLI, named in the
 README or deprecated.
 """
@@ -497,6 +499,54 @@ def test_step_divisors_are_spelled_only_in_first_step_at():
     # F(x_0, x_1) at t / (gap (2 alpha)^j) through this one helper
     uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in twice_rate_powers(path)]
     assert uses == ["solver._first_step_at"]
+
+
+FAMILY_WORDS = ("DiracStep distance must be finite and >= 0", "GaussianShift offset must be finite")
+
+
+def family_uses(path: Path) -> list:
+    """``(use, module.scope)`` in ``path`` for each string holding a family's parameter words, each
+    reference to ``_normal_cdf`` (an import included) and each ``where`` call ("where"). The scope
+    is the dotted path of enclosing classes and functions."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                uses.extend((words, scope) for words in FAMILY_WORDS if words in child.value)
+            if isinstance(child, ast.Name) and child.id == "_normal_cdf":
+                uses.append(("_normal_cdf", scope))
+            if isinstance(child, ast.alias) and child.name == "_normal_cdf":
+                uses.append(("_normal_cdf", scope))
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == "where":
+                uses.append(("where", scope))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return uses
+
+
+def test_each_distribution_family_is_written_once_in_its_class():
+    # each family's parameter rule and formula live in its class, and the
+    # built-in tables apply them to all rows through the family's _table
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in family_uses(path)]
+    assert sorted(use for use in uses if use[0] != "where") == sorted(
+        [
+            ("DiracStep distance must be finite and >= 0", "dist.DiracStep._check"),
+            ("GaussianShift offset must be finite", "dist.GaussianShift._check"),
+            ("_normal_cdf", "dist.GaussianShift._cdf"),
+            ("_normal_cdf", "dist.ScaledGaussian.eval"),
+        ]
+    )
+    assert [scope for _, scope in uses if scope.startswith("registry.")] == []
+    assert ("where", "dist.DiracStep._cdf") in uses
+
+
+def test_the_count_rule_is_worded_only_in_errors():
+    # every count (max_iter, n_paths, sample_count) is checked by errors._check_count
+    holders = [path.name for path in sorted((SRC / "probcone").glob("*.py")) if "must be >= 1" in path.read_text()]
+    assert holders == ["errors.py"]
 
 
 PUBLIC_NAMES = [

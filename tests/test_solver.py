@@ -533,6 +533,40 @@ class TestVerifyFixedPoint:
             x = rng.uniform(-3, 3, 2)
             assert verify_fixed_point(SPACE, identity_map(), x).is_fixed
 
+    @pytest.mark.parametrize(
+        "space", [SPACE, cone_gaussian_space(), TABLELESS], ids=["dirac", "cone-gaussian", "tableless"]
+    )
+    def test_table_read_is_the_distribution_read_bitwise(self, space):
+        grid = TimeGrid(np.geomspace(1e-3, 1e2, 50))
+        rng = np.random.default_rng(15)
+        for mapping in (ROTATE, scale_map(0.5), shift_map([0.3, 0.2]), identity_map()):
+            for x in [np.zeros(2), *rng.uniform(-2, 2, (6, 2))]:
+                # the single-pair path verify_fixed_point read before it read the table
+                values = np.asarray(space.distance(mapping(x), x).eval(grid.points))
+                worst = float(values.min())
+                for tol in (0.0, 1e-6):
+                    result = verify_fixed_point(space, mapping, x, grid=grid, tol=tol)
+                    assert repr(result.worst) == repr(worst)
+                    assert result.is_fixed == (worst >= 1.0 - tol)
+
+    def test_a_map_with_a_table_builds_no_distribution(self):
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return SPACE.distance(x, y)
+
+        counting.table = SPACE.distance.table
+        space = PCMSpace(dim=2, distance=counting, tnorm=TNorm.MINIMUM)
+        assert not verify_fixed_point(space, ROTATE, [1.0, 0.0]).is_fixed
+        assert verify_fixed_point(space, ROTATE, [0.0, 0.0]).is_fixed
+        assert calls == []
+
+    def test_non_finite_image_raises_the_step_rule(self):
+        message = "DiracStep distance must be finite and >= 0, got inf"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            verify_fixed_point(SPACE, Mapping(lambda u: u + np.inf, name="to-inf"), [1.0, 0.0])
+
 
 def _record_picard_starts(monkeypatch):
     """Patch ``solver.picard`` to record the start of each call; returns the record."""

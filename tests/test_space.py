@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from probcone import (
     DiracStep,
     DistFn,
+    GaussianShift,
     Halfspaces,
     InfeasibleRegionError,
     InvalidParameterError,
@@ -1006,6 +1007,33 @@ class TestDistanceValues:
             with pytest.raises(InvalidParameterError) as raised:
                 space.distance_values(X, Y, t)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "make,family,gap",
+        [
+            (dirac_space, DiracStep, np.inf),
+            (dirac_space, DiracStep, np.nan),
+            (cone_gaussian_space, GaussianShift, np.inf),
+        ],
+        ids=["dirac-inf", "dirac-nan", "cone-gaussian-inf"],
+    )
+    def test_bad_gap_raises_the_constructors_words(self, make, family, gap):
+        # the gap of the second row is `gap`; a cone-gaussian row is inside the gate
+        X = np.array([[0.5, 0.0], [gap, 0.0]])
+        Y = np.zeros((2, 2))
+        with pytest.raises(InvalidParameterError) as expected:
+            family(gap)
+        with pytest.raises(InvalidParameterError) as raised:
+            make().distance_values(X, Y, np.array([1.0]))
+        assert str(raised.value) == str(expected.value)
+
+    def test_cone_gaussian_nan_gap_agrees_with_distance(self):
+        # a NaN difference is not inside the gate, so neither form reaches the offset rule
+        X = np.array([[np.nan, 1.0], [1.0, np.nan]])
+        Y = np.zeros((2, 2))
+        space = cone_gaussian_space(delta=0.5)
+        t = np.array([0.5, 1.0, np.inf])
+        assert space.distance_values(X, Y, t).tobytes() == per_row_values(space, X, Y, t).tobytes()
 
 
 class TestBlockSampling:
