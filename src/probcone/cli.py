@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .cone import _SAMPLING_ATTEMPT_CAP
 from .contract import (
+    _CONDITIONS,
     _check_rates,
     _LeftSide,
     check_banach,
@@ -144,7 +145,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kinds": {
                     "type": "array",
-                    "items": {"enum": ["banach", "kannan", "chatterjea", "zamfirescu"]},
+                    "items": {"enum": list(_CONDITIONS)},
                     "minItems": 1,
                 },
                 "alpha": _NUMBER,
@@ -174,7 +175,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 # the (n_time + 1)^2 float64 operator must fit one numpy array
                 "n_time": {"type": "integer", "minimum": 2, "maximum": math.isqrt(_MAX_FLOAT64_LENGTH) - 1},
-                "n_paths": _POSITIVE_INT,
+                # the paths of the smallest, 3-node mesh must fit one numpy array; build_sie_problem checks n_time's
+                "n_paths": {**_POSITIVE_INT, "maximum": _MAX_FLOAT64_LENGTH // 3},
                 "kernel": {},
                 "forcing": {},
                 "nonlinearity": {},
@@ -321,7 +323,7 @@ def run_classify(config: dict, seed: int, workers: int) -> dict:
     mapping = make_mapping(_require_section(config, "mapping"), space.dim)
     section = config.get("classify", {})
     grid = _grid_from_config(config)
-    kinds = section.get("kinds", ["banach", "kannan", "chatterjea", "zamfirescu"])
+    kinds = section.get("kinds", list(_CONDITIONS))
     n_pairs = section.get("n_pairs", 64)
     tol = section.get("tol")
     alpha = section.get("alpha", 0.3)
@@ -414,6 +416,13 @@ def run_solve(config: dict, seed: int, workers: int, out_dir: Path | None = None
 def build_sie_problem(config: dict, seed: int) -> SIEProblem:
     section = _require_section(config, "sie")
     n_time = section.get("n_time", 200)
+    n_paths = section.get("n_paths", 1)
+    # the forcing paths fill one (n_paths, n_time + 1) float64 array, so refuse one no array holds before any is built
+    if n_paths * (n_time + 1) > _MAX_FLOAT64_LENGTH:
+        raise ConfigError(
+            f"config field 'sie/n_paths': {n_paths} paths of {n_time + 1} nodes exceed the "
+            f"{_MAX_FLOAT64_LENGTH} float64 values one numpy array can hold"
+        )
     kernel = make_kernel(section.get("kernel", "constant"))
     forcing = make_forcing(section.get("forcing", "constant"))
     nonlinearity, lipschitz = make_nonlinearity(section.get("nonlinearity", {"name": "linear", "coefficient": 0.4}))
@@ -425,7 +434,7 @@ def build_sie_problem(config: dict, seed: int) -> SIEProblem:
         forcing=forcing,
         nonlinearity=nonlinearity,
         lipschitz=lipschitz,
-        n_paths=section.get("n_paths", 1),
+        n_paths=n_paths,
         seed=seed,
     )
 

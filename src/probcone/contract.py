@@ -3,20 +3,17 @@
 Each checker samples point pairs, evaluates a contraction inequality on a
 time grid, and returns a :class:`ContractionCertificate` with the worst
 margin, the verdict and, on failure, the witnessing (x, y, t), all by the
-rule of :func:`~probcone.dist._first_worst`. Four conditions ship:
+rule of :func:`~probcone.dist._first_worst`. Each condition is one row of
+the private table ``_CONDITIONS``: clauses, each bounding F(Tx, Ty)(t) below
+by the least F(u, v)(t / (factor rate)) over its gaps (u, v), at a rate in
+(0, 1/factor). The table also gives each condition's orbit step rate.
 
-* banach      -- F(Tx, Ty)(t) >= F(x, y)(t / alpha),              alpha in (0, 1)
-* kannan      -- F(Tx, Ty)(t) >= min of the two self-displacement
-                 distributions at t / (2 alpha),                   alpha in (0, 1/2)
-* chatterjea  -- as kannan but with the two cross distributions
-                 F(x, Ty), F(y, Tx),                               alpha in (0, 1/2)
-* zamfirescu  -- pointwise disjunction of the three above with
-                 constants (alpha, beta, gamma); the margin at each
-                 (x, y, t) is the best clause margin.
-
-The disjunction is evaluated per (x, y, t) triple, matching the quantifier
-"for each x, y and t > 0, at least one of"; a per-(x, y) reading would be
-stricter and is not implemented.
+* banach      -- gap (x, y), factor 1,                  alpha in (0, 1)
+* kannan      -- self gaps (x, Tx), (y, Ty), factor 2,  alpha in (0, 1/2)
+* chatterjea  -- cross gaps (x, Ty), (y, Tx), factor 2, alpha in (0, 1/2)
+* zamfirescu  -- the three clauses at rates (alpha, beta, gamma), read per
+                 (x, y, t) as "for each x, y and t > 0, at least one of"
+                 (not per (x, y)): its margin is the best clause margin.
 
 Each checker's ``pairs`` is an int n, which samples n pairs from ``seed``
 with :func:`sample_pairs`, or the pairs themselves: an ``(n, 2, d)`` array
@@ -28,6 +25,7 @@ private ``_LeftSide``, which maps the pairs and evaluates F(Tx, Ty)(t) once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -209,42 +207,45 @@ class _LeftSide:
             raise InvalidParameterError(f"the pairs' left side was built for tol {self.tol!r}, not {tol!r}")
 
 
-def _banach_bound(space, X, Y, TX, TY, t, alpha):
-    return space.distance_values(X, Y, t / alpha)
-
-
-def _kannan_bound(space, X, Y, TX, TY, t, alpha):
-    """min(F(x, Tx), F(y, Ty)) at t / (2 alpha); Chatterjea's bound swaps Tx and Ty."""
-    scaled = t / (2.0 * alpha)
-    return np.minimum(space.distance_values(X, TX, scaled), space.distance_values(Y, TY, scaled))
-
-
-def _chatterjea_bound(space, X, Y, TX, TY, t, alpha):
-    return _kannan_bound(space, X, Y, TY, TX, t, alpha)
-
-
-def _zamfirescu_bound(space, X, Y, TX, TY, t, alpha, beta, gamma):
-    # F(Tx, Ty) minus the least clause bound is the best clause margin, bit
-    # for bit: rounding is monotone and NaN propagates through min and max
-    b1 = _banach_bound(space, X, Y, TX, TY, t, alpha)
-    b2 = _kannan_bound(space, X, Y, TX, TY, t, beta)
-    b3 = _chatterjea_bound(space, X, Y, TX, TY, t, gamma)
-    return np.minimum(np.minimum(b1, b2), b3)
-
-
-# condition -> (lower bound of its margin, (parameter, name in errors, upper end of its range) per rate)
+# condition -> its clauses (rate, its name in errors, factor, gaps) in fold order; rate in (0, 1 / factor)
+_XY, _SELF, _CROSS = ((0, 1),), ((0, 2), (1, 3)), ((0, 3), (1, 2))  # gaps: index pairs into (x, y, Tx, Ty)
 _CONDITIONS = {
-    "banach": (_banach_bound, (("alpha", "banach rate", 1.0),)),
-    "kannan": (_kannan_bound, (("alpha", "kannan rate", 0.5),)),
-    "chatterjea": (_chatterjea_bound, (("alpha", "chatterjea rate", 0.5),)),
-    "zamfirescu": (_zamfirescu_bound, (("alpha", "alpha", 1.0), ("beta", "beta", 0.5), ("gamma", "gamma", 0.5))),
+    "banach": (("alpha", "banach rate", 1.0, _XY),),
+    "kannan": (("alpha", "kannan rate", 2.0, _SELF),),
+    "chatterjea": (("alpha", "chatterjea rate", 2.0, _CROSS),),
+    "zamfirescu": (("alpha", "alpha", 1.0, _XY), ("beta", "beta", 2.0, _SELF), ("gamma", "gamma", 2.0, _CROSS)),
 }
+
+
+def _bound(kind, space, operands, t, params) -> np.ndarray:
+    """The least clause bound on the ``(X, Y, TX, TY)`` rows, folded with ``np.minimum`` in clause order.
+
+    F(Tx, Ty) minus it is the best clause margin, bit for bit (rounding is monotone, NaN propagates).
+    """
+    bounds = []
+    for rate, _, factor, gaps in _CONDITIONS[kind]:
+        scaled = t / (factor * params[rate])
+        values = [space.distance_values(operands[u], operands[v], scaled) for u, v in gaps]
+        bounds.append(reduce(np.minimum, values))
+    return reduce(np.minimum, bounds)
 
 
 def _check_rates(kind: str, rates: dict) -> None:
     """Raise unless each rate the ``kind`` condition reads from ``rates`` lies in its range."""
-    for key, name, upper in _CONDITIONS[kind][1]:
-        _check_rate(name, rates[key], upper)
+    for rate, name, factor, _ in _CONDITIONS[kind]:
+        _check_rate(name, rates[rate], 1.0 / factor)
+
+
+def _step_rate(kind: str, params: dict) -> float:
+    """q with d(x_{n+1}, x_{n+2}) <= q d(x_n, x_{n+1}) on every orbit of a ``kind`` map of a Dirac space.
+
+    There a clause holds for all t > 0 iff d(Tx, Ty) <= s max d(u, v) over its gaps,
+    s = factor rate. With y = Tx that gives s for the (x, y) and self gaps, and
+    s / (1 - s) for the cross gaps, as d(x, T^2 x) <= d(x, Tx) + d(Tx, T^2 x);
+    a map meeting some clause at each step has the largest. Rates must be in range.
+    """
+    clauses = [(factor * params[rate], gaps) for rate, _, factor, gaps in _CONDITIONS[kind]]
+    return max(s / (1.0 - s) if gaps == _CROSS else s for s, gaps in clauses)
 
 
 def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
@@ -256,7 +257,6 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
     pairs in pair order and reduced by :func:`~probcone.dist._first_worst`.
     """
     _check_rates(kind, params)
-    bound = _CONDITIONS[kind][0]
     if isinstance(pairs, _LeftSide):
         left = pairs
         left.check_for(space, mapping, grid, tol)
@@ -264,7 +264,7 @@ def _certify(kind, params, space, mapping, pairs, grid, tol, seed):
         left = _LeftSide.build(space, mapping, pairs, grid, tol, seed)
     X, Y, TX, TY, t = left.X, left.Y, left.TX, left.TY, left.grid.points
 
-    margins = (left.lhs[b] - bound(space, X[b], Y[b], TX[b], TY[b], t, **params) for b in _blocks(len(X)))
+    margins = (left.lhs[b] - _bound(kind, space, (X[b], Y[b], TX[b], TY[b]), t, params) for b in _blocks(len(X)))
     worst, passed, (number, p, k) = _first_worst(margins, left.tol)
     p += number * _BLOCK
     return ContractionCertificate(
@@ -303,15 +303,13 @@ def check_zamfirescu(
 
 
 def zamfirescu_delta(alpha: float, beta: float, gamma: float) -> float:
-    """Combined geometric rate max(alpha, 2 beta / (1 - beta), 2 gamma / (1 - gamma)).
+    """The hybrid condition's orbit step rate max(alpha, 2 beta, 2 gamma / (1 - 2 gamma)).
 
-    Raises :class:`RateNotCertifiedError` carrying the value when it reaches
-    1: the stated parameter ranges allow beta or gamma >= 1/3, where the
-    corresponding clause rate leaves (0, 1) and no geometric certificate
-    exists.
+    Raises :class:`RateNotCertifiedError`, carrying it, once it reaches 1, as for gamma >= 1/4.
     """
-    _check_rates("zamfirescu", {"alpha": alpha, "beta": beta, "gamma": gamma})
-    delta = max(alpha, 2.0 * beta / (1.0 - beta), 2.0 * gamma / (1.0 - gamma))
+    params = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    _check_rates("zamfirescu", params)
+    delta = _step_rate("zamfirescu", params)
     if delta >= 1.0:
         raise RateNotCertifiedError(delta)
     return delta

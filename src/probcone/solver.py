@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contract import Mapping
+from .contract import Mapping, _step_rate
 from .dist import DistFn, TimeGrid, _first_worst, _passes, empirical_sample_count
 from .errors import (
     DivergenceError,
@@ -165,10 +165,11 @@ def _chain_bound_on_grid(first_step, alpha, n, m, t, tnorm) -> np.ndarray:
 def _first_step_at(first_step, t, alpha, steps, gap=1.0) -> np.ndarray:
     """F(x_0, x_1)(t / (gap (2 alpha)^j)) at the 1-d times ``t``, one row per step j in ``steps``.
 
-    Each divisor is built with Python ``**``, as the scalar formulas are;
-    ``gap`` 1.0 leaves ``(2 alpha)^j`` bit for bit.
+    q = 2 alpha is the table's Kannan step rate, and ``gap * q ** j`` is built with
+    Python ``**``, as the scalar formulas are; ``gap`` 1.0 leaves ``q^j`` bit for bit.
     """
-    divisors = np.array([gap * (2.0 * alpha) ** j for j in steps])
+    q = _step_rate("kannan", {"alpha": alpha})
+    divisors = np.array([gap * q ** j for j in steps])
     with np.errstate(divide="ignore", over="ignore"):
         return first_step.eval(t[None, :] / divisors[:, None])
 

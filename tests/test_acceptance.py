@@ -176,11 +176,12 @@ def test_05_bound_consistency():
 
 def test_06_zamfirescu_delta_values():
     with criterion(6, "hybrid rate formula at the three reference inputs"):
-        assert zamfirescu_delta(0.5, 0.25, 0.2) == 2.0 / 3.0
-        assert abs(zamfirescu_delta(0.3, 0.3, 0.3) - 6.0 / 7.0) <= 1e-15
+        # max(alpha, 2 beta, 2 gamma / (1 - 2 gamma)), which reaches 1 at gamma = 1/4
+        assert zamfirescu_delta(0.5, 0.25, 0.2) == 0.4 / 0.6
+        assert zamfirescu_delta(0.5, 0.4, 0.2) == 0.8
         with pytest.raises(RateNotCertifiedError) as err:
-            zamfirescu_delta(0.5, 0.4, 0.2)
-        assert abs(err.value.delta - 4.0 / 3.0) <= 1e-15
+            zamfirescu_delta(0.3, 0.3, 0.3)
+        assert err.value.delta == 0.6 / 0.4
 
 
 def test_07_random_operator_desk_scale():

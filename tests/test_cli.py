@@ -561,6 +561,44 @@ class TestSchemaValidConfigErrors:
         cap = CONFIG_SCHEMA["properties"]["sie"]["properties"]["n_time"]["maximum"]
         assert (cap + 1) ** 2 <= cli._MAX_FLOAT64_LENGTH < (cap + 2) ** 2
 
+    def test_n_paths_cap_is_the_most_paths_of_the_smallest_mesh_one_array_holds(self):
+        cap = CONFIG_SCHEMA["properties"]["sie"]["properties"]["n_paths"]["maximum"]
+        assert cap * 3 <= cli._MAX_FLOAT64_LENGTH < (cap + 1) * 3
+
+    @pytest.mark.parametrize(
+        "sie,message",
+        [
+            # no numpy array holds this many paths of even the 3-node mesh, so the schema refuses it
+            (
+                {"n_paths": 10**19, "n_time": 2},
+                "config field 'sie/n_paths': 10000000000000000000 is greater than the maximum of 384307168202282325",
+            ),
+            # the schema's cap fits the 3-node mesh only; a 4-node one is refused before any path is built
+            (
+                {"n_paths": 384307168202282325, "n_time": 3},
+                "config field 'sie/n_paths': 384307168202282325 paths of 4 nodes exceed the "
+                "1152921504606846975 float64 values one numpy array can hold",
+            ),
+        ],
+        ids=["schema", "mesh"],
+    )
+    def test_path_count_past_array_length_exits_2_before_any_path(self, tmp_path, capsys, monkeypatch, sie, message):
+        # a missed refusal would call the forcing once per path, so its first call raises instead
+        class PathBuilt(Exception):
+            pass
+
+        def forcing(t, j, rng):
+            raise PathBuilt(f"forcing called for path {j}")
+
+        monkeypatch.setattr(cli, "make_forcing", lambda spec: forcing)
+        cfg = write_config(tmp_path, {"sie": sie})
+        assert main(["sie", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # build_sie_problem refuses both without the schema, before it builds the forcing
+        monkeypatch.setattr(cli, "make_forcing", None)
+        with pytest.raises(ConfigError, match="^config field 'sie/n_paths': .* paths of .* nodes exceed"):
+            cli.build_sie_problem({"sie": sie}, 0)
+
 
 class TestComputationFailures:
     @pytest.mark.parametrize(

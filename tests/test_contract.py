@@ -20,7 +20,7 @@ from probcone import (
     sample_pairs,
     zamfirescu_delta,
 )
-from probcone.contract import Mapping, _LeftSide
+from probcone.contract import _CONDITIONS, Mapping, _LeftSide, _step_rate
 from probcone.report import canonical_json, certificate_to_dict
 from probcone.space import sample_points
 from probcone.registry import (
@@ -319,19 +319,138 @@ class TestMapImages:
 
 class TestZamfirescuDelta:
     def test_exact_values(self):
-        assert zamfirescu_delta(0.5, 0.25, 0.2) == 2.0 / 3.0
-        assert zamfirescu_delta(0.3, 0.3, 0.3) == pytest.approx(6.0 / 7.0, abs=1e-15)
+        # max(alpha, 2 beta, 2 gamma / (1 - 2 gamma)), the largest clause step rate
+        assert zamfirescu_delta(0.5, 0.25, 0.2) == 0.4 / 0.6
+        assert zamfirescu_delta(0.5, 0.4, 0.2) == 0.8
 
     def test_rate_not_certified(self):
+        # 2 gamma / (1 - 2 gamma) reaches 1 at gamma = 1/4
         with pytest.raises(RateNotCertifiedError) as err:
-            zamfirescu_delta(0.5, 0.4, 0.2)
-        assert err.value.delta == pytest.approx(4.0 / 3.0, abs=1e-15)
+            zamfirescu_delta(0.3, 0.3, 0.3)
+        assert err.value.delta == 0.6 / 0.4
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             zamfirescu_delta(0.0, 0.2, 0.2)
         with pytest.raises(InvalidParameterError):
             zamfirescu_delta(0.5, 0.5, 0.2)
+
+
+def finite_map(images: dict) -> Mapping:
+    """The self-map of the finite subset ``images.keys()`` of R that sends x to ``images[x]``."""
+    return Mapping(lambda x: np.array([images[float(x[0])]]), name="finite")
+
+
+def all_pairs(points) -> list:
+    return [(np.array([x]), np.array([y])) for x in points for y in points]
+
+
+def image_gap_grid(images: dict) -> TimeGrid:
+    """Every positive d(Tx, Ty), so a pass at tol 0 means d(Tx, Ty) <= the clause's right side."""
+    gaps = {abs(images[x] - images[y]) for x in images for y in images} - {0.0}
+    return TimeGrid(np.array(sorted(gaps or {1.0})))
+
+
+def orbit_step_ratios(images: dict) -> list:
+    """d(x_{n+1}, x_{n+2}) / d(x_n, x_{n+1}) along the orbit of every point, while the steps are positive."""
+    ratios = []
+    for x in images:
+        orbit = [x]
+        for _ in range(2 * len(images)):
+            orbit.append(images[orbit[-1]])
+        steps = [abs(b - a) for a, b in zip(orbit, orbit[1:])]
+        ratios += [after / before for before, after in zip(steps, steps[1:]) if before > 0.0]
+    return ratios
+
+
+# Each condition's classical shadow on the 1-d Dirac space, written out here independently of
+# contract._CONDITIONS: d(Tx, Ty) <= factor * rate * max of the clause's gaps
+SHADOW = {
+    "banach": [("alpha", 1.0, 1.0, lambda x, y, tx, ty: (abs(x - y),))],
+    "kannan": [("alpha", 0.5, 2.0, lambda x, y, tx, ty: (abs(x - tx), abs(y - ty)))],
+    "chatterjea": [("alpha", 0.5, 2.0, lambda x, y, tx, ty: (abs(x - ty), abs(y - tx)))],
+}
+SHADOW["zamfirescu"] = [SHADOW["banach"][0], ("beta", *SHADOW["kannan"][0][1:]), ("gamma", *SHADOW["chatterjea"][0][1:])]
+
+
+def least_shadow_rate(images: dict, factor: float, gaps) -> float:
+    """The least rate at which one shadow clause holds on every pair (inf when none does)."""
+    worst = 0.0
+    for x in images:
+        for y in images:
+            image_gap = abs(images[x] - images[y])
+            if image_gap > 0.0:
+                largest = max(gaps(x, y, images[x], images[y]))
+                worst = max(worst, image_gap / (factor * largest) if largest > 0.0 else np.inf)
+    return worst
+
+
+@st.composite
+def finite_self_maps(draw):
+    """3 to 6 distinct points of R, quarter-integers in [-10, 10], and a self-map of them.
+
+    Half the maps send each point anywhere. The other half descend: with the points ordered by
+    their distance to the first, each goes to one before it, so orbits take several positive steps.
+    """
+    points = [k / 4 for k in draw(st.lists(st.integers(-40, 40), min_size=3, max_size=6, unique=True))]
+    if not draw(st.booleans()):
+        return dict(zip(points, draw(st.lists(st.sampled_from(points), min_size=len(points), max_size=len(points)))))
+    sink = points[0]
+    points.sort(key=lambda x: abs(x - sink))
+    return {x: points[draw(st.integers(0, max(k - 1, 0)))] for k, x in enumerate(points)}
+
+
+class TestConditionTable:
+    SPACE_1D = dirac_space(dim=1)
+
+    def test_step_rates(self):
+        # s = factor rate for the (x, y) and self gaps, s / (1 - s) for the cross gaps; the largest for Zamfirescu
+        assert _step_rate("banach", {"alpha": 0.3}) == 0.3
+        assert _step_rate("kannan", {"alpha": 0.3}) == 0.6
+        assert _step_rate("chatterjea", {"alpha": 0.2}) == 0.4 / 0.6
+        assert _step_rate("chatterjea", {"alpha": 0.25}) == 1.0
+        assert _step_rate("zamfirescu", {"alpha": 0.7, "beta": 0.3, "gamma": 0.1}) == 0.7
+        assert _step_rate("zamfirescu", {"alpha": 0.1, "beta": 0.1, "gamma": 0.3}) == 0.6 / 0.4
+
+    def test_rate_ranges_are_where_factor_times_rate_stays_below_one(self):
+        for kind, clauses in _CONDITIONS.items():
+            for rate, name, factor, _ in clauses:
+                params = {clause[0]: 0.1 for clause in clauses}
+                with pytest.raises(InvalidParameterError, match=f"^{name} must lie in"):
+                    KINDS[kind][0](self.SPACE_1D, identity_map(), **{**params, rate: 1.0 / factor}, pairs=1)
+
+    def test_three_point_chatterjea_map_takes_a_longer_second_step(self):
+        # T(0) = 1, T(1) = 2.5, T(2.5) = 2.5: d(Tx, Ty) <= 0.6 max(d(x, Ty), d(y, Tx)) on every pair,
+        # so Chatterjea holds at 0.3, yet the orbit from 0 steps 1 and then 1.5
+        images = {0.0: 1.0, 1.0: 2.5, 2.5: 2.5}
+        mapping, pairs = finite_map(images), all_pairs(images)
+        grid = TimeGrid(np.unique(np.r_[np.linspace(0.01, 4.0, 400), image_gap_grid(images).points]))
+        assert check_chatterjea(self.SPACE_1D, mapping, 0.3, pairs=pairs, grid=grid, tol=0.0).passed
+        assert check_zamfirescu(self.SPACE_1D, mapping, 0.1, 0.1, 0.3, pairs=pairs, grid=grid, tol=0.0).passed
+        assert 1.5 in orbit_step_ratios(images)
+        with pytest.raises(RateNotCertifiedError) as err:
+            zamfirescu_delta(0.1, 0.1, 0.3)
+        assert err.value.delta == 0.6 / 0.4
+
+    @settings(max_examples=300, deadline=None)
+    @given(images=finite_self_maps(), kind=st.sampled_from(sorted(SHADOW)), data=st.data())
+    def test_passing_maps_step_no_faster_than_the_step_rate(self, images, kind, data):
+        # a rate is drawn above its clause's least shadow rate where that lies in range, so that most
+        # examples pass; Zamfirescu draws some rates anywhere, so that its clauses take turns on the
+        # pairs. Chatterjea draws cover gamma in [1/4, 1/2), where the step rate is >= 1
+        params = {}
+        for rate, upper, factor, gaps in SHADOW[kind]:
+            low = max(least_shadow_rate(images, factor, gaps), 1e-6)
+            if low >= upper or (kind == "zamfirescu" and data.draw(st.booleans(), label=f"{rate} anywhere")):
+                low = 1e-6
+            params[rate] = data.draw(st.floats(low, upper, exclude_min=True, exclude_max=True), label=rate)
+        q = _step_rate(kind, params)
+        if kind == "chatterjea" and params["alpha"] >= 0.25:
+            assert q >= 1.0
+        check = KINDS[kind][0](self.SPACE_1D, finite_map(images), **params, pairs=all_pairs(images),
+                             grid=image_gap_grid(images), tol=0.0)
+        if check.passed and q < 1.0:
+            assert all(ratio <= q * (1.0 + 1e-12) for ratio in orbit_step_ratios(images))
 
 
 class TestDeterminismAndSampling:

@@ -10,11 +10,10 @@ their worst and compares them with -tol in one place each, spells the
 tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, states each
 cone's membership in its rows kernel only, writes each distribution
 family's parameter rule and formula in its class only, words the count
-rule ">= 1" in ``errors`` only, divides a time by twice a rate in the
-Kannan bound only, raises twice a rate to a power in
-``solver._first_step_at`` only, and never calls
-``sys.getrefcount``. Every public name is read by the CLI, named in the
-README or deprecated.
+rule ">= 1" in ``errors`` only, multiplies by the constant 2 nowhere
+(each condition's rescaling factor is a number of its row in the
+condition table), and never calls ``sys.getrefcount``. Every public name
+is read by the CLI, named in the README or deprecated.
 """
 
 import ast
@@ -30,6 +29,7 @@ import pytest
 
 import probcone
 from probcone import cli, stochastic
+from probcone.contract import _CONDITIONS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -441,20 +441,18 @@ def test_cone_membership_is_spelled_only_in_each_cones_rows_kernel():
     )
 
 
-def half_rate_rescalings(path: Path) -> list:
-    """``module.function`` for each division by ``2 * rate`` (or ``rate * 2``) in ``path``."""
+def products_of_two(path: Path) -> list:
+    """``module.function`` for each product with the constant 2 (``2 * x``, ``x * 2.0``) in ``path``."""
     uses = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if (
                 isinstance(child, ast.BinOp)
-                and isinstance(child.op, ast.Div)
-                and isinstance(child.right, ast.BinOp)
-                and isinstance(child.right.op, ast.Mult)
+                and isinstance(child.op, ast.Mult)
                 and any(
-                    isinstance(factor, ast.Constant) and factor.value == 2
-                    for factor in (child.right.left, child.right.right)
+                    isinstance(factor, ast.Constant) and not isinstance(factor.value, bool) and factor.value == 2
+                    for factor in (child.left, child.right)
                 )
             ):
                 uses.append(f"{path.stem}.{scope}")
@@ -464,41 +462,23 @@ def half_rate_rescalings(path: Path) -> list:
     return uses
 
 
-def test_kannan_rescaling_is_spelled_only_in_the_kannan_bound():
-    # the Kannan and Chatterjea bounds read F at t / (2 alpha); random operators
-    # certify through check_kannan rather than a rescaling of their own
-    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in half_rate_rescalings(path)]
-    assert uses == ["contract._kannan_bound"]
+def test_rate_rescalings_are_spelled_only_in_the_condition_table():
+    # each clause of contract._CONDITIONS states its factor as a number: 1 for the (x, y) gap and 2
+    # for two gaps. The bounds' t / (factor rate), the step rates and solver's q^j divisors multiply
+    # by that number, so no module multiplies by the constant 2
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in products_of_two(path)]
+    assert uses == []
+    factors = {kind: [(factor, len(gaps)) for _, _, factor, gaps in clauses] for kind, clauses in _CONDITIONS.items()}
+    assert factors == {
+        "banach": [(1.0, 1)],
+        "kannan": [(2.0, 2)],
+        "chatterjea": [(2.0, 2)],
+        "zamfirescu": [(1.0, 1), (2.0, 2), (2.0, 2)],
+    }
 
 
-def twice_rate_powers(path: Path) -> list:
-    """``module.function`` for each power of ``2 * rate`` (or ``rate * 2``) in ``path``."""
-    uses = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, ast.BinOp)
-                and isinstance(child.op, ast.Pow)
-                and isinstance(child.left, ast.BinOp)
-                and isinstance(child.left.op, ast.Mult)
-                and any(
-                    isinstance(factor, ast.Constant) and factor.value == 2
-                    for factor in (child.left.left, child.left.right)
-                )
-            ):
-                uses.append(f"{path.stem}.{scope}")
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-    visit(ast.parse(path.read_text()), "<module>")
-    return uses
-
-
-def test_step_divisors_are_spelled_only_in_first_step_at():
-    # kannan_bound, the step rows of check_bounds and the chain bound all read
-    # F(x_0, x_1) at t / (gap (2 alpha)^j) through this one helper
-    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in twice_rate_powers(path)]
-    assert uses == ["solver._first_step_at"]
+def test_classify_kinds_are_the_condition_table():
+    assert cli.CONFIG_SCHEMA["properties"]["classify"]["properties"]["kinds"]["items"]["enum"] == list(_CONDITIONS)
 
 
 FAMILY_WORDS = ("DiracStep distance must be finite and >= 0", "GaussianShift offset must be finite")
