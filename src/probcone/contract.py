@@ -31,7 +31,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .dist import TimeGrid, _first_worst, default_comparison_tol
-from .errors import InvalidParameterError, RateNotCertifiedError, _check_rate, _check_tol
+from .errors import InvalidParameterError, RateNotCertifiedError, _check_tol
 from .space import PCMSpace, sample_points
 
 _BLOCK = 128  # pairs per margin block: bounds the (pairs, t) temporaries
@@ -224,16 +224,19 @@ def _bound(kind, space, operands, t, params) -> np.ndarray:
     """
     bounds = []
     for rate, _, factor, gaps in _CONDITIONS[kind]:
-        scaled = t / (factor * params[rate])
+        with np.errstate(over="ignore"):  # a tiny rate gives t = inf, where F reads its limit
+            scaled = t / (factor * params[rate])
         values = [space.distance_values(operands[u], operands[v], scaled) for u, v in gaps]
         bounds.append(reduce(np.minimum, values))
     return reduce(np.minimum, bounds)
 
 
 def _check_rates(kind: str, rates: dict) -> None:
-    """Raise unless each rate the ``kind`` condition reads from ``rates`` lies in its range."""
+    """The package's one rate check: raise unless each rate ``kind`` reads from ``rates`` is in (0, 1 / factor)."""
     for rate, name, factor, _ in _CONDITIONS[kind]:
-        _check_rate(name, rates[rate], 1.0 / factor)
+        if not 0.0 < rates[rate] < 1.0 / factor:
+            upper = "1" if factor == 1.0 else f"1/{factor:g}"
+            raise InvalidParameterError(f"{name} must lie in (0, {upper}), got {rates[rate]}")
 
 
 def _step_rate(kind: str, params: dict) -> float:

@@ -43,12 +43,6 @@ class ConfigError(ProbconeError, ValueError):
     """A CLI configuration file failed schema validation."""
 
 
-def _check_rate(name: str, value, upper: float = 0.5) -> None:
-    """Raise unless ``0 < value < upper``, where ``upper`` is 1/2 or 1."""
-    if not 0.0 < value < upper:
-        raise InvalidParameterError(f"{name} must lie in (0, {'1/2' if upper == 0.5 else 1}), got {value}")
-
-
 def _check_count(name: str, value) -> None:
     """Raise unless the count ``value`` is at least 1."""
     if value < 1:

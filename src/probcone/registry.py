@@ -203,21 +203,26 @@ def cone_gaussian_space(
     When the difference u - v lies in the positive orthant the distance is
     a Gaussian shifted by the Euclidean gap; otherwise it collapses to the
     sub-distribution delta * Phi(t). Deliberately asymmetric and
-    sub-distributional: diagnostic reports should flag both.
+    sub-distributional: diagnostic reports should flag both. A non-finite
+    gap is refused on either side of the gate, as the Dirac space refuses it.
     """
     gate = Orthant(2)
 
     def distance(u, v):
         diff = u - v
+        gap = float(_row_norms(diff[None])[0])
+        GaussianShift._check(gap)
         if gate.contains(diff):
-            return GaussianShift(float(_row_norms(diff[None])[0]))
+            return GaussianShift(gap)
         return ScaledGaussian(delta)
 
     def table(X, Y, t):
         diff = X - Y
+        gaps = _row_norms(diff)
+        GaussianShift._check(gaps)
         inside = gate._members(diff)  # the gate's own test, row by row
         out = np.empty((len(diff), t.size))
-        out[inside] = GaussianShift._table(_row_norms(diff[inside]), t)
+        out[inside] = GaussianShift._table(gaps[inside], t)
         out[~inside] = ScaledGaussian(delta).eval(t)
         return out
 

@@ -23,14 +23,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contract import Mapping, _step_rate
+from .contract import Mapping, _check_rates, _step_rate
 from .dist import DistFn, TimeGrid, _first_worst, _passes, empirical_sample_count
 from .errors import (
     DivergenceError,
     InvalidParameterError,
     _check_count,
     _check_positive,
-    _check_rate,
     _check_tol,
     _checked_points,
 )
@@ -129,7 +128,7 @@ def kannan_bound(first_step: DistFn, alpha: float, n: int, t):
     t / (2 alpha)^n. n = 0 reduces to the first step itself. ``t`` may be
     a scalar or an array of positive times.
     """
-    _check_rate("rate", alpha)
+    _check_rates("kannan", {"alpha": alpha})
     if n < 0:
         raise InvalidParameterError(f"step index must be >= 0, got {n}")
     t_arr = np.asarray(t, dtype=float)
@@ -148,7 +147,7 @@ def cauchy_chain_bound(
     j = n .. m-1 with the given t-norm (left fold, empty never occurs since
     n < m).
     """
-    _check_rate("rate", alpha)
+    _check_rates("kannan", {"alpha": alpha})
     if not (0 <= n < m):
         raise InvalidParameterError(f"need 0 <= n < m, got n={n}, m={m}")
     _check_positive("t", t)
@@ -210,7 +209,7 @@ def check_bounds(
     (:func:`~probcone.dist._first_worst`); each margin that fails the same
     test, a NaN included, is a violation.
     """
-    _check_rate("rate", alpha)
+    _check_rates("kannan", {"alpha": alpha})
     _check_tol(tol)
     if trace.points.shape[0] < 2:
         raise InvalidParameterError("trace must contain at least two points")

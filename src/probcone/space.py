@@ -292,9 +292,11 @@ def check_axioms(
     # index, and T(0, b) = T(a, 0) = 0 masks j == i and k == j in the max
     operands = _check_unit(np.where(off_diagonal[:, :, None], on_grid, 0.0), "distance values F(x_i, x_j)(t_k)")
     max_combine = _MaxCombine(space.tnorm, operands.reshape(n_points, n_points * g))
-    # F_ik is read at each distinct sum t_a + t_b, a <= b, once
+    # F_ik is read at each distinct sum t_a + t_b, a <= b, once; a sum past the
+    # largest float is inf, where F reads its limit at +inf
     first, second = np.triu_indices(g)
-    sums = t[first] + t[second]
+    with np.errstate(over="ignore"):
+        sums = t[first] + t[second]
     sum_index = np.empty((g, g), dtype=np.intp)
     sum_index[first, second] = sum_index[second, first] = np.arange(len(sums))
     sum_index = sum_index.ravel()

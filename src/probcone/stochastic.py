@@ -40,11 +40,10 @@ from .errors import (
     InvalidParameterError,
     _check_count,
     _check_positive,
-    _check_rate,
     _check_tol,
     _checked_points,
 )
-from .contract import ContractionCertificate, Mapping, _LeftSide, check_kannan
+from .contract import ContractionCertificate, Mapping, _LeftSide, _check_rates, check_kannan
 from .rng import path_generator
 from .space import PCMSpace
 from .tnorm import TNorm
@@ -164,7 +163,7 @@ def check_random_kannan(
     t / alpha form implies it for alpha < 1/2 since the distributions are
     non-decreasing.
     """
-    _check_rate("rate", alpha)
+    _check_rates("kannan", {"alpha": alpha})
     if tol is not None:
         _check_tol(tol)
     if not ensembles:
@@ -244,7 +243,7 @@ class SIEProblem:
             raise InvalidParameterError("time grid must contain at least two nodes")
         if t[0] != 0.0 or abs(t[-1] - 1.0) > 1e-12:
             raise InvalidParameterError("time grid must run from 0 to 1")
-        if np.any(np.diff(t) <= 0.0):
+        if not np.all(np.diff(t) > 0.0):  # NaN fails too
             raise InvalidParameterError("time grid must be strictly increasing")
         if not np.isfinite(self.lipschitz) or self.lipschitz < 0.0:
             raise InvalidParameterError(f"lipschitz constant must be >= 0, got {self.lipschitz}")
@@ -384,18 +383,16 @@ class _DiscreteOperator:
         self.problem = problem
         t = problem.time_grid
         n = t.size
-        self.h = np.stack(
-            [
-                np.asarray(
-                    problem.forcing(t, j, path_generator(problem.seed, j)), dtype=float
+        # allocated before the first forcing call, so a path count no memory holds fails at once
+        self.h = np.empty((problem.n_paths, n))
+        for j, row in enumerate(self.h):
+            h = np.asarray(problem.forcing(t, j, path_generator(problem.seed, j)), dtype=float)
+            if h.shape != row.shape:
+                raise InvalidParameterError(
+                    f"forcing must return one value per time node; got shape {h.shape} "
+                    f"for path {j}, expected {row.shape}"
                 )
-                for j in range(problem.n_paths)
-            ]
-        )
-        if self.h.shape != (problem.n_paths, n):
-            raise InvalidParameterError(
-                f"forcing must return one value per time node; got shape {self.h.shape}"
-            )
+            row[...] = h
         # trapezoid node weights of step_norm: the last row of the causal rule
         self.node_weights = causal_trapezoid_weights(t, n - 1)[0]
         # read-only zero-stride views of the grid: no memory

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -622,6 +623,34 @@ class TestComputationFailures:
         assert capsys.readouterr().err == line
 
 
+# each reads F at a time past the largest float: t / rate in the bounds, t + s in the triangle check
+_HUGE_GRID = {"points": [1.0, 1e308]}
+_OVERFLOWING_RUNS = {
+    "banach-tiny-rate": (
+        "classify",
+        {"space": DIRAC_SPACE, "mapping": "scale:0.5", "classify": {"kinds": ["banach"], "alpha": 5e-324, "n_pairs": 4}},
+    ),
+    "axioms-huge-grid": (
+        "axioms", {"space": {"dim": 2, "distance": "dirac"}, "grid": _HUGE_GRID, "axioms": {"n_points": 4}}
+    ),
+    "cone-gaussian-huge-grid": (
+        "classify",
+        {"space": GAUSS_SPACE, "mapping": "scale:0.5", "grid": _HUGE_GRID, "classify": {"alpha": 0.1, "n_pairs": 4}},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_OVERFLOWING_RUNS))
+def test_overflow_to_inf_succeeds_without_a_warning(tmp_path, run):
+    # inf is the right time there (F reads its limit at +inf), so numpy's overflow warning used to
+    # reach stderr on a run that exits 0; here it would propagate as an error
+    command, config = _OVERFLOWING_RUNS[run]
+    cfg = write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 class TestClassifyCommand:
     def test_halving_map_banach_pass(self, tmp_path):
         cfg = write_config(
@@ -827,7 +856,7 @@ class TestSolveCommand:
         )
         with np.errstate(over="ignore"):
             assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "config error: rate must lie in (0, 1/2), got 0.7\n"
+        assert capsys.readouterr().err == "config error: kannan rate must lie in (0, 1/2), got 0.7\n"
         assert orbits == []
 
 

@@ -187,11 +187,19 @@ class TestRowsKernel:
         Y = np.random.default_rng(0).uniform(-1.0, 1.0, diffs.shape)
         X = Y + diffs
         t = np.geomspace(0.01, 10.0, 17)
-        with np.errstate(all="ignore"):
-            rows = [space.distance(x, y) for x, y in zip(X, Y)]
-            table = space.distance_values(X, Y, t)
+        finite = np.isfinite(diffs).all(axis=1)
+        rows = [space.distance(x, y) for x, y in zip(X[finite], Y[finite])]
+        table = space.distance_values(X[finite], Y[finite], t)
         for p, dist in enumerate(rows):
             assert table[p].tobytes() == np.asarray(dist.eval(t), dtype=float).tobytes()
+        # a non-finite gap is outside the gate, yet both forms refuse it in the offset rule's words
+        for p in np.flatnonzero(~finite):
+            with pytest.raises(InvalidParameterError) as expected:
+                space.distance(X[p], Y[p])
+            with pytest.raises(InvalidParameterError) as raised:
+                space.distance_values(X[[0, p]], Y[[0, p]], t)  # after a finite row
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).startswith("GaussianShift offset must be finite, got ")
 
 
 class TestPointCheck:

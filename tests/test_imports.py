@@ -10,7 +10,8 @@ their worst and compares them with -tol in one place each, spells the
 tau-closeness test F(x, y)(eps) > 1 - eps in ``space`` only, states each
 cone's membership in its rows kernel only, writes each distribution
 family's parameter rule and formula in its class only, words the count
-rule ">= 1" in ``errors`` only, multiplies by the constant 2 nowhere
+rule ">= 1" in ``errors`` only, words the rate range rule in
+``contract._check_rates`` only, multiplies by the constant 2 nowhere
 (each condition's rescaling factor is a number of its row in the
 condition table), and never calls ``sys.getrefcount``. Every public name
 is read by the CLI, named in the README or deprecated.
@@ -527,6 +528,28 @@ def test_the_count_rule_is_worded_only_in_errors():
     # every count (max_iter, n_paths, sample_count) is checked by errors._check_count
     holders = [path.name for path in sorted((SRC / "probcone").glob("*.py")) if "must be >= 1" in path.read_text()]
     assert holders == ["errors.py"]
+
+
+def open_range_wordings(path: Path) -> list:
+    """The dotted scope of each string piece in ``path`` that words a range "must lie in (0, ..."."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and "must lie in (0, " in child.value:
+                uses.append(scope)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return uses
+
+
+def test_the_rate_range_rule_is_worded_only_in_check_rates():
+    # every contraction rate is checked, and its range worded from its row's factor, by
+    # contract._check_rates; ScaledGaussian's scale in (0, 1] is another rule
+    uses = [use for path in sorted((SRC / "probcone").glob("*.py")) for use in open_range_wordings(path)]
+    assert uses == ["contract._check_rates", "dist.ScaledGaussian.__post_init__"]
 
 
 PUBLIC_NAMES = [

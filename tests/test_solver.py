@@ -500,6 +500,22 @@ def test_non_finite_tol_rejected(check, tol):
         _TOL_CHECKS[check](tol)
 
 
+_KANNAN_RATE_CHECKS = {
+    "kannan_bound": lambda alpha: kannan_bound(DiracStep(1.0), alpha, 1, 1.0),
+    "cauchy_chain_bound": lambda alpha: cauchy_chain_bound(DiracStep(1.0), alpha, 0, 2, 1.0, TNorm.MINIMUM),
+    "check_bounds": lambda alpha: check_bounds(_SHIFT_ORBIT, alpha),
+    "check_random_kannan": lambda alpha: check_random_kannan(_HALF, _ENSEMBLES, alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0, math.nan], ids=["half", "zero", "nan"])
+@pytest.mark.parametrize("check", sorted(_KANNAN_RATE_CHECKS))
+def test_kannan_rate_refused_in_the_condition_tables_words(check, alpha):
+    # each reads contract._check_rates, so its words are classify's
+    with pytest.raises(InvalidParameterError, match=re.escape(f"kannan rate must lie in (0, 1/2), got {alpha}")):
+        _KANNAN_RATE_CHECKS[check](alpha)
+
+
 class TestVerifyFixedPoint:
     def test_rotation_fixed_point_at_origin(self):
         assert verify_fixed_point(SPACE, ROTATE, [0.0, 0.0]).is_fixed
@@ -521,6 +537,16 @@ class TestVerifyFixedPoint:
         # picard's start is checked by the same rule
         with pytest.raises(InvalidParameterError, match=re.escape(message.replace("x ", "x0 ", 1))):
             picard(SPACE, scale_map(0.5), x)
+
+    @pytest.mark.parametrize("space", [SPACE, cone_gaussian_space()], ids=["dirac", "cone-gaussian"])
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, -np.inf]], ids=["nan", "-inf"])
+    def test_non_finite_point_is_refused(self, space, x):
+        # the cone-Gaussian gap of [nan, 1] used to fall outside the gate and read
+        # delta Phi(t): is_fixed False with a finite worst, and tau_converged False
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError, match="must be finite"):
+            verify_fixed_point(space, identity_map(), x)  # x - Tx is nan at an infinite coordinate
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            tau_converged(space, x, [0.0, 0.0], 0.1)
 
     def test_non_fixed_point(self):
         result = verify_fixed_point(SPACE, ROTATE, [1.0, 0.0])

@@ -1028,12 +1028,15 @@ class TestDistanceValues:
         assert str(raised.value) == str(expected.value)
 
     def test_cone_gaussian_nan_gap_agrees_with_distance(self):
-        # a NaN difference is not inside the gate, so neither form reaches the offset rule
+        # a NaN difference is not inside the gate, but both forms check the gap before the gate
         X = np.array([[np.nan, 1.0], [1.0, np.nan]])
         Y = np.zeros((2, 2))
         space = cone_gaussian_space(delta=0.5)
-        t = np.array([0.5, 1.0, np.inf])
-        assert space.distance_values(X, Y, t).tobytes() == per_row_values(space, X, Y, t).tobytes()
+        with pytest.raises(InvalidParameterError) as expected:
+            space.distance(X[0], Y[0])
+        with pytest.raises(InvalidParameterError) as raised:
+            space.distance_values(X, Y, np.array([0.5, 1.0, np.inf]))
+        assert str(raised.value) == str(expected.value) == "GaussianShift offset must be finite, got nan"
 
 
 class TestBlockSampling:

@@ -16,7 +16,7 @@ from probcone import (
     sie_conditions,
     sie_solve,
 )
-from probcone import stochastic
+from probcone import cli, stochastic
 from probcone.registry import make_forcing, make_kernel, make_nonlinearity, rotation_half_map
 from probcone.dist import TimeGrid, _first_worst, _row_norms, default_comparison_tol, from_samples
 from probcone.rng import mix_seed, path_generator
@@ -459,6 +459,43 @@ class TestSieApply:
             sie_apply(p, np.zeros((2, 11)))
         with pytest.raises(InvalidParameterError):
             sie_apply(p, np.zeros((1, 10)))
+
+
+class TestSieBuildChecks:
+    """A problem that cannot run is refused before, or at, its first forcing call."""
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan]], ids=["inner", "last"])
+    def test_nan_time_node_refused(self, grid):
+        # np.diff(t) <= 0 is false at a NaN gap, so such a grid was accepted and its rate read nan
+        with pytest.raises(InvalidParameterError, match="^time grid must be strictly increasing$"):
+            SIEProblem(np.array(grid), CONST_KERNEL, UNIT_FORCING, LINEAR_04, L_04)
+
+    def test_wrong_shaped_forcing_is_called_once(self):
+        calls = []
+
+        def forcing(t, j, rng):
+            calls.append(j)
+            return np.ones(t.size + 1)
+
+        problem = SIEProblem(np.linspace(0.0, 1.0, 11), CONST_KERNEL, forcing, LINEAR_04, L_04, n_paths=5)
+        message = r"^forcing must return one value per time node; got shape \(12,\) for path 0, expected \(11,\)$"
+        with pytest.raises(InvalidParameterError, match=message):
+            sie_solve(problem)
+        assert calls == [0]
+
+    def test_path_count_no_memory_holds_fails_before_any_forcing_call(self):
+        # the schema's cap on a 3-node mesh: its 8 EiB forcing array fits no 64-bit
+        # address space, so the allocation fails at once and nothing is allocated
+        class ForcingCalled(Exception):
+            pass
+
+        def forcing(t, j, rng):
+            raise ForcingCalled
+
+        n_paths = cli._MAX_FLOAT64_LENGTH // 3
+        problem = SIEProblem(np.linspace(0.0, 1.0, 3), CONST_KERNEL, forcing, LINEAR_04, L_04, n_paths=n_paths)
+        with pytest.raises(MemoryError):
+            sie_solve(problem)
 
 
 GAUSSIAN_FORCING = make_forcing({"name": "gaussian", "base": 1.0, "scale": 0.1})
